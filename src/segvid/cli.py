@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -194,6 +195,30 @@ def _truth_input(cfg: _Cfg, truth: np.ndarray, ccfg: CodecConfig):
     return build_stage2_input(v_ref, truth[0], ccfg)
 
 
+def _require_converged(stage: int, steps: int, final_loss: float) -> None:
+    """Fail before saving when the trained model's evaluation loss is not
+    finite: the step losses can stay finite while the last updates blow up."""
+    if not math.isfinite(final_loss):
+        raise FloatingPointError(f"stage {stage} training diverged: evaluation loss "
+                                 f"{final_loss} after step {steps - 1}")
+
+
+def _check_pipeline(s1, s2, image: np.ndarray) -> None:
+    """Reject a stage-1/stage-2 codec mismatch, or an (H, W, 3) image whose
+    size disagrees with either checkpoint, before the image reaches a mixer."""
+    a, b = asdict(s1.codec_cfg), asdict(s2.codec_cfg)
+    diff = [f"{k}={a[k]} vs {k}={b[k]}" for k in a if a[k] != b[k]]
+    if diff:
+        raise ValueError(f"stage-1 and stage-2 codec configs differ: {', '.join(diff)}")
+    H, W = image.shape[:2]
+    f, c = b["f_s"], b["c"]
+    for stage, model, scale in ((1, s1, f * f), (2, s2, f)):
+        d_in = 2 * c * (H // scale) * (W // scale)
+        if d_in != model.params.d_in:
+            raise ValueError(f"image is {H}x{W} (d_in {d_in}), but the stage-{stage} "
+                             f"checkpoint has d_in {model.params.d_in}")
+
+
 def _cmd_synth(cfg: _Cfg) -> int:
     out = cfg.out_dir()
     specs = synth.default_specs(cfg.get("count"), cfg.get("seed"), T=cfg.get("frames"),
@@ -216,6 +241,7 @@ def _cmd_train_stage1(cfg: _Cfg, args) -> int:
     init_loss = stage1.eval_loss(model, clips, seed + 1)
     log = stage1.train(model, clips, cfg.get("steps"), seed, cfg.get_or("lr", 1e-2))
     final_loss = stage1.eval_loss(model, clips, seed + 1)
+    _require_converged(1, len(log), final_loss)
     stage1.save_stage1(model, out)
     _write_csv(os.path.join(out, "train_log.csv"), ["step", "loss"],
                [(s, f"{l:.6f}") for s, l in log])
@@ -243,6 +269,7 @@ def _cmd_train_stage2(cfg: _Cfg, args) -> int:
     log = stage2.train(model, trans_pairs, down_pairs, cfg.get("steps"), seed,
                        cfg.get_or("lr", 3e-4))
     final_loss = stage2.eval_loss(model, down_pairs, seed + 1)
+    _require_converged(2, len(log), final_loss)
     stage2.save_stage2(model, out)
     _write_csv(os.path.join(out, "train_log.csv"), ["step", "loss", "M", "N", "source"],
                [(s, f"{l:.6f}", m, n, src) for s, l, m, n, src in log])
@@ -260,6 +287,7 @@ def _cmd_generate(cfg: _Cfg, args) -> int:
     img = read_siv1(args.image)
     if img.shape[0] != 1:
         raise ValueError(f"--image must hold a single frame, got T={img.shape[0]}")
+    _check_pipeline(s1, s2, img[0])
     T, seed = cfg.get("frames"), cfg.get("seed")
     inp = stage2.pipeline_inputs(s1, s2, img[0], T, seed)
     p = scheduler.plan(inp.z_ref.shape[0], cfg.get("M"), cfg.get("N"))
@@ -321,6 +349,7 @@ def _cmd_bench_boundary(cfg: _Cfg, args) -> int:
     s2 = stage2.load_stage2(args.stage2)
     T, seed = cfg.get("frames"), cfg.get("seed")
     truth = _scene_video(cfg, T, seed_offset=101)  # held-out scene
+    _check_pipeline(s1, s2, truth[0])
     inp = stage2.pipeline_inputs(s1, s2, truth[0], T, seed)
     p = scheduler.plan(inp.z_ref.shape[0], cfg.get("M"), cfg.get("N"))
     video = decode(stage2.infer_csg(s2, inp, p, seed), s2.codec_cfg)

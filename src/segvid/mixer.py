@@ -58,6 +58,9 @@ class MixerParams:
         for name in ("w_in", "w_q", "w_k", "w_v", "w_out"):
             require_finite(getattr(self, name), name)
 
+    def finite(self) -> bool:
+        return all(np.isfinite(getattr(self, name)).all() for name in _MATS)
+
     def copy(self) -> "MixerParams":
         return replace(self, w_in=self.w_in.copy(), w_q=self.w_q.copy(),
                        w_k=self.w_k.copy(), w_v=self.w_v.copy(), w_out=self.w_out.copy())

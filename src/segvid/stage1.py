@@ -5,11 +5,15 @@ concatenating the broadcast anchor latent (the encoded first frame) to every
 block. Block 1 holds the anchor content and is never updated by the sampler.
 Also exposes partial denoising from an intermediate noise level, which the
 stage-transition synthesizer drives.
+
+Training encodes each clip once per `train` or `eval_loss` call; every step
+then works on those latents.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -84,25 +88,27 @@ def denoise_from(model: Stage1Model, z_noisy: np.ndarray, x_lr: np.ndarray,
 
 def train_step(model: Stage1Model, v_lr: np.ndarray, rng: Rng, lr: float = 1e-2) -> float:
     """One teacher-forced flow-matching step on a clean LR clip."""
-    loss, grads = _loss_terms(model, v_lr, rng)
+    return _latent_step(model, encode(v_lr, model.codec_cfg), rng, lr)
+
+
+def _latent_step(model: Stage1Model, z0: np.ndarray, rng: Rng, lr: float) -> float:
+    loss, grads = _loss_terms(model, z0, rng)
     mixer.sgd_update(model.params, grads, lr)
     return loss
 
 
 def eval_loss(model: Stage1Model, clips, seed: int, draws: int = 8) -> float:
     """Mean masked loss over seeded (sigma, eps) draws; no update."""
+    zs = [encode(v, model.codec_cfg) for v in clips]
     tot = 0.0
     g = Rng(seed).split(SUB_TRAIN)
     for j in range(draws):
-        v = clips[j % len(clips)]
-        loss, _ = _loss_terms(model, v, g.split(j))
+        loss, _ = _loss_terms(model, zs[j % len(zs)], g.split(j))
         tot += loss
     return tot / draws
 
 
-def _loss_terms(model: Stage1Model, v_lr: np.ndarray, rng: Rng):
-    cfg = model.codec_cfg
-    z0 = encode(v_lr, cfg)
+def _loss_terms(model: Stage1Model, z0: np.ndarray, rng: Rng):
     t, h, w, c = z0.shape
     if t < 2:
         raise ValueError("clip too short: need at least one block beyond the anchor")
@@ -122,13 +128,19 @@ def _loss_terms(model: Stage1Model, v_lr: np.ndarray, rng: Rng):
 
 def train(model: Stage1Model, clips, steps: int, seed: int, lr: float = 1e-2):
     """SGD over the clip list, round-robin with seeded draws. Returns the
-    (step, loss) log."""
+    (step, loss) log. Raises FloatingPointError, naming the step, if training
+    diverges."""
+    zs = [encode(v, model.codec_cfg) for v in clips]
     g = Rng(seed).split(SUB_TRAIN)
     log = []
     for step in range(steps):
-        v = clips[step % len(clips)]
-        loss = train_step(model, v, g.split(step), lr)
+        loss = _latent_step(model, zs[step % len(zs)], g.split(step), lr)
+        if not math.isfinite(loss):
+            raise FloatingPointError(f"stage 1 training diverged: loss {loss} at step {step}")
         log.append((step, loss))
+    if not model.params.finite():
+        raise FloatingPointError(
+            f"stage 1 training diverged: parameters non-finite after step {steps - 1}")
     return log
 
 

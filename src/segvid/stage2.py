@@ -11,12 +11,15 @@ Training is teacher-forced: draw one segment of a fresh plan, feed clean
 ground-truth latents for the conditioning blocks, noise the segment blocks
 at a sampled sigma, and take one gradient step on the masked loss. The
 reference half of the input rows starts zero-initialized, so a fresh model
-ignores reference content until training moves those weights.
+ignores reference content until training moves those weights. Training
+encodes each (reference, HR) pair once per `train` or `eval_loss` call;
+every step then works on those latents.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -110,21 +113,30 @@ def train_step(model: Stage2Model, v_ref_lr: np.ndarray, v_hr: np.ndarray, rng: 
 
     (M, N) default to a seeded draw from {2,3} x {1,2}. Returns (loss, M, N).
     """
+    z_ref, z0 = _encode_pair(model.codec_cfg, v_ref_lr, v_hr)
+    return _latent_step(model, z_ref, z0, rng, M, N, lr)
+
+
+def _latent_step(model: Stage2Model, z_ref: np.ndarray, z0: np.ndarray, rng: Rng,
+                 M: int | None, N: int | None, lr: float):
     if M is None or N is None:
         M, N = MN_CHOICES[rng.split(3).integers(0, len(MN_CHOICES))]
-    loss, grads = _loss_terms(model, v_ref_lr, v_hr, rng, M, N)
+    loss, grads = _loss_terms(model, z_ref, z0, rng, M, N)
     mixer.sgd_update(model.params, grads, lr)
     return loss, M, N
 
 
-def _loss_terms(model: Stage2Model, v_ref_lr: np.ndarray, v_hr: np.ndarray,
-                rng: Rng, M: int, N: int):
-    cfg = model.codec_cfg
+def _encode_pair(cfg: CodecConfig, v_ref_lr: np.ndarray, v_hr: np.ndarray):
+    """(z_ref, z0): latents of the hybrid reference built from the pair, and
+    of the HR clip."""
     v_hr = as_f32(v_hr, "v_hr")
     factor = v_hr.shape[1] // v_ref_lr.shape[1]
     v_ref = build_hybrid_reference(v_ref_lr, v_hr[0], factor)
-    z_ref = encode(v_ref, cfg)
-    z0 = encode(v_hr, cfg)
+    return encode(v_ref, cfg), encode(v_hr, cfg)
+
+
+def _loss_terms(model: Stage2Model, z_ref: np.ndarray, z0: np.ndarray,
+                rng: Rng, M: int, N: int):
     t = z0.shape[0]
     if t < 2:
         raise ValueError("clip too short: need at least one block beyond the anchor")
@@ -153,11 +165,11 @@ def _loss_terms(model: Stage2Model, v_ref_lr: np.ndarray, v_hr: np.ndarray,
 def eval_loss(model: Stage2Model, pairs, seed: int, draws: int = 8,
               M: int = 3, N: int = 1) -> float:
     """Mean masked loss over seeded draws; no update."""
+    zs = [_encode_pair(model.codec_cfg, *pair) for pair in pairs]
     g = Rng(seed).split(SUB_TRAIN)
     tot = 0.0
     for j in range(draws):
-        v_ref_lr, v_hr = pairs[j % len(pairs)]
-        loss, _ = _loss_terms(model, v_ref_lr, v_hr, g.split(j), M, N)
+        loss, _ = _loss_terms(model, *zs[j % len(zs)], g.split(j), M, N)
         tot += loss
     return tot / draws
 
@@ -166,17 +178,25 @@ def train(model: Stage2Model, transition_pairs, down_pairs, steps: int, seed: in
           lr: float = 1e-2):
     """SGD over a 7:3 seeded mix of transition and plain downsampled pairs.
 
-    Returns log rows (step, loss, M, N, source).
+    Returns log rows (step, loss, M, N, source). Raises FloatingPointError,
+    naming the step, if training diverges.
     """
+    trans = [_encode_pair(model.codec_cfg, *pair) for pair in transition_pairs]
+    down = [_encode_pair(model.codec_cfg, *pair) for pair in down_pairs]
     g = Rng(seed).split(SUB_TRAIN)
     log = []
     for step in range(steps):
         rs = g.split(step)
-        use_trans = transition_pairs and rs.split(5).uniform01() < TRANSITION_SHARE
-        pool = transition_pairs if use_trans else down_pairs
-        v_ref_lr, v_hr = pool[step % len(pool)]
-        loss, M, N = train_step(model, v_ref_lr, v_hr, rs, lr=lr)
+        use_trans = trans and rs.split(5).uniform01() < TRANSITION_SHARE
+        pool = trans if use_trans else down
+        z_ref, z0 = pool[step % len(pool)]
+        loss, M, N = _latent_step(model, z_ref, z0, rs, None, None, lr)
+        if not math.isfinite(loss):
+            raise FloatingPointError(f"stage 2 training diverged: loss {loss} at step {step}")
         log.append((step, loss, M, N, "transition" if use_trans else "downsampled"))
+    if not model.params.finite():
+        raise FloatingPointError(
+            f"stage 2 training diverged: parameters non-finite after step {steps - 1}")
     return log
 
 

@@ -5,6 +5,7 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from segvid import cli, synth
@@ -135,3 +136,44 @@ def test_trained_checkpoints_record_losses(pipeline):
         assert summary["final_loss"] < summary["init_loss"]
         log = list(csv.DictReader((Path(d) / "train_log.csv").open()))
         assert len(log) == 600
+
+
+def test_diverging_training_exits_3_without_checkpoint(tmp_path, capsys):
+    # 64x64 stage 1 at the default lr: the step losses stay finite, the last
+    # updates blow the evaluation loss up to inf
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"height": 64, "width": 64}))
+    corpus, s1 = tmp_path / "corpus", tmp_path / "s1"
+    assert cli.main(["synth", "--config", str(cfg), "--out", str(corpus)]) == 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = cli.main(["train-stage1", "--config", str(cfg), "--corpus", str(corpus),
+                       "--out", str(s1), "--steps", "5"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "FloatingPointError" in err and "stage 1" in err and "step 4" in err
+    assert not (s1 / "stage1.json").exists()
+    assert not list(s1.glob("w_*.siv1"))
+
+
+def test_generate_rejects_codec_mismatch(pipeline, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"c": 3}))
+    s1 = tmp_path / "s1c3"
+    assert cli.main(["train-stage1", "--config", str(cfg), "--corpus", pipeline["corpus"],
+                     "--out", str(s1), "--steps", "5"]) == 0
+    capsys.readouterr()
+    rc = cli.main(["generate", "--stage1", str(s1), "--stage2", pipeline["s2"],
+                   "--image", pipeline["image"], "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err.strip()
+    assert "\n" not in err and "codec configs differ: c=3 vs c=4" in err
+
+
+def test_generate_rejects_image_size_mismatch(pipeline, tmp_path, capsys):
+    img = tmp_path / "big.siv1"
+    write_siv1(img, synth.render_scene(synth.SceneSpec(seed=1, T=17, H=64, W=64))[:1])
+    rc = cli.main(["generate", "--stage1", pipeline["s1"], "--stage2", pipeline["s2"],
+                   "--image", str(img), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err.strip()
+    assert "\n" not in err and "image is 64x64" in err and "d_in" in err

@@ -6,7 +6,7 @@ import pytest
 
 from segvid import stage1, synth
 from segvid.codec import decode, encode
-from segvid.grid import Rng, init_noise_blocks, resize_spatial
+from segvid.grid import SUB_TRAIN, Rng, init_noise_blocks, resize_spatial
 
 
 def lr_clips(n=4, T=17):
@@ -111,3 +111,48 @@ def test_generate_lr_validation():
         stage1.generate_lr(model, np.zeros((8, 8, 4), np.float32), 17, 0)
     with pytest.raises(ValueError):
         stage1.generate_lr(model, np.zeros((8, 8, 3), np.float32), 16, 0)
+
+
+def _same_params(a, b):
+    return all(np.array_equal(getattr(a, n), getattr(b, n))
+               for n in ("w_in", "w_q", "w_k", "w_v", "w_out"))
+
+
+def test_train_matches_hand_loop_of_train_step():
+    # train() steps on clips encoded once; train_step re-encodes per step.
+    # Same Rng splits, so the log and the final parameters agree bit for bit.
+    clips = lr_clips(3)
+    a, b = stage1.new_stage1(7), stage1.new_stage1(7)
+    log = stage1.train(a, clips, steps=10, seed=5, lr=1e-2)
+    g = Rng(5).split(SUB_TRAIN)
+    hand = [(s, stage1.train_step(b, clips[s % 3], g.split(s), 1e-2)) for s in range(10)]
+    assert log == hand
+    assert _same_params(a.params, b.params)
+
+
+@pytest.mark.parametrize("steps", [10, 50])
+def test_train_encodes_each_clip_once(monkeypatch, steps):
+    calls = []
+
+    def counting(video, cfg):
+        calls.append(video.shape)
+        return encode(video, cfg)
+
+    monkeypatch.setattr(stage1, "encode", counting)
+    clips = lr_clips(3)
+    stage1.train(stage1.new_stage1(0), clips, steps=steps, seed=0)
+    assert len(calls) == len(clips)
+    calls.clear()
+    stage1.eval_loss(stage1.new_stage1(0), clips, seed=1, draws=8)
+    assert len(calls) == len(clips)
+
+
+def test_train_raises_on_divergence():
+    clips = lr_clips(2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the update after step 0 overflows, so step 1's loss is not finite
+        with pytest.raises(FloatingPointError, match="stage 1 .* at step 1"):
+            stage1.train(stage1.new_stage1(0), clips, steps=4, seed=0, lr=1e6)
+        # the only step's loss is finite; the parameters after it are not
+        with pytest.raises(FloatingPointError, match="stage 1 .*parameters non-finite after step 0"):
+            stage1.train(stage1.new_stage1(0), clips, steps=1, seed=0, lr=float("inf"))

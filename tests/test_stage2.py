@@ -5,9 +5,10 @@ import numpy.testing as npt
 import pytest
 
 from segvid import scheduler, stage2, synth
+from segvid.codec import encode
 from segvid.conditioning import (StageTwoInput, build_hybrid_reference,
                                  build_stage2_input)
-from segvid.grid import FLOAT, Rng, resize_spatial
+from segvid.grid import FLOAT, SUB_TRAIN, Rng, resize_spatial
 
 
 def truth_and_input(seed=0, T=33, cfg=None):
@@ -156,3 +157,62 @@ def test_pipeline_inputs_shapes():
     inp = stage2.pipeline_inputs(s1, s2, x, 17, seed=0)
     assert inp.z_ref.shape == (5, 8, 8, 4)
     npt.assert_array_equal(inp.z_x, inp.z_ref[0])
+
+
+def _pairs(seed, n=2, T=17):
+    clips = [synth.render_scene(s) for s in synth.default_specs(n, seed, T=T)]
+    return [stage2.downsampled_pair(v, 4) for v in clips]
+
+
+def _same_params(a, b):
+    return all(np.array_equal(getattr(a, n), getattr(b, n))
+               for n in ("w_in", "w_q", "w_k", "w_v", "w_out"))
+
+
+@pytest.mark.parametrize("with_transition", [True, False])
+def test_train_matches_hand_loop_of_train_step(with_transition):
+    # train() steps on pairs encoded once; train_step re-encodes per step.
+    # Same Rng splits, so the log and the final parameters agree bit for bit.
+    down = _pairs(70)
+    trans = [(0.5 * v_lr + 0.25, v_hr) for v_lr, v_hr in _pairs(80, n=3)]
+    trans = trans if with_transition else []
+    a, b = stage2.new_stage2(3), stage2.new_stage2(3)
+    log = stage2.train(a, trans, down, steps=20, seed=9, lr=3e-4)
+    g = Rng(9).split(SUB_TRAIN)
+    hand = []
+    for step in range(20):
+        rs = g.split(step)
+        use = bool(trans) and rs.split(5).uniform01() < stage2.TRANSITION_SHARE
+        pool = trans if use else down
+        loss, M, N = stage2.train_step(b, *pool[step % len(pool)], rs, lr=3e-4)
+        hand.append((step, loss, M, N, "transition" if use else "downsampled"))
+    assert log == hand
+    assert _same_params(a.params, b.params)
+    sources = {row[4] for row in log}
+    assert sources == ({"transition", "downsampled"} if with_transition else {"downsampled"})
+
+
+@pytest.mark.parametrize("steps", [10, 50])
+def test_train_encodes_each_pair_once(monkeypatch, steps):
+    calls = []
+
+    def counting(video, cfg):
+        calls.append(video.shape)
+        return encode(video, cfg)
+
+    monkeypatch.setattr(stage2, "encode", counting)
+    down, trans = _pairs(70), _pairs(80, n=3)
+    stage2.train(stage2.new_stage2(0), trans, down, steps=steps, seed=0, lr=3e-4)
+    assert len(calls) == 2 * (len(trans) + len(down))
+    calls.clear()
+    stage2.eval_loss(stage2.new_stage2(0), down, seed=1, draws=8)
+    assert len(calls) == 2 * len(down)
+
+
+def test_train_raises_on_divergence():
+    pairs = _pairs(70)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError, match="stage 2 .* at step 1"):
+            stage2.train(stage2.new_stage2(0), [], pairs, steps=4, seed=0, lr=1e6)
+        with pytest.raises(FloatingPointError, match="stage 2 .*parameters non-finite after step 0"):
+            stage2.train(stage2.new_stage2(0), [], pairs, steps=1, seed=0, lr=float("inf"))
