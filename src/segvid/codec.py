@@ -82,20 +82,20 @@ def encode(video: np.ndarray, cfg: CodecConfig) -> np.ndarray:
     lift = channel_lift(cfg)
     out = np.empty((t, h, w, c), dtype=FLOAT)
     out[0] = _pool_spatial(v[:1], cfg.f_s)[0] @ lift.T
-    for i in range(2, t + 1):
-        lo, hi = frames_for_block(i, cfg.f_t)
-        group = v[lo - 1:hi].mean(axis=0, dtype=FLOAT, keepdims=True)
-        out[i - 1] = _pool_spatial(group, cfg.f_s)[0] @ lift.T
+    if t > 1:  # blocks 2..t: frames 2..T in consecutive groups of f_t
+        groups = v[1:].reshape(t - 1, cfg.f_t, H, W, 3).mean(axis=1, dtype=FLOAT)
+        out[1:] = _pool_spatial(groups, cfg.f_s) @ lift.T
     return out
 
 
 def decode_block(block: np.ndarray, cfg: CodecConfig, first: bool) -> np.ndarray:
     """Decode one (h, w, c) latent block to its frames (1 or f_t of them)."""
     lift = channel_lift(cfg)
-    rgb = block @ lift  # exact left inverse of the lift
+    # exact left inverse of the lift; clamping is elementwise, so clamping
+    # before the spatial repeat and the frame broadcast gives the same bits
+    rgb = np.clip(block @ lift, 0.0, 1.0)
     up = np.repeat(np.repeat(rgb, cfg.f_s, axis=0), cfg.f_s, axis=1)
-    frames = up[None] if first else np.broadcast_to(up, (cfg.f_t,) + up.shape)
-    return np.clip(frames, 0.0, 1.0).astype(FLOAT)
+    return np.repeat(up[None], 1 if first else cfg.f_t, axis=0).astype(FLOAT, copy=False)
 
 
 def decode(latent: np.ndarray, cfg: CodecConfig) -> np.ndarray:

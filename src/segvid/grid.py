@@ -15,6 +15,7 @@ of the format of any seeded artifact.
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -157,25 +158,34 @@ def write_siv1(path, arr: np.ndarray) -> None:
     path = Path(path)
     with open(path, "wb") as f:
         f.write(_HEADER.pack(SIV1_MAGIC, *a.shape, 0))
-        f.write(np.ascontiguousarray(a, dtype="<f4").tobytes())
+        f.write(np.ascontiguousarray(a, dtype="<f4").data)
 
 
 def read_siv1(path) -> np.ndarray:
-    """Read an SIV1 file back into a (d0, d1, d2, d3) float32 array."""
+    """Read an SIV1 file back into a (d0, d1, d2, d3) float32 array.
+
+    The header and the file size are checked before any payload byte is
+    read, so a corrupt or oversized file is rejected without loading it.
+    """
     path = Path(path)
-    raw = path.read_bytes()
-    if len(raw) < _HEADER.size:
-        raise ValueError(f"{path}: truncated SIV1 header")
-    magic, d0, d1, d2, d3, reserved = _HEADER.unpack_from(raw)
-    if magic != SIV1_MAGIC:
-        raise ValueError(f"{path}: bad magic {magic!r}")
-    if reserved != 0:
-        raise ValueError(f"{path}: nonzero reserved word {reserved}")
-    dims = _check_dims((d0, d1, d2, d3))
-    n = d0 * d1 * d2 * d3
-    payload = raw[_HEADER.size:]
-    if len(payload) != 4 * n:
-        raise ValueError(f"{path}: payload is {len(payload)} bytes, expected {4 * n}")
-    arr = np.frombuffer(payload, dtype="<f4").reshape(dims).astype(FLOAT, copy=True)
+    with open(path, "rb") as f:
+        head = f.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise ValueError(f"{path}: truncated SIV1 header")
+        magic, d0, d1, d2, d3, reserved = _HEADER.unpack(head)
+        if magic != SIV1_MAGIC:
+            raise ValueError(f"{path}: bad magic {magic!r}")
+        if reserved != 0:
+            raise ValueError(f"{path}: nonzero reserved word {reserved}")
+        dims = _check_dims((d0, d1, d2, d3))
+        n = d0 * d1 * d2 * d3
+        size = os.fstat(f.fileno()).st_size - _HEADER.size
+        if size != 4 * n:
+            raise ValueError(f"{path}: payload is {size} bytes, expected {4 * n}")
+        payload = bytearray(4 * n)
+        got = f.readinto(payload)
+    if got != 4 * n:
+        raise ValueError(f"{path}: payload is {got} bytes, expected {4 * n}")
+    arr = np.frombuffer(payload, dtype="<f4").reshape(dims).astype(FLOAT, copy=False)
     require_finite(arr, str(path))
     return arr

@@ -11,6 +11,9 @@ finite-difference checks while the pipeline stays float32.
 Conditioning enters additively: a fixed sinusoidal code of the noise level
 and a fixed sinusoidal positional code of each block's absolute temporal
 index (windows are non-contiguous, so window-relative positions would alias).
+Both codes are tabled rather than recomputed per forward pass: position codes
+live in a read-only per-(d, dtype) table whose rows are `sin_code` rows, and
+noise-level codes in a small bounded cache, so the bits equal `sin_code`'s.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -116,15 +120,40 @@ def sin_code(x: float, d: int, dtype=FLOAT) -> np.ndarray:
     return np.concatenate([np.sin(ang), np.cos(ang)]).astype(dtype)
 
 
+@lru_cache(maxsize=64)
+def _level_code(x: float, d: int, dtype) -> np.ndarray:
+    # Bounded: training draws a fresh continuous sigma every step.
+    code = sin_code(x, d, dtype)
+    code.flags.writeable = False
+    return code
+
+
+@lru_cache(maxsize=None)
+def _pos_table(rows: int, d: int, dtype) -> np.ndarray:
+    # Row i-1 is sin_code(i). Asked for power-of-two row counts only, so a
+    # longer video gets a new, larger table and a published table never
+    # changes under the streamer's producer thread.
+    table = np.stack([sin_code(float(i), d, dtype) for i in range(1, rows + 1)], axis=0)
+    table.flags.writeable = False
+    return table
+
+
+def _pos_codes(indices, d: int, dtype) -> np.ndarray:
+    ix = np.asarray(indices)
+    if ix.dtype.kind not in "iu" or ix.min() < 1:
+        return np.stack([sin_code(float(i), d, dtype) for i in ix], axis=0)
+    rows = 1 << max(6, (int(ix.max()) - 1).bit_length())
+    return _pos_table(rows, d, dtype)[ix - 1]
+
+
 def _embed(p: MixerParams, x: np.ndarray, sigma: float, indices) -> np.ndarray:
     n = x.shape[0]
     if indices is None:
         indices = range(1, n + 1)
     dt = p.w_in.dtype
     h = x @ p.w_in
-    h = h + sin_code(1000.0 * sigma, p.d, dt)[None, :]
-    pos = np.stack([sin_code(float(i), p.d, dt) for i in indices], axis=0)
-    return h + pos
+    h = h + _level_code(float(1000.0 * sigma), p.d, dt)[None, :]
+    return h + _pos_codes(indices, p.d, dt)
 
 
 def _attend(p: MixerParams, h: np.ndarray):
@@ -261,9 +290,10 @@ def denoise_window(p: MixerParams, sigmas, z_window: np.ndarray, ref_window: np.
                    update_mask: np.ndarray, indices, on_step=None) -> np.ndarray:
     """Run the sigma ladder on one window of blocks.
 
-    z_window, ref_window: (n, h, w, c). Each step concatenates ref channels,
-    predicts velocities for every block, and applies the Euler update only
-    where update_mask is True (conditioning blocks pass through untouched).
+    z_window, ref_window: (n, h, w, c). The [z | ref] input buffer is built
+    once per window; each step refreshes its noisy channels, predicts
+    velocities for every block, and applies the Euler update only where
+    update_mask is True (conditioning blocks pass through untouched).
     Every denoising path in the package funnels through here, which is what
     makes the sequential / streaming / single-window variants bit-identical.
 
@@ -273,8 +303,10 @@ def denoise_window(p: MixerParams, sigmas, z_window: np.ndarray, ref_window: np.
     n, h, w, c = z.shape
     idx = tuple(indices)
     upd = np.asarray(update_mask, dtype=bool)
+    zr = np.concatenate([z, ref_window], axis=-1)  # [z | ref] per pixel; ref half is fixed
+    x = zr.reshape(n, -1)
     for k, (sigma_from, sigma_to) in enumerate(zip(sigmas, sigmas[1:])):
-        x = np.concatenate([z, ref_window], axis=-1).reshape(n, -1)
+        zr[..., :c] = z
         v_hat = forward(p, x, sigma_from, idx).reshape(n, h, w, c)
         stepped = sampler_step(z, v_hat, sigma_from, sigma_to)
         z[upd] = stepped[upd]

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -46,7 +47,14 @@ def plan(t: int, M: int, N: int) -> SegmentPlan:
         raise ValueError(f"need M >= 1 and N >= 0, got M={M} N={N}")
     if t < 2:
         raise EmptySequenceError(f"t={t}: no blocks to generate beyond the anchor")
+    return _build_plan(t, M, N)
 
+
+# Plans are immutable and training asks for the same few (t, M, N) on every
+# step. The cache sits behind plan's checks: a cached plan() would answer 5.0
+# from the entry for 5 instead of raising TypeError.
+@lru_cache(maxsize=256, typed=True)
+def _build_plan(t: int, M: int, N: int) -> SegmentPlan:
     S = -((t - 1) // -M)  # ceil((t-1)/M)
     a, I, Nbr, W = [], [], [], []
     for s in range(1, S + 1):
@@ -80,7 +88,7 @@ def window_gather(latents: np.ndarray, p: SegmentPlan, s: int):
     if not 1 <= s <= p.S:
         raise ValueError(f"segment {s} out of range [1, {p.S}]")
     idx = p.W[s - 1]
-    window = np.stack([latents[i - 1] for i in idx], axis=0)
+    window = latents[np.asarray(idx) - 1]
     return window, idx
 
 

@@ -151,12 +151,13 @@ def _loss_terms(model: Stage2Model, z_ref: np.ndarray, z0: np.ndarray,
     n = len(idx)
     hw_c = z0.shape[1:]
     eps = rng.split(2).normal((n,) + hw_c)
-    z_win = np.stack([z0[i - 1] for i in idx])          # clean, teacher forcing
+    rows = np.asarray(idx) - 1
+    z_win = z0[rows]                                    # clean, teacher forcing
     z_win[mask] = (1.0 - sigma) * z_win[mask] + sigma * eps[mask]
-    ref_win = np.stack([z_ref[i - 1] for i in idx])
+    ref_win = z_ref[rows]
 
     x = np.concatenate([z_win, ref_win], axis=-1).reshape(n, -1)
-    clean = np.stack([z0[i - 1] for i in idx]).reshape(n, -1)
+    clean = z0[rows].reshape(n, -1)
     loss, grads = mixer.loss_and_grad(model.params, x, clean, mask, sigma,
                                       eps.reshape(n, -1), indices=idx)
     return loss, grads

@@ -162,3 +162,46 @@ def timing_ref(denoise, decode):
     events.sort(key=lambda e: (e[0], e[1]))
     order = [(k, s) for _, _, k, s in events]
     return first, tc, float(sum(denoise) + sum(decode)), order
+
+
+def stacked_codes(code, indices, d, dtype):
+    """One code row per index, each computed on its own as code(float(i), d,
+    dtype); the code function is passed in so this module stays package-free."""
+    return np.stack([code(float(i), d, dtype) for i in indices], axis=0)
+
+
+def encode_loop(video, f_s, f_t, lift):
+    """Encode block by block: average the block's frames in time, pool
+    f_s x f_s cells, lift RGB through the (c, 3) matrix; float32 throughout."""
+    v = np.asarray(video, dtype=np.float32)
+    T, H, W, C = v.shape
+    t = 1 + (T - 1) // f_t
+    out = np.empty((t, H // f_s, W // f_s, lift.shape[0]), dtype=np.float32)
+    for i in range(1, t + 1):
+        lo, hi = block_frames(i, f_t)
+        group = v[lo - 1:hi].mean(axis=0, dtype=np.float32)
+        cells = group.reshape(H // f_s, f_s, W // f_s, f_s, C)
+        out[i - 1] = cells.mean(axis=(1, 3), dtype=np.float32) @ lift.T
+    return out
+
+
+def decode_block_repeat_then_clip(block, lift, f_s, f_t, first):
+    """Decode one latent block at pixel resolution: un-lift, repeat each cell
+    f_s x f_s, repeat over the block's frames, and only then clamp to [0, 1]."""
+    rgb = block @ lift
+    up = np.repeat(np.repeat(rgb, f_s, axis=0), f_s, axis=1)
+    frames = up[None] if first else np.broadcast_to(up, (f_t,) + up.shape)
+    return np.clip(frames, 0.0, 1.0).astype(np.float32)
+
+
+def denoise_window_concat(forward, sigmas, z_window, ref_window, update_mask):
+    """Euler ladder on one window that builds the [z | ref] input afresh by
+    concatenation at every step; forward(x, sigma) returns (n, h*w*c)."""
+    z = np.array(z_window, copy=True)
+    n, h, w, c = z.shape
+    upd = np.asarray(update_mask, dtype=bool)
+    for a, b in zip(sigmas, sigmas[1:]):
+        x = np.concatenate([z, ref_window], axis=-1).reshape(n, -1)
+        stepped = z + (b - a) * forward(x, a).reshape(n, h, w, c)
+        z[upd] = stepped[upd]
+    return z

@@ -3,11 +3,15 @@ config layering, deterministic generation, streaming parity, ablation."""
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import segvid
 from segvid import cli, synth
 from segvid.grid import write_siv1
 
@@ -177,3 +181,22 @@ def test_generate_rejects_image_size_mismatch(pipeline, tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err.strip()
     assert "\n" not in err and "image is 64x64" in err and "d_in" in err
+
+
+def test_diverging_training_stderr_is_one_line(tmp_path):
+    # the same 64x64 divergence through a fresh interpreter, so numpy's
+    # floating-point warnings would reach stderr if any were raised
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"height": 64, "width": 64}))
+    corpus, s1 = tmp_path / "corpus", tmp_path / "s1"
+    assert cli.main(["synth", "--config", str(cfg), "--out", str(corpus)]) == 0
+    env = dict(os.environ, PYTHONPATH=str(Path(segvid.__file__).parents[1]))
+    r = subprocess.run([sys.executable, "-m", "segvid.cli", "train-stage1", "--config",
+                        str(cfg), "--corpus", str(corpus), "--out", str(s1),
+                        "--steps", "5"], env=env, capture_output=True, text=True,
+                       timeout=120)
+    assert r.returncode == 3
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("segvid: runtime failure"), r.stderr
+    assert "stage 1" in lines[0] and "step 4" in lines[0]
+    assert not (s1 / "stage1.json").exists() and not list(s1.glob("w_*.siv1"))

@@ -102,3 +102,27 @@ def test_validation_errors():
         encode(np.zeros((5, 6, 8, 3), FLOAT), CFG)   # H not divisible
     with pytest.raises(ValueError):
         decode(np.zeros((5, 2, 2, 3), FLOAT), CFG)   # wrong channel count
+
+
+@pytest.mark.parametrize("c", [3, 4])
+@pytest.mark.parametrize("T", [1, 5, 81, 641])
+def test_encode_equals_per_block_loop(T, c):
+    cfg = CodecConfig(c=c)
+    v = np.random.default_rng(T + c).random((T, 16, 24, 3), dtype=np.float32)
+    got = encode(v, cfg)
+    want = oracles.encode_loop(v, cfg.f_s, cfg.f_t, channel_lift(cfg))
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("c", [3, 4])
+def test_decode_block_equals_repeat_then_clip(c):
+    cfg = CodecConfig(c=c)
+    z = (3.0 * np.random.default_rng(c).standard_normal((2, 3, c))).astype(FLOAT)
+    rgb = z @ channel_lift(cfg)
+    assert (rgb < 0.0).any() and (rgb > 1.0).any()
+    for first in (True, False):
+        got = decode_block(z, cfg, first=first)
+        want = oracles.decode_block_repeat_then_clip(z, channel_lift(cfg), cfg.f_s,
+                                                     cfg.f_t, first)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert got.flags.writeable and got.flags.c_contiguous

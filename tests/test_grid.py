@@ -1,5 +1,8 @@
 """RNG, resize, and SIV1 container tests."""
 
+import struct
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -167,3 +170,39 @@ def test_canon_oracle_self_check():
     assert oracles.canon(-4, 16) == -4
     assert oracles.canon(12, 16) == -4
     assert oracles.canon(8, 16) == 8
+
+
+def _siv1_bytes(dims, payload_floats):
+    return (struct.pack("<4sIIIII", b"SIV1", *dims, 0)
+            + np.zeros(payload_floats, "<f4").tobytes())
+
+
+@pytest.mark.parametrize("raw, reason", [
+    (_siv1_bytes((1, 2, 2, 1), 4)[:20], "truncated SIV1 header"),
+    (_siv1_bytes((1, 2, 2, 1), 3), "payload is 12 bytes, expected 16"),
+    (_siv1_bytes((1 << 16, 1 << 16, 1, 1), 1), "exceeds"),
+    (_siv1_bytes((1, 2, 2, 1), 5), "payload is 20 bytes, expected 16"),
+], ids=["truncated-header", "truncated-payload", "oversized-extents", "trailing-bytes"])
+def test_siv1_rejects_corrupt_file_with_one_line_reason(tmp_path, raw, reason):
+    p = tmp_path / "c.siv1"
+    p.write_bytes(raw)
+    with pytest.raises(ValueError) as e:
+        read_siv1(p)
+    assert reason in str(e.value) and "\n" not in str(e.value)
+
+
+@pytest.mark.parametrize("head", [b"SIVX" + bytes(20), _siv1_bytes((1, 2, 2, 1), 0)],
+                         ids=["bad-magic", "size-mismatch"])
+def test_siv1_rejects_large_corrupt_file_without_reading_it(tmp_path, head):
+    p = tmp_path / "big.siv1"
+    with open(p, "wb") as f:
+        f.write(head)
+        f.truncate(64 << 20)  # sparse 64 MB tail
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            read_siv1(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (1 << 20), f"{peak} bytes allocated to reject the file"

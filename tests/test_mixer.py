@@ -213,3 +213,64 @@ def test_sin_code():
     npt.assert_array_equal(a, b)
     assert a.shape == (8,) and float(np.abs(a).max()) <= 1.0
     assert not np.array_equal(a, mixer.sin_code(4.0, 8))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_position_table_equals_stacked_sin_code_rows(dtype):
+    d = 32
+    dt = np.dtype(dtype)
+    want = oracles.stacked_codes(mixer.sin_code, range(1, 1025), d, dt)
+    got = mixer._pos_codes(range(1, 1025), d, dt)
+    assert got.dtype == dt and np.array_equal(got, want)
+    for idx in ([7, 3, 3, 1024, 1, 7], (5,), np.array([2, 2, 900, 1])):
+        npt.assert_array_equal(mixer._pos_codes(idx, d, dt),
+                               oracles.stacked_codes(mixer.sin_code, idx, d, dt))
+    for idx in ([0, 2, 5], [-3, 4], [3.5, 1.0]):  # < 1 or not integral: sin_code itself
+        npt.assert_array_equal(mixer._pos_codes(idx, d, dt),
+                               oracles.stacked_codes(mixer.sin_code, idx, d, dt))
+
+
+def test_position_table_is_never_mutated_when_a_longer_one_is_needed():
+    d, dt = 10, np.dtype(np.float64)
+    mixer._pos_codes([3], d, dt)
+    small = mixer._pos_table(64, d, dt)
+    before = small.copy()
+    mixer._pos_codes([65, 700], d, dt)
+    big = mixer._pos_table(1024, d, dt)
+    assert not small.flags.writeable and not big.flags.writeable
+    npt.assert_array_equal(small, before)
+    npt.assert_array_equal(big[:64], small)
+
+
+def test_embed_matches_sin_code_formula_and_level_cache_is_bounded():
+    p = small_params(11)
+    x = np.random.default_rng(5).standard_normal((4, 10)).astype(FLOAT)
+    sigmas = [1.0, 0.75, 0.5, 0.25] + list(np.random.default_rng(6).uniform(0, 1, 300))
+    for sigma in sigmas:
+        want = ((x @ p.w_in + mixer.sin_code(1000.0 * sigma, p.d, FLOAT)[None, :])
+                + oracles.stacked_codes(mixer.sin_code, (1, 4, 5, 9), p.d, FLOAT))
+        npt.assert_array_equal(mixer._embed(p, x, sigma, (1, 4, 5, 9)), want)
+    info = mixer._level_code.cache_info()  # training draws a new sigma per step
+    assert info.maxsize is not None and info.currsize <= info.maxsize < len(sigmas)
+    assert not mixer._level_code(500.0, p.d, np.dtype(FLOAT)).flags.writeable
+
+
+@pytest.mark.parametrize("broadcast_ref", [False, True])
+def test_denoise_window_matches_concat_per_step_and_keeps_inputs(broadcast_ref):
+    p = mixer.init_mixer(Rng(12), d_in=2 * 2 * 2 * 3, d_out=2 * 2 * 3, d=8)
+    g = np.random.default_rng(7)
+    z = g.standard_normal((5, 2, 2, 3)).astype(FLOAT)
+    ref = (np.broadcast_to(g.standard_normal((2, 2, 3)).astype(FLOAT), z.shape)
+           if broadcast_ref else g.standard_normal((5, 2, 2, 3)).astype(FLOAT))
+    z0, ref0 = z.copy(), ref.copy()
+    upd = np.array([False, True, False, True, True])
+    idx = (1, 3, 4, 6, 7)
+    sigmas = mixer.default_schedule(4).sigmas
+    a = mixer.denoise_window(p, sigmas, z, ref, upd, idx)
+    b = mixer.denoise_window(p, sigmas, z, ref, upd, idx)
+    npt.assert_array_equal(z, z0)
+    npt.assert_array_equal(ref, ref0)
+    assert a.tobytes() == b.tobytes()
+    want = oracles.denoise_window_concat(lambda x, s: mixer.forward(p, x, s, idx),
+                                         sigmas, z, ref, upd)
+    assert a.tobytes() == want.tobytes()

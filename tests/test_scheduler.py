@@ -135,3 +135,24 @@ def test_to_json_schema():
     assert seg["s"] == 3 and seg["start"] == 10
     assert seg["noisy"] == [10] and seg["neighbors"] == [8, 9]
     assert seg["window"] == [1, 8, 9, 10]
+
+
+def test_plan_is_shared_but_still_type_checked():
+    p = scheduler.plan(9, 3, 1)
+    assert scheduler.plan(9, 3, 1) is p
+    with pytest.raises(TypeError):
+        scheduler.plan(9, 3.0, 1)
+    with pytest.raises(TypeError):
+        scheduler.plan(9.0, 3, 1)
+    assert same_as_oracle(scheduler.plan(9, 3, 1), oracles.plan_bruteforce(9, 3, 1))
+
+
+def test_window_gather_returns_a_copy():
+    p = scheduler.plan(10, 3, 2)
+    latents = np.random.default_rng(1).standard_normal((10, 2, 2, 3)).astype(np.float32)
+    keep = latents.copy()
+    for s in range(1, p.S + 1):
+        win, idx = scheduler.window_gather(latents, p, s)
+        assert np.array_equal(win, np.stack([latents[i - 1] for i in idx]))
+        win += 1.0
+    assert np.array_equal(latents, keep)
