@@ -21,12 +21,12 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from . import metrics, mixer, scheduler, stage1, stage2, streamer, synth, transition
-from .codec import CodecConfig, decode, latent_shape
+from .codec import CodecConfig, decode, encode, latent_shape
 from .conditioning import build_hybrid_reference, build_stage2_input
 from .grid import read_siv1, resize_spatial, write_siv1
 
@@ -149,6 +149,9 @@ class _Cfg:
         self.args = args
         self.file = {}
         if getattr(args, "config", None):
+            if not os.path.exists(args.config):
+                raise ValueError(f"--config expects the path of a JSON file; "
+                                 f"no file at {args.config!r}")
             with open(args.config) as f:
                 self.file = json.load(f)
             if not isinstance(self.file, dict):
@@ -196,24 +199,16 @@ def _scene_video(cfg: _Cfg, T: int, seed_offset: int = 0) -> np.ndarray:
     return synth.render_scene(spec, cfg.get("f_s"), cfg.get("f_t"))
 
 
-def _truth_input(cfg: _Cfg, truth: np.ndarray, ccfg: CodecConfig):
+def _truth_input(truth: np.ndarray, ccfg: CodecConfig):
     """Conditioning built from the ground-truth downsampled reference."""
     v_lr = resize_spatial(truth, "down_avg", ccfg.f_s)
     v_ref = build_hybrid_reference(v_lr, truth[0], ccfg.f_s)
     return build_stage2_input(v_ref, truth[0], ccfg)
 
 
-def _require_converged(stage: int, steps: int, final_loss: float) -> None:
-    """Fail before saving when the trained model's evaluation loss is not
-    finite: the step losses can stay finite while the last updates blow up."""
-    if not math.isfinite(final_loss):
-        raise FloatingPointError(f"stage {stage} training diverged: evaluation loss "
-                                 f"{final_loss} after step {steps - 1}")
-
-
-def _check_pipeline(s1, s2, image: np.ndarray) -> None:
+def _check_pipeline(s1, s2, image: np.ndarray, what: str = "image") -> None:
     """Reject a stage-1/stage-2 codec mismatch, or an (H, W, 3) image whose
-    size disagrees with either checkpoint, before the image reaches a mixer."""
+    size disagrees with either model, before the image reaches a mixer."""
     a, b = asdict(s1.codec_cfg), asdict(s2.codec_cfg)
     diff = [f"{k}={a[k]} vs {k}={b[k]}" for k in a if a[k] != b[k]]
     if diff:
@@ -223,84 +218,85 @@ def _check_pipeline(s1, s2, image: np.ndarray) -> None:
     for stage, model, scale in ((1, s1, f * f), (2, s2, f)):
         d_in = 2 * c * (H // scale) * (W // scale)
         if d_in != model.params.d_in:
-            raise ValueError(f"image is {H}x{W} (d_in {d_in}), but the stage-{stage} "
+            raise ValueError(f"{what} is {H}x{W} (d_in {d_in}), but the stage-{stage} "
                              f"checkpoint has d_in {model.params.d_in}")
 
 
-def _cmd_synth(cfg: _Cfg) -> int:
-    out = cfg.out_dir()
+def _cmd_synth(cfg: _Cfg, args, out: str) -> None:
     specs = synth.default_specs(cfg.get("count"), cfg.get("seed"), T=cfg.get("frames"),
                                 H=cfg.get("height"), W=cfg.get("width"),
                                 motif=cfg.get("motif"))
     synth.write_corpus(out, specs, cfg.get("f_s"), cfg.get("f_t"))
-    cfg.echo(out)
     print(f"wrote {len(specs)} clips to {out}")
-    return 0
 
 
-def _cmd_train_stage1(cfg: _Cfg, args) -> int:
-    out = cfg.out_dir()
-    clips_hr = [v for _, v in synth.load_corpus(args.corpus)]
-    f = cfg.get("f_s")
-    clips = [resize_spatial(v, "down_avg", f) for v in clips_hr]
-    seed = cfg.get("seed")
-    model = stage1.new_stage1(seed, lr_h=cfg.get("height") // f, lr_w=cfg.get("width") // f,
-                              codec_cfg=_codec(cfg), d=cfg.get("d"), K=cfg.get("K"))
+def _train(out: str, stage: int, model, train, evaluate, header) -> None:
+    """Shared tail of both train commands: evaluate, train, evaluate, then
+    refuse a diverged model, or save it with its log and summary. The step
+    losses can stay finite while the last updates blow up, so the final
+    evaluation loss must be finite too."""
     with np.errstate(**_QUIET_FP):
-        init_loss = stage1.eval_loss(model, clips, seed + 1)
-        log = stage1.train(model, clips, cfg.get("steps"), seed, cfg.get_or("lr", 1e-2))
-        final_loss = stage1.eval_loss(model, clips, seed + 1)
-    _require_converged(1, len(log), final_loss)
-    stage1.save_stage1(model, out)
-    _write_csv(os.path.join(out, "train_log.csv"), ["step", "loss"],
-               [(s, f"{l:.6f}") for s, l in log])
+        init_loss = evaluate()
+        log = train()
+        final_loss = evaluate()
+    if not math.isfinite(final_loss):
+        raise FloatingPointError(f"stage {stage} training diverged: evaluation loss "
+                                 f"{final_loss} after step {len(log) - 1}")
+    mixer.save_model(model, out, f"stage{stage}")
+    _write_csv(os.path.join(out, "train_log.csv"), header,
+               [(s, f"{l:.6f}", *rest) for s, l, *rest in log])
     with open(os.path.join(out, "summary.json"), "w") as fo:
         json.dump({"init_loss": init_loss, "final_loss": final_loss}, fo, indent=2)
-    cfg.echo(out)
-    print(f"stage1: loss {init_loss:.4f} -> {final_loss:.4f} over {len(log)} steps")
-    return 0
+    print(f"stage{stage}: loss {init_loss:.4f} -> {final_loss:.4f} over {len(log)} steps")
 
 
-def _cmd_train_stage2(cfg: _Cfg, args) -> int:
-    out = cfg.out_dir()
+def _cmd_train_stage1(cfg: _Cfg, args, out: str) -> None:
+    f = cfg.get("f_s")
+    clips = [resize_spatial(v, "down_avg", f) for _, v in synth.load_corpus(args.corpus)]
+    seed, steps, lr = cfg.get("seed"), cfg.get("steps"), cfg.get_or("lr", 1e-2)
+    _, H, W, _ = clips[0].shape
+    model = stage1.new_stage1(seed, lr_h=H, lr_w=W, codec_cfg=_codec(cfg), d=cfg.get("d"),
+                              K=cfg.get("K"))
+    zs = [encode(v, model.codec_cfg) for v in clips]
+    _train(out, 1, model, lambda: stage1.train(model, zs, steps, seed, lr),
+           lambda: stage1.eval_loss(model, zs, seed + 1), ["step", "loss"])
+
+
+def _cmd_train_stage2(cfg: _Cfg, args, out: str) -> None:
     s1 = stage1.load_stage1(args.stage1)
     clips_hr = [v for _, v in synth.load_corpus(args.corpus)]
     f = cfg.get("f_s")
-    seed = cfg.get("seed")
+    seed, steps, lr = cfg.get("seed"), cfg.get("steps"), cfg.get_or("lr", 3e-4)
+    _, H, W, _ = clips_hr[0].shape
+    model = stage2.new_stage2(seed, hr_h=H, hr_w=W, codec_cfg=_codec(cfg), d=cfg.get("d"),
+                              K=cfg.get("K"), mask_mode=MASKS[cfg.get("mask")])
+    _check_pipeline(s1, model, clips_hr[0][0], "corpus frame")
     tcfg = transition.TransitionConfig(sigma=cfg.get("sigma"), steps=cfg.get("tsteps"),
                                        seed=seed)
-    trans_pairs = transition.synthesize_corpus(clips_hr, s1, tcfg, factor=f)
-    down_pairs = [stage2.downsampled_pair(v, f) for v in clips_hr]
-    model = stage2.new_stage2(seed, hr_h=cfg.get("height"), hr_w=cfg.get("width"),
-                              codec_cfg=_codec(cfg), d=cfg.get("d"), K=cfg.get("K"),
-                              mask_mode=MASKS[cfg.get("mask")])
-    with np.errstate(**_QUIET_FP):
-        init_loss = stage2.eval_loss(model, down_pairs, seed + 1)
-        log = stage2.train(model, trans_pairs, down_pairs, cfg.get("steps"), seed,
-                           cfg.get_or("lr", 3e-4))
-        final_loss = stage2.eval_loss(model, down_pairs, seed + 1)
-    _require_converged(2, len(log), final_loss)
-    stage2.save_stage2(model, out)
-    _write_csv(os.path.join(out, "train_log.csv"), ["step", "loss", "M", "N", "source"],
-               [(s, f"{l:.6f}", m, n, src) for s, l, m, n, src in log])
-    with open(os.path.join(out, "summary.json"), "w") as fo:
-        json.dump({"init_loss": init_loss, "final_loss": final_loss}, fo, indent=2)
-    cfg.echo(out)
-    print(f"stage2: loss {init_loss:.4f} -> {final_loss:.4f} over {len(log)} steps")
-    return 0
+    trans = [stage2.encode_pair(model.codec_cfg, *pair)
+             for pair in transition.synthesize_corpus(clips_hr, s1, tcfg, factor=f)]
+    down = [stage2.encode_pair(model.codec_cfg, *stage2.downsampled_pair(v, f))
+            for v in clips_hr]
+    _train(out, 2, model, lambda: stage2.train(model, trans, down, steps, seed, lr),
+           lambda: stage2.eval_loss(model, down, seed + 1),
+           ["step", "loss", "M", "N", "source"])
 
 
-def _cmd_generate(cfg: _Cfg, args) -> int:
-    out = cfg.out_dir()
-    s1 = stage1.load_stage1(args.stage1)
-    s2 = stage2.load_stage2(args.stage2)
+def _two_stage(cfg: _Cfg, args, image: np.ndarray):
+    """Both checkpoints, checked against the image; then the image's stage-2
+    inputs (stage-1 rollout included) and the segment plan."""
+    s1, s2 = stage1.load_stage1(args.stage1), stage2.load_stage2(args.stage2)
+    _check_pipeline(s1, s2, image)
+    inp = stage2.pipeline_inputs(s1, s2, image, cfg.get("frames"), cfg.get("seed"))
+    return s2, inp, scheduler.plan(inp.z_ref.shape[0], cfg.get("M"), cfg.get("N"))
+
+
+def _cmd_generate(cfg: _Cfg, args, out: str) -> None:
     img = read_siv1(args.image)
     if img.shape[0] != 1:
         raise ValueError(f"--image must hold a single frame, got T={img.shape[0]}")
-    _check_pipeline(s1, s2, img[0])
-    T, seed = cfg.get("frames"), cfg.get("seed")
-    inp = stage2.pipeline_inputs(s1, s2, img[0], T, seed)
-    p = scheduler.plan(inp.z_ref.shape[0], cfg.get("M"), cfg.get("N"))
+    s2, inp, p = _two_stage(cfg, args, img[0])
+    seed = cfg.get("seed")
     if args.stream:
         video, events, tm = streamer.run_streaming(s2, inp, p, seed,
                                                    queue_capacity=cfg.get("capacity"))
@@ -312,13 +308,10 @@ def _cmd_generate(cfg: _Cfg, args) -> int:
     write_siv1(os.path.join(out, "video.siv1"), video)
     with open(os.path.join(out, "plan.json"), "w") as fo:
         fo.write(scheduler.to_json(p))
-    cfg.echo(out)
     print(f"wrote {video.shape[0]} frames to {out}/video.siv1")
-    return 0
 
 
-def _cmd_bench_scaling(cfg: _Cfg) -> int:
-    out = cfg.out_dir()
+def _cmd_bench_scaling(cfg: _Cfg, args, out: str) -> None:
     ccfg = _codec(cfg)
     seed = cfg.get("seed")
     M = cfg.get_or("M", SCALING_MN[0])
@@ -329,7 +322,7 @@ def _cmd_bench_scaling(cfg: _Cfg) -> int:
     rows, requests = [], []
     for T in SCALING_FRAMES:
         truth = _scene_video(cfg, T)
-        inp = _truth_input(cfg, truth, ccfg)
+        inp = _truth_input(truth, ccfg)
         t, h, w, _ = latent_shape(T, truth.shape[1], truth.shape[2], ccfg)
         p = scheduler.plan(t, M, N)
         before = mixer.forward_calls
@@ -357,21 +350,13 @@ def _cmd_bench_scaling(cfg: _Cfg) -> int:
     with open(os.path.join(out, "scaling.json"), "w") as fo:
         json.dump({"count_r2": counts.r2, "wall_r2": walls.r2,
                    "count_slope": counts.slope, "wall_slope": walls.slope}, fo, indent=2)
-    cfg.echo(out)
     print(f"scaling: count r2={counts.r2:.6f} wall r2={walls.r2:.4f}")
-    return 0
 
 
-def _cmd_bench_boundary(cfg: _Cfg, args) -> int:
-    out = cfg.out_dir()
-    s1 = stage1.load_stage1(args.stage1)
-    s2 = stage2.load_stage2(args.stage2)
-    T, seed = cfg.get("frames"), cfg.get("seed")
-    truth = _scene_video(cfg, T, seed_offset=101)  # held-out scene
-    _check_pipeline(s1, s2, truth[0])
-    inp = stage2.pipeline_inputs(s1, s2, truth[0], T, seed)
-    p = scheduler.plan(inp.z_ref.shape[0], cfg.get("M"), cfg.get("N"))
-    video = decode(stage2.infer_csg(s2, inp, p, seed), s2.codec_cfg)
+def _cmd_bench_boundary(cfg: _Cfg, args, out: str) -> None:
+    truth = _scene_video(cfg, cfg.get("frames"), seed_offset=101)  # held-out scene
+    s2, inp, p = _two_stage(cfg, args, truth[0])
+    video = decode(stage2.infer_csg(s2, inp, p, cfg.get("seed")), s2.codec_cfg)
     report = {}
     for metric in ("pixel_diff", "one_minus_ssim"):
         r = metrics.boundary_gap(video, p, s2.codec_cfg, metric)
@@ -381,19 +366,15 @@ def _cmd_bench_boundary(cfg: _Cfg, args) -> int:
                           "pairs": [list(q) for q in r.pairs]}
     with open(os.path.join(out, "boundary.json"), "w") as fo:
         json.dump(report, fo, indent=2)
-    cfg.echo(out)
     print("boundary gap_pct: " +
           ", ".join(f"{m}={report[m]['gap_pct']:.2f}%" for m in report))
-    return 0
 
 
-def accumulation_rows(model: stage2.Stage2Model, truths, seeds, M: int, N: int):
+def accumulation_rows(model: mixer.StageModel, truths, seeds, M: int, N: int):
     """Per-seed degradation slopes for bidirectional vs causal inference on
     the same params. Per-segment PSNR is averaged over the clips before the
     fit to steady the series."""
-    causal = stage2.Stage2Model(params=model.params.copy(), codec_cfg=model.codec_cfg,
-                                schedule=model.schedule)
-    causal.params.mask_mode = "causal"
+    causal = replace(model, params=replace(model.params, mask_mode="causal"))
     ccfg = model.codec_cfg
     rows = []
     for seed in seeds:
@@ -401,9 +382,7 @@ def accumulation_rows(model: stage2.Stage2Model, truths, seeds, M: int, N: int):
         for name, m in (("bi", model), ("causal", causal)):
             per_clip = []
             for truth in truths:
-                v_lr = resize_spatial(truth, "down_avg", ccfg.f_s)
-                v_ref = build_hybrid_reference(v_lr, truth[0], ccfg.f_s)
-                inp = build_stage2_input(v_ref, truth[0], ccfg)
+                inp = _truth_input(truth, ccfg)
                 p = scheduler.plan(inp.z_ref.shape[0], M, N)
                 video = decode(stage2.infer_csg(m, inp, p, seed), ccfg)
                 per_clip.append(metrics.segment_quality_series(video, truth, p, ccfg))
@@ -415,8 +394,7 @@ def accumulation_rows(model: stage2.Stage2Model, truths, seeds, M: int, N: int):
     return rows
 
 
-def _cmd_bench_accumulation(cfg: _Cfg, args) -> int:
-    out = cfg.out_dir()
+def _cmd_bench_accumulation(cfg: _Cfg, args, out: str) -> None:
     s2 = stage2.load_stage2(args.stage2)
     T, seed = cfg.get_or("frames", ACCUM_FRAMES), cfg.get("seed")
     truths = [_scene_video(cfg, T, seed_offset=201 + j) for j in range(cfg.get("clips"))]
@@ -428,17 +406,14 @@ def _cmd_bench_accumulation(cfg: _Cfg, args) -> int:
     wins = sum(1 for _, b, c in rows if b >= c)
     with open(os.path.join(out, "accumulation.json"), "w") as fo:
         json.dump({"bi_ge_causal": wins, "runs": len(rows)}, fo, indent=2)
-    cfg.echo(out)
     print(f"accumulation: bidirectional slope >= causal in {wins}/{len(rows)} seeds")
-    return 0
 
 
-def _cmd_bench_streaming(cfg: _Cfg, args) -> int:
-    out = cfg.out_dir()
+def _cmd_bench_streaming(cfg: _Cfg, args, out: str) -> None:
     s2 = stage2.load_stage2(args.stage2)
     T, seed = cfg.get("frames"), cfg.get("seed")
     truth = _scene_video(cfg, T, seed_offset=303)
-    inp = _truth_input(cfg, truth, s2.codec_cfg)
+    inp = _truth_input(truth, s2.codec_cfg)
     p = scheduler.plan(inp.z_ref.shape[0], cfg.get("M"), cfg.get("N"))
     video, events, tm = streamer.run_streaming(s2, inp, p, seed,
                                                queue_capacity=cfg.get("capacity"))
@@ -452,18 +427,15 @@ def _cmd_bench_streaming(cfg: _Cfg, args) -> int:
     with open(os.path.join(out, "streaming.json"), "w") as fo:
         json.dump(report, fo, indent=2)
     write_siv1(os.path.join(out, "video.siv1"), video)
-    cfg.echo(out)
     print(f"streaming: matches_sequential={identical} "
           f"first_output={report['predicted']['first_output']:.2f}ms")
-    return 0
 
 
-def _cmd_ablate_mn(cfg: _Cfg, args) -> int:
-    out = cfg.out_dir()
+def _cmd_ablate_mn(cfg: _Cfg, args, out: str) -> None:
     s2 = stage2.load_stage2(args.stage2)
     T, seed = cfg.get("frames"), cfg.get("seed")
     truth = _scene_video(cfg, T, seed_offset=404)
-    inp = _truth_input(cfg, truth, s2.codec_cfg)
+    inp = _truth_input(truth, s2.codec_cfg)
     t = inp.z_ref.shape[0]
     h, w = inp.z_x.shape[:2]
     rows = []
@@ -476,13 +448,10 @@ def _cmd_ablate_mn(cfg: _Cfg, args) -> int:
                      max(scheduler.token_budget(p, h, w)), f"{wall:.3f}"))
     _write_csv(os.path.join(out, "ablate_mn.csv"),
                ["M", "N", "psnr", "max_tokens", "wall_ms"], rows)
-    cfg.echo(out)
     print(f"ablate-mn: {len(rows)} combinations")
-    return 0
 
 
-def _cmd_transition(cfg: _Cfg, args) -> int:
-    out = cfg.out_dir()
+def _cmd_transition(cfg: _Cfg, args, out: str) -> None:
     s1 = stage1.load_stage1(args.stage1)
     clips = [v for _, v in synth.load_corpus(args.corpus)]
     f, seed = cfg.get("f_s"), cfg.get("seed")
@@ -502,9 +471,21 @@ def _cmd_transition(cfg: _Cfg, args) -> int:
                                        seed=seed)
     pairs = transition.synthesize_corpus(clips, s1, tcfg, factor=f)
     transition.save_pairs(os.path.join(out, "pairs"), pairs, tcfg)
-    cfg.echo(out)
     print(f"transition: {len(pairs)} pairs, sweep over {len(SWEEP_SIGMAS)} sigmas")
-    return 0
+
+
+_COMMANDS = {
+    "synth": _cmd_synth,
+    "train-stage1": _cmd_train_stage1,
+    "train-stage2": _cmd_train_stage2,
+    "generate": _cmd_generate,
+    "bench scaling": _cmd_bench_scaling,
+    "bench boundary": _cmd_bench_boundary,
+    "bench accumulation": _cmd_bench_accumulation,
+    "bench streaming": _cmd_bench_streaming,
+    "ablate-mn": _cmd_ablate_mn,
+    "transition": _cmd_transition,
+}
 
 
 def main(argv=None) -> int:
@@ -513,27 +494,13 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 1
+    name = f"bench {args.bench_cmd}" if args.cmd == "bench" else args.cmd
     try:
         cfg = _Cfg(args)
-        if args.cmd == "synth":
-            return _cmd_synth(cfg)
-        if args.cmd == "train-stage1":
-            return _cmd_train_stage1(cfg, args)
-        if args.cmd == "train-stage2":
-            return _cmd_train_stage2(cfg, args)
-        if args.cmd == "generate":
-            return _cmd_generate(cfg, args)
-        if args.cmd == "bench":
-            if args.bench_cmd == "scaling":
-                return _cmd_bench_scaling(cfg)
-            if args.bench_cmd == "boundary":
-                return _cmd_bench_boundary(cfg, args)
-            if args.bench_cmd == "accumulation":
-                return _cmd_bench_accumulation(cfg, args)
-            return _cmd_bench_streaming(cfg, args)
-        if args.cmd == "ablate-mn":
-            return _cmd_ablate_mn(cfg, args)
-        return _cmd_transition(cfg, args)
+        out = cfg.out_dir()
+        _COMMANDS[name](cfg, args, out)
+        cfg.echo(out)
+        return 0
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as e:
         print(f"segvid: validation error: {e}", file=sys.stderr)
         return 2

@@ -1,10 +1,10 @@
 """Stage II input construction.
 
-Three pieces: the hybrid pixel reference (upsampled low-resolution video
-with frame 1 swapped for the true input image), latent anchoring (the first
-noisy block replaced by the encoded input image), and channel concatenation
-of the noisy and reference latent streams into the (t, h, w, 2c) tensor the
-denoiser consumes.
+Two pieces: the hybrid pixel reference (upsampled low-resolution video with
+frame 1 swapped for the true input image), and its encoding into latent
+conditioning together with the anchor latent of the input image. The
+denoiser (mixer) installs the anchor as block 1 and concatenates the
+reference to the noisy latents along channels, one window at a time.
 """
 
 from __future__ import annotations
@@ -48,18 +48,3 @@ def build_stage2_input(v_ref: np.ndarray, x: np.ndarray, cfg: CodecConfig) -> St
     z_ref = encode(v_ref, cfg)
     z_x = encode(as_f32(x, "x")[None], cfg)[0]
     return StageTwoInput(z_ref=z_ref, z_x=z_x)
-
-
-def assemble_input(z_noisy: np.ndarray, z_ref: np.ndarray, z_x: np.ndarray) -> np.ndarray:
-    """Anchor the noisy stream and concatenate the reference along channels.
-
-    Returns a fresh (t, h, w, 2c) tensor; z_noisy is not mutated. The first
-    c channels of block 1 are z_x; blocks 2..t pass through unchanged.
-    """
-    if z_noisy.shape != z_ref.shape:
-        raise ValueError(f"noisy/reference shape mismatch {z_noisy.shape} vs {z_ref.shape}")
-    if z_x.shape != z_noisy.shape[1:]:
-        raise ValueError(f"anchor shape {z_x.shape} does not match blocks {z_noisy.shape[1:]}")
-    anchored = z_noisy.copy()
-    anchored[0] = z_x
-    return np.concatenate([anchored, z_ref], axis=-1)

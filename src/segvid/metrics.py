@@ -72,11 +72,6 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.mean([_ssim_plane(af[..., k], bf[..., k]) for k in range(af.shape[2])]))
 
 
-def frame_metrics(a: np.ndarray, b: np.ndarray):
-    """(PSNR, SSIM, pixel_diff) for a pair of frames."""
-    return psnr(a, b), ssim(a, b), pixel_diff(a, b)
-
-
 def video_ssim(a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != b.shape:
         raise ValueError(f"extent mismatch {a.shape} vs {b.shape}")

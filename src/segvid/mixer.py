@@ -14,18 +14,29 @@ index (windows are non-contiguous, so window-relative positions would alias).
 Both codes are tabled rather than recomputed per forward pass: position codes
 live in a read-only per-(d, dtype) table whose rows are `sin_code` rows, and
 noise-level codes in a small bounded cache, so the bits equal `sin_code`'s.
+
+Both pipeline stages are this denoiser. A stage model is the mixer parameters
+plus the codec and sigma schedule it was trained with; a stage differs from
+the other only in its window policy (which blocks, which reference). The
+shared pieces live here: the seeded initial latents, the full-window denoise,
+the teacher-forced window loss that is `denoise_window`'s training twin, the
+training loop with its divergence guard, the evaluation loss, and the
+checkpoint files.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .grid import FLOAT, Rng, read_siv1, require_finite, write_siv1
+from .codec import CodecConfig
+from .grid import (FLOAT, SUB_TRAIN, Rng, init_noise_blocks, read_siv1, require_finite,
+                   write_siv1)
 
 MASK_MODES = ("bidirectional", "causal")
 
@@ -65,10 +76,6 @@ class MixerParams:
     def finite(self) -> bool:
         return all(np.isfinite(getattr(self, name)).all() for name in _MATS)
 
-    def copy(self) -> "MixerParams":
-        return replace(self, w_in=self.w_in.copy(), w_q=self.w_q.copy(),
-                       w_k=self.w_k.copy(), w_v=self.w_v.copy(), w_out=self.w_out.copy())
-
     def astype(self, dtype) -> "MixerParams":
         return replace(self, w_in=self.w_in.astype(dtype), w_q=self.w_q.astype(dtype),
                        w_k=self.w_k.astype(dtype), w_v=self.w_v.astype(dtype),
@@ -95,14 +102,6 @@ def init_mixer(rng: Rng, d_in: int, d_out: int, d: int = 32,
     p = MixerParams(d=d, mask_mode=mask_mode, **mats)
     p.check()
     return p
-
-
-def zero_mixer(d_in: int, d_out: int, d: int = 32, mask_mode: str = "bidirectional") -> MixerParams:
-    """All-zero parameters: predicts v_hat = 0, a null model for plumbing tests."""
-    return MixerParams(
-        w_in=np.zeros((d_in, d), FLOAT), w_q=np.zeros((d, d), FLOAT),
-        w_k=np.zeros((d, d), FLOAT), w_v=np.zeros((d, d), FLOAT),
-        w_out=np.zeros((d, d_out), FLOAT), d=d, mask_mode=mask_mode)
 
 
 def ref_rows(h: int, w: int, c: int) -> np.ndarray:
@@ -337,3 +336,111 @@ def load_params(in_dir: str) -> MixerParams:
     p = MixerParams(d=int(side["d"]), mask_mode=str(side["mask_mode"]), **mats)
     p.check()
     return p
+
+
+@dataclass
+class StageModel:
+    """One pipeline stage: mixer parameters, the codec its latents come from,
+    and its sampling schedule."""
+    params: MixerParams
+    codec_cfg: CodecConfig
+    schedule: SigmaSchedule
+
+
+def new_model(seed: int, height: int, width: int, codec_cfg: CodecConfig, d: int = 32,
+              K: int = 4, mask_mode: str = "bidirectional",
+              inert_ref: bool = False) -> StageModel:
+    """Fresh model for height x width frames; `inert_ref` starts the
+    reference rows of w_in at zero (see ref_rows)."""
+    h, w, c = height // codec_cfg.f_s, width // codec_cfg.f_s, codec_cfg.c
+    params = init_mixer(Rng(seed), d_in=h * w * 2 * c, d_out=h * w * c, d=d,
+                        mask_mode=mask_mode,
+                        zero_rows=ref_rows(h, w, c) if inert_ref else None)
+    return StageModel(params=params, codec_cfg=codec_cfg, schedule=default_schedule(K))
+
+
+def init_latents(z_x: np.ndarray, t: int, seed: int, key: int) -> np.ndarray:
+    """Anchor z_x installed at block 1, blocks 2..t at their seeded initial
+    noise. Each stage draws under its own `key`, so the streams never collide."""
+    z = init_noise_blocks(Rng(seed).split(key), t, *z_x.shape)
+    z[0] = z_x
+    return z
+
+
+def denoise_full(p: MixerParams, sigmas, z: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """All t blocks in one window, block 1 (the anchor) held fixed."""
+    t = z.shape[0]
+    upd = np.ones(t, bool)
+    upd[0] = False
+    return denoise_window(p, sigmas, z, ref, upd, range(1, t + 1))
+
+
+def window_loss(p: MixerParams, z_ref: np.ndarray, z0: np.ndarray, indices, noisy,
+                rng: Rng):
+    """Teacher-forced loss and gradients on one window: the training twin of
+    denoise_window.
+
+    z_ref, z0: (t, h, w, c) reference and clean latents. The window's blocks
+    in `noisy` move to a drawn sigma on the path to a drawn eps; the others
+    keep their clean latents as conditioning. Returns (loss, grads).
+    """
+    mask = np.array([i in noisy for i in indices], bool)
+    sigma = 1.0 - rng.split(1).uniform01()   # U(0, 1]
+    n = len(indices)
+    eps = rng.split(2).normal((n,) + z0.shape[1:])
+    rows = np.asarray(indices) - 1
+    clean = z0[rows]
+    z_win = np.where(mask[:, None, None, None], (1.0 - sigma) * clean + sigma * eps, clean)
+    x = np.concatenate([z_win, z_ref[rows]], axis=-1).reshape(n, -1)
+    return loss_and_grad(p, x, clean.reshape(n, -1), mask, sigma, eps.reshape(n, -1),
+                         indices=indices)
+
+
+def train_windows(p: MixerParams, windows, steps: int, seed: int, lr: float, stage: int):
+    """SGD, one window per step. windows(step, rng) gives the step's
+    (z_ref, z0, indices, noisy, extra); the log row is (step, loss, *extra).
+    Raises FloatingPointError, naming the stage and step, if training
+    diverges."""
+    g = Rng(seed).split(SUB_TRAIN)
+    log = []
+    for step in range(steps):
+        rng = g.split(step)
+        *window, extra = windows(step, rng)
+        loss, grads = window_loss(p, *window, rng)
+        sgd_update(p, grads, lr)
+        if not math.isfinite(loss):
+            raise FloatingPointError(f"stage {stage} training diverged: loss {loss} at step {step}")
+        log.append((step, loss, *extra))
+    if not p.finite():
+        raise FloatingPointError(
+            f"stage {stage} training diverged: parameters non-finite after step {steps - 1}")
+    return log
+
+
+def eval_windows(p: MixerParams, windows, seed: int, draws: int) -> float:
+    """Mean window loss over seeded draws of windows(draw, rng); no update."""
+    g = Rng(seed).split(SUB_TRAIN)
+    tot = 0.0
+    for j in range(draws):
+        rng = g.split(j)
+        *window, _ = windows(j, rng)
+        tot += window_loss(p, *window, rng)[0]
+    return tot / draws
+
+
+def save_model(model: StageModel, out_dir: str, name: str) -> None:
+    """Checkpoint: the mixer files plus <name>.json (codec config, sigmas)."""
+    save_params(model.params, out_dir)
+    cfg = model.codec_cfg
+    doc = {"f_s": cfg.f_s, "f_t": cfg.f_t, "c": cfg.c, "lift_seed": cfg.lift_seed,
+           "sigmas": list(model.schedule.sigmas)}
+    with open(os.path.join(out_dir, f"{name}.json"), "w") as f:
+        json.dump(doc, f, indent=2)
+
+
+def load_model(in_dir: str, name: str) -> StageModel:
+    with open(os.path.join(in_dir, f"{name}.json")) as f:
+        doc = json.load(f)
+    cfg = CodecConfig(f_s=doc["f_s"], f_t=doc["f_t"], c=doc["c"], lift_seed=doc["lift_seed"])
+    return StageModel(params=load_params(in_dir), codec_cfg=cfg,
+                      schedule=SigmaSchedule(tuple(doc["sigmas"])))

@@ -28,6 +28,7 @@ import numpy as np
 from . import stage2
 from .codec import decode_block
 from .conditioning import StageTwoInput
+from .mixer import StageModel
 from .scheduler import SegmentPlan
 
 KINDS = ("segment_denoised", "segment_decoded", "frames_emitted")
@@ -64,7 +65,7 @@ class _Abort(Exception):
     pass
 
 
-def run_streaming(model: stage2.Stage2Model, inp: StageTwoInput, p: SegmentPlan,
+def run_streaming(model: StageModel, inp: StageTwoInput, p: SegmentPlan,
                   seed: int, queue_capacity: int = 2, consumer_delay_s=None,
                   mode: str = "threads"):
     """Returns (video, events, measured TimingModel of active work in ms).

@@ -19,7 +19,8 @@ import numpy as np
 
 from . import metrics, stage1
 from .codec import decode, encode
-from .grid import Rng, SUB_TRANSITION, as_f32, read_siv1, resize_spatial, write_siv1
+from .grid import Rng, SUB_TRANSITION, as_f32, resize_spatial, write_siv1
+from .mixer import StageModel
 
 
 @dataclass(frozen=True)
@@ -35,7 +36,7 @@ class TransitionConfig:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
 
 
-def synthesize_pair(v_hr: np.ndarray, s1: stage1.Stage1Model, cfg: TransitionConfig,
+def synthesize_pair(v_hr: np.ndarray, s1: StageModel, cfg: TransitionConfig,
                     factor: int = 4, key: int = 0):
     """Build one (corrupted-and-redenoised LR video, clean HR video) pair.
 
@@ -61,7 +62,7 @@ def diagnostics(v_lr_tilde: np.ndarray, v_lr_clean: np.ndarray):
     return snr, ps, ss
 
 
-def sigma_sweep(v_hr: np.ndarray, s1: stage1.Stage1Model, sigmas, steps: int = 1,
+def sigma_sweep(v_hr: np.ndarray, s1: StageModel, sigmas, steps: int = 1,
                 seed: int = 0, factor: int = 4):
     """Diagnostics rows (sigma, steps, snr, psnr, ssim) at a fixed seed/model."""
     v_lr = resize_spatial(as_f32(v_hr, "v_hr"), "down_avg", factor)
@@ -74,7 +75,7 @@ def sigma_sweep(v_hr: np.ndarray, s1: stage1.Stage1Model, sigmas, steps: int = 1
     return rows
 
 
-def synthesize_corpus(v_hrs, s1: stage1.Stage1Model, cfg: TransitionConfig,
+def synthesize_corpus(v_hrs, s1: StageModel, cfg: TransitionConfig,
                       factor: int = 4):
     """Pairs for a whole clip list, one corruption sub-stream per clip."""
     return [synthesize_pair(v, s1, cfg, factor=factor, key=i) for i, v in enumerate(v_hrs)]
@@ -92,14 +93,3 @@ def save_pairs(out_dir: str, pairs, cfg: TransitionConfig) -> None:
             row = {"hr": hr_name, "lr_tilde": lr_name, "sigma": cfg.sigma,
                    "steps": cfg.steps, "seed": cfg.seed}
             f.write(json.dumps(row) + "\n")
-
-
-def load_pairs(in_dir: str):
-    pairs = []
-    with open(os.path.join(in_dir, "pairs.jsonl")) as f:
-        for line in f:
-            row = json.loads(line)
-            v_tilde = read_siv1(os.path.join(in_dir, row["lr_tilde"]))
-            v_hr = read_siv1(os.path.join(in_dir, row["hr"]))
-            pairs.append((v_tilde, v_hr))
-    return pairs

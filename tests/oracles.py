@@ -1,11 +1,25 @@
-"""Independent re-derivations used as test oracles.
+"""Independent re-derivations used as test oracles, and test-only helpers.
 
-Everything here is written the slow, obvious way on purpose (python loops,
-brute force, closed forms) and imports nothing from the package, so a bug in
-the implementation cannot hide in its own oracle.
+The re-derivations are written the slow, obvious way on purpose (python
+loops, brute force, closed forms) and use nothing from the package, so a bug
+in the implementation cannot hide in its own oracle.
+
+The section at the end keeps code the package has retired and helpers that
+only tests use; it imports the package. It holds the stage-1 loss and LR
+rollout as they were before stage 1 became the one-window case of the shared
+denoiser (the bit-for-bit references for that fold), the per-step
+`train_step`s of both stages, the zero-parameter null models, the stage-2
+input layout as one tensor, and the transition-pair reader.
 """
 
+import json
+import os
+
 import numpy as np
+
+from segvid import mixer, stage2
+from segvid.codec import CodecConfig, encode
+from segvid.grid import FLOAT, read_siv1
 
 
 def plan_bruteforce(t, M, N):
@@ -205,3 +219,109 @@ def denoise_window_concat(forward, sigmas, z_window, ref_window, update_mask):
         stepped = z + (b - a) * forward(x, a).reshape(n, h, w, c)
         z[upd] = stepped[upd]
     return z
+
+
+# ---- retired package code and test-only helpers ---------------------------
+
+
+def assemble_input(z_noisy, z_ref, z_x):
+    """Anchor the noisy stream and concatenate the reference along channels.
+
+    Returns a fresh (t, h, w, 2c) tensor; z_noisy is not mutated. The first
+    c channels of block 1 are z_x; blocks 2..t pass through unchanged.
+    """
+    if z_noisy.shape != z_ref.shape:
+        raise ValueError(f"noisy/reference shape mismatch {z_noisy.shape} vs {z_ref.shape}")
+    if z_x.shape != z_noisy.shape[1:]:
+        raise ValueError(f"anchor shape {z_x.shape} does not match blocks {z_noisy.shape[1:]}")
+    anchored = z_noisy.copy()
+    anchored[0] = z_x
+    return np.concatenate([anchored, z_ref], axis=-1)
+
+
+def stage1_loss_terms(params, z0, rng):
+    """The stage-1 loss before the window loss: noise every block of the clip,
+    re-install the clean anchor, broadcast it as the reference, one pass."""
+    t = z0.shape[0]
+    if t < 2:
+        raise ValueError("clip too short: need at least one block beyond the anchor")
+    sigma = 1.0 - rng.split(1).uniform01()
+    eps = rng.split(2).normal(z0.shape)
+    z = (1.0 - sigma) * z0 + sigma * eps
+    x = assemble_input(z, np.broadcast_to(z0[0], z0.shape), z0[0]).reshape(t, -1)
+    mask = np.ones(t, bool)
+    mask[0] = False
+    return mixer.loss_and_grad(params, x, z0.reshape(t, -1), mask, sigma,
+                               eps.reshape(t, -1), indices=range(1, t + 1))
+
+
+def anchored_denoise(params, sigmas, z, z_x):
+    """The stage-1 rollout before the shared full-window denoise: every block
+    in one window, block 1 held, the broadcast anchor as the reference."""
+    t = z.shape[0]
+    upd = np.ones(t, bool)
+    upd[0] = False
+    return mixer.denoise_window(params, sigmas, z, np.broadcast_to(z_x, z.shape), upd,
+                                range(1, t + 1))
+
+
+def stage1_train_step(model, v_lr, rng, lr=1e-2):
+    """One stage-1 step on a video: encode, the retired loss, SGD update."""
+    loss, grads = stage1_loss_terms(model.params, encode(v_lr, model.codec_cfg), rng)
+    mixer.sgd_update(model.params, grads, lr)
+    return loss
+
+
+def stage2_loss_terms(params, z_ref, z0, rng, M, N):
+    """The stage-2 loss before the window loss: a seeded segment of the
+    (M, N) plan, built here from the brute-force enumerator."""
+    segs = plan_bruteforce(z0.shape[0], M, N)
+    seg = segs[rng.split(4).integers(0, len(segs))]
+    idx = seg["W"]
+    mask = np.array([i in seg["I"] for i in idx], bool)
+    sigma = 1.0 - rng.split(1).uniform01()
+    n = len(idx)
+    eps = rng.split(2).normal((n,) + z0.shape[1:])
+    rows = np.asarray(idx) - 1
+    z_win = z0[rows]
+    z_win[mask] = (1.0 - sigma) * z_win[mask] + sigma * eps[mask]
+    x = np.concatenate([z_win, z_ref[rows]], axis=-1).reshape(n, -1)
+    return mixer.loss_and_grad(params, x, z0[rows].reshape(n, -1), mask, sigma,
+                               eps.reshape(n, -1), indices=idx)
+
+
+def stage2_train_step(model, v_ref_lr, v_hr, rng, M=None, N=None, lr=1e-2):
+    """One stage-2 step on a (reference LR, HR) video pair; (M, N) default to
+    a seeded draw from MN_CHOICES. Returns (loss, M, N)."""
+    if M is None or N is None:
+        M, N = stage2.MN_CHOICES[rng.split(3).integers(0, len(stage2.MN_CHOICES))]
+    z_ref, z0 = stage2.encode_pair(model.codec_cfg, v_ref_lr, v_hr)
+    loss, grads = stage2_loss_terms(model.params, z_ref, z0, rng, M, N)
+    mixer.sgd_update(model.params, grads, lr)
+    return loss, M, N
+
+
+def zero_mixer(d_in, d_out, d=32, mask_mode="bidirectional"):
+    """All-zero parameters: predicts v_hat = 0, a null model for plumbing tests."""
+    return mixer.MixerParams(
+        w_in=np.zeros((d_in, d), FLOAT), w_q=np.zeros((d, d), FLOAT),
+        w_k=np.zeros((d, d), FLOAT), w_v=np.zeros((d, d), FLOAT),
+        w_out=np.zeros((d, d_out), FLOAT), d=d, mask_mode=mask_mode)
+
+
+def null_stage1(lr_h=8, lr_w=8, codec_cfg=CodecConfig(), d=32, K=4):
+    """Zero-parameter stage-1 model: predicts zero velocity everywhere."""
+    h, w, c = lr_h // codec_cfg.f_s, lr_w // codec_cfg.f_s, codec_cfg.c
+    return mixer.StageModel(params=zero_mixer(h * w * 2 * c, h * w * c, d=d),
+                            codec_cfg=codec_cfg, schedule=mixer.default_schedule(K))
+
+
+def load_pairs(in_dir):
+    """Read back the (v_tilde, v_hr) pairs that transition.save_pairs wrote."""
+    pairs = []
+    with open(os.path.join(in_dir, "pairs.jsonl")) as f:
+        for line in f:
+            row = json.loads(line)
+            pairs.append((read_siv1(os.path.join(in_dir, row["lr_tilde"])),
+                          read_siv1(os.path.join(in_dir, row["hr"]))))
+    return pairs

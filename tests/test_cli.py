@@ -13,7 +13,7 @@ import pytest
 
 import segvid
 from segvid import cli, synth
-from segvid.grid import write_siv1
+from segvid.grid import read_siv1, write_siv1
 
 
 def test_usage_errors_exit_1(tmp_path):
@@ -200,3 +200,45 @@ def test_diverging_training_stderr_is_one_line(tmp_path):
     assert len(lines) == 1 and lines[0].startswith("segvid: runtime failure"), r.stderr
     assert "stage 1" in lines[0] and "step 4" in lines[0]
     assert not (s1 / "stage1.json").exists() and not list(s1.glob("w_*.siv1"))
+
+
+def test_config_must_name_a_file(tmp_path, capsys):
+    rc = cli.main(["synth", "--config", '{"count":2}', "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err.strip()
+    assert "\n" not in err and "JSON file" in err and '{"count":2}' in err
+
+
+def _corpus_64(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"height": 64, "width": 64, "count": 2, "frames": 17}))
+    corpus = tmp_path / "corpus64"
+    assert cli.main(["synth", "--config", str(cfg), "--out", str(corpus)]) == 0
+    return str(corpus)
+
+
+def test_train_takes_extents_from_corpus(tmp_path):
+    # no config: the 64x64 corpus, not the 32x32 defaults, sizes both models
+    corpus = _corpus_64(tmp_path)
+    s1, s2 = tmp_path / "s1", tmp_path / "s2"
+    assert cli.main(["train-stage1", "--corpus", corpus, "--out", str(s1),
+                     "--steps", "3", "--lr", "1e-4"]) == 0
+    assert cli.main(["train-stage2", "--corpus", corpus, "--stage1", str(s1),
+                     "--out", str(s2), "--steps", "3"]) == 0
+    for d, d_in in ((s1, 2 * 4 * 4 * 4), (s2, 2 * 4 * 16 * 16)):
+        w_in = read_siv1(d / "w_in.siv1")
+        assert w_in.shape[1] == d_in
+        resolved = json.loads((d / "config.resolved.json").read_text())
+        assert "height" not in resolved and "width" not in resolved
+
+
+def test_train_stage2_rejects_stage1_of_other_size(pipeline, tmp_path, capsys):
+    # a 32x32 stage-1 checkpoint on a 64x64 corpus
+    corpus = _corpus_64(tmp_path)
+    capsys.readouterr()
+    rc = cli.main(["train-stage2", "--corpus", corpus, "--stage1", pipeline["s1"],
+                   "--out", str(tmp_path / "s2"), "--steps", "3"])
+    assert rc == 2
+    err = capsys.readouterr().err.strip()
+    assert "\n" not in err and "corpus frame is 64x64" in err and "stage-1" in err
+    assert not (tmp_path / "s2" / "stage2.json").exists()

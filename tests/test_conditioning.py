@@ -4,9 +4,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from segvid import mixer
 from segvid.codec import CodecConfig, encode
-from segvid.conditioning import (StageTwoInput, assemble_input,
-                                 build_hybrid_reference, build_stage2_input)
+from segvid.conditioning import StageTwoInput, build_hybrid_reference, build_stage2_input
 from segvid.grid import FLOAT, resize_spatial
 
 import oracles
@@ -39,12 +39,13 @@ def test_hybrid_reference_extent_mismatch():
 
 
 def test_assemble_input_layout():
+    # the layout the mixer consumes, [noisy c | reference c] per pixel
     rng = np.random.default_rng(2)
     z = rng.standard_normal((5, 2, 2, 4)).astype(FLOAT)
     ref = rng.standard_normal((5, 2, 2, 4)).astype(FLOAT)
     zx = rng.standard_normal((2, 2, 4)).astype(FLOAT)
     keep = z.copy()
-    u = assemble_input(z, ref, zx)
+    u = oracles.assemble_input(z, ref, zx)
     assert u.shape == (5, 2, 2, 8)
     npt.assert_array_equal(u[0, ..., :4], zx)
     npt.assert_array_equal(u[0, ..., 4:], ref[0])
@@ -52,18 +53,19 @@ def test_assemble_input_layout():
     npt.assert_array_equal(u[..., 4:], ref)
     npt.assert_array_equal(z, keep)  # not mutated
     # split/concat inverse and idempotence
-    npt.assert_array_equal(assemble_input(z, ref, zx), u)
+    npt.assert_array_equal(oracles.assemble_input(z, ref, zx), u)
     anchored = z.copy()
     anchored[0] = zx
     npt.assert_array_equal(u[..., :4], anchored)
+    npt.assert_array_equal(u.reshape(5, -1)[:, mixer.ref_rows(2, 2, 4)], ref.reshape(5, -1))
 
 
 def test_assemble_input_validation():
     z = np.zeros((5, 2, 2, 4), FLOAT)
     with pytest.raises(ValueError):
-        assemble_input(z, np.zeros((4, 2, 2, 4), FLOAT), np.zeros((2, 2, 4), FLOAT))
+        oracles.assemble_input(z, np.zeros((4, 2, 2, 4), FLOAT), np.zeros((2, 2, 4), FLOAT))
     with pytest.raises(ValueError):
-        assemble_input(z, z, np.zeros((2, 2, 3), FLOAT))
+        oracles.assemble_input(z, z, np.zeros((2, 2, 3), FLOAT))
 
 
 def test_build_stage2_input_consistency():

@@ -167,13 +167,3 @@ def test_segment_quality_series():
     assert all(abs(v - whole) < 1e-9 for v in series)
     with pytest.raises(ValueError):
         metrics.segment_quality_series(truth[:13], truth, p, cfg)
-
-
-def test_frame_metrics_tuple():
-    rng = np.random.default_rng(5)
-    a = rng.random((16, 16, 3))
-    b = np.clip(a + 0.02 * rng.standard_normal(a.shape), 0, 1)
-    ps, ss, pd = metrics.frame_metrics(a, b)
-    assert ps == metrics.psnr(a, b)
-    assert ss == metrics.ssim(a, b)
-    assert pd == metrics.pixel_diff(a, b)

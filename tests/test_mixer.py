@@ -91,7 +91,7 @@ def test_ref_rows_layout():
 
 
 def test_loss_at_optimum_is_zero():
-    p = mixer.zero_mixer(10, 4, d=6)
+    p = oracles.zero_mixer(10, 4, d=6)
     g = np.random.default_rng(2)
     x = g.standard_normal((3, 10))
     clean = g.standard_normal((3, 4))

@@ -4,11 +4,17 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from segvid import scheduler, stage2, synth
+from segvid import cli, mixer, scheduler, stage2, synth
 from segvid.codec import encode
 from segvid.conditioning import (StageTwoInput, build_hybrid_reference,
                                  build_stage2_input)
 from segvid.grid import FLOAT, SUB_TRAIN, Rng, resize_spatial
+
+import oracles
+
+
+def encoded(model, pairs):
+    return [stage2.encode_pair(model.codec_cfg, *pair) for pair in pairs]
 
 
 def truth_and_input(seed=0, T=33, cfg=None):
@@ -78,7 +84,7 @@ def test_zero_init_reference_invariance():
 def test_trained_model_uses_reference():
     model = stage2.new_stage2(4)
     truth, inp = truth_and_input(seed=3)
-    pairs = [stage2.downsampled_pair(truth, 4)]
+    pairs = encoded(model, [stage2.downsampled_pair(truth, 4)])
     stage2.train(model, [], pairs, steps=50, seed=0, lr=3e-4)
     other = StageTwoInput(z_ref=inp.z_ref + 1.5, z_x=inp.z_x)
     p = scheduler.plan(inp.z_ref.shape[0], 3, 1)
@@ -96,20 +102,21 @@ def test_plan_mismatch_rejected():
 def test_train_step_draws_mn_from_choices():
     model = stage2.new_stage2(6)
     truth, _ = truth_and_input(seed=4, T=17)
-    pair = stage2.downsampled_pair(truth, 4)
-    seen = set()
-    for step in range(60):
-        _, M, N = stage2.train_step(model, pair[0], pair[1], Rng(step), lr=1e-4)
-        seen.add((M, N))
-    assert seen == set(stage2.MN_CHOICES)
-    _, M, N = stage2.train_step(model, pair[0], pair[1], Rng(0), M=3, N=2, lr=1e-4)
-    assert (M, N) == (3, 2)
+    pair = encoded(model, [stage2.downsampled_pair(truth, 4)])
+    log = stage2.train(model, [], pair, steps=60, seed=0, lr=1e-4)
+    assert {(M, N) for _, _, M, N, _ in log} == set(stage2.MN_CHOICES)
+    # a given (M, N) is the one used: eval_loss at (3, 2) is the retired
+    # stage-2 loss at (3, 2) over the same draws
+    g = Rng(1).split(SUB_TRAIN)
+    want = sum(oracles.stage2_loss_terms(model.params, *pair[0], g.split(j), 3, 2)[0]
+               for j in range(4)) / 4
+    assert stage2.eval_loss(model, pair, seed=1, draws=4, M=3, N=2) == want
 
 
 def test_train_mix_ratio_and_log():
     model = stage2.new_stage2(7)
     truth, _ = truth_and_input(seed=5, T=17)
-    pair = stage2.downsampled_pair(truth, 4)
+    pair = encoded(model, [stage2.downsampled_pair(truth, 4)])[0]
     log = stage2.train(model, [pair], [pair], steps=200, seed=3, lr=1e-4)
     srcs = [row[4] for row in log]
     share = srcs.count("transition") / len(srcs)
@@ -122,8 +129,8 @@ def test_train_mix_ratio_and_log():
 
 def test_training_improves_heldout_loss():
     clips = [synth.render_scene(s) for s in synth.default_specs(4, 60, T=17)]
-    pairs = [stage2.downsampled_pair(v, 4) for v in clips]
     model = stage2.new_stage2(0)
+    pairs = encoded(model, [stage2.downsampled_pair(v, 4) for v in clips])
     before = stage2.eval_loss(model, pairs, seed=42)
     stage2.train(model, [], pairs, steps=500, seed=0, lr=3e-4)
     after = stage2.eval_loss(model, pairs, seed=42)
@@ -133,15 +140,18 @@ def test_training_improves_heldout_loss():
 def test_train_rejects_short_clip():
     model = stage2.new_stage2(8)
     clip = np.zeros((1, 32, 32, 3), FLOAT)
-    with pytest.raises(ValueError):
-        stage2.train_step(model, clip[:, :8, :8], clip, Rng(0))
+    pairs = encoded(model, [(clip[:, :8, :8], clip)])
+    with pytest.raises(ValueError, match="no blocks to generate beyond the anchor"):
+        stage2.train(model, [], pairs, steps=1, seed=0)
+    with pytest.raises(ValueError, match="no blocks to generate beyond the anchor"):
+        stage2.eval_loss(model, pairs, seed=0)
 
 
 def test_save_load_roundtrip(tmp_path):
     model = stage2.new_stage2(9, mask_mode="causal")
-    stage2.save_stage2(model, str(tmp_path))
+    mixer.save_model(model, str(tmp_path), "stage2")
     back = stage2.load_stage2(str(tmp_path))
-    assert back.mask_mode == "causal"
+    assert back.params.mask_mode == "causal"
     assert back.codec_cfg == model.codec_cfg
     _, inp = truth_and_input(seed=6, T=17)
     p = scheduler.plan(inp.z_ref.shape[0], 2, 1)
@@ -171,20 +181,21 @@ def _same_params(a, b):
 
 @pytest.mark.parametrize("with_transition", [True, False])
 def test_train_matches_hand_loop_of_train_step(with_transition):
-    # train() steps on pairs encoded once; train_step re-encodes per step.
-    # Same Rng splits, so the log and the final parameters agree bit for bit.
+    # train() steps through the shared window loss on pairs encoded once; the
+    # retired train_step re-encodes and runs the retired stage-2 loss. Same
+    # Rng splits, so the log and the final parameters agree bit for bit.
     down = _pairs(70)
     trans = [(0.5 * v_lr + 0.25, v_hr) for v_lr, v_hr in _pairs(80, n=3)]
     trans = trans if with_transition else []
     a, b = stage2.new_stage2(3), stage2.new_stage2(3)
-    log = stage2.train(a, trans, down, steps=20, seed=9, lr=3e-4)
+    log = stage2.train(a, encoded(a, trans), encoded(a, down), steps=20, seed=9, lr=3e-4)
     g = Rng(9).split(SUB_TRAIN)
     hand = []
     for step in range(20):
         rs = g.split(step)
         use = bool(trans) and rs.split(5).uniform01() < stage2.TRANSITION_SHARE
         pool = trans if use else down
-        loss, M, N = stage2.train_step(b, *pool[step % len(pool)], rs, lr=3e-4)
+        loss, M, N = oracles.stage2_train_step(b, *pool[step % len(pool)], rs, lr=3e-4)
         hand.append((step, loss, M, N, "transition" if use else "downsampled"))
     assert log == hand
     assert _same_params(a.params, b.params)
@@ -193,7 +204,9 @@ def test_train_matches_hand_loop_of_train_step(with_transition):
 
 
 @pytest.mark.parametrize("steps", [10, 50])
-def test_train_encodes_each_pair_once(monkeypatch, steps):
+def test_train_encodes_each_pair_once(monkeypatch, tmp_path, steps):
+    # train and eval_loss take encoded pairs; the train-stage2 command
+    # encodes each transition and downsampled pair once (two encodes each)
     calls = []
 
     def counting(video, cfg):
@@ -201,16 +214,16 @@ def test_train_encodes_each_pair_once(monkeypatch, steps):
         return encode(video, cfg)
 
     monkeypatch.setattr(stage2, "encode", counting)
-    down, trans = _pairs(70), _pairs(80, n=3)
-    stage2.train(stage2.new_stage2(0), trans, down, steps=steps, seed=0, lr=3e-4)
-    assert len(calls) == 2 * (len(trans) + len(down))
-    calls.clear()
-    stage2.eval_loss(stage2.new_stage2(0), down, seed=1, draws=8)
-    assert len(calls) == 2 * len(down)
+    corpus, s1 = str(tmp_path / "corpus"), str(tmp_path / "s1")
+    assert cli.main(["synth", "--out", corpus, "--count", "3", "--frames", "17"]) == 0
+    assert cli.main(["train-stage1", "--corpus", corpus, "--out", s1, "--steps", "5"]) == 0
+    assert cli.main(["train-stage2", "--corpus", corpus, "--stage1", s1,
+                     "--out", str(tmp_path / "s2"), "--steps", str(steps)]) == 0
+    assert len(calls) == 2 * (3 + 3)
 
 
 def test_train_raises_on_divergence():
-    pairs = _pairs(70)
+    pairs = encoded(stage2.new_stage2(0), _pairs(70))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(FloatingPointError, match="stage 2 .* at step 1"):
             stage2.train(stage2.new_stage2(0), [], pairs, steps=4, seed=0, lr=1e6)

@@ -11,6 +11,8 @@ from segvid import stage1, synth, transition
 from segvid.codec import decode, encode
 from segvid.grid import resize_spatial
 
+import oracles
+
 
 @pytest.fixture(scope="module")
 def hi_res():
@@ -21,13 +23,14 @@ def hi_res():
     clips = [synth.render_scene(s) for s in specs]
     lr_clips = [resize_spatial(v, "down_avg", 4) for v in clips]
     model = stage1.new_stage1(0, lr_h=16, lr_w=16)
-    stage1.train(model, lr_clips, steps=600, seed=0, lr=3e-3)
+    stage1.train(model, [encode(v, model.codec_cfg) for v in lr_clips], steps=600, seed=0,
+                 lr=3e-3)
     return specs, clips, model
 
 
 def test_sigma_zero_is_codec_projection():
     v = synth.render_scene(synth.SceneSpec(seed=1, T=17))
-    s1 = stage1.null_stage1()
+    s1 = oracles.null_stage1()
     cfg = transition.TransitionConfig(sigma=0.0)
     v_tilde, v_back = transition.synthesize_pair(v, s1, cfg)
     npt.assert_array_equal(v_back, v)
@@ -49,7 +52,7 @@ def test_synthesis_deterministic():
 def test_psnr_drops_with_sigma():
     # with the identity (null) denoiser the corruption is the whole error
     v = synth.render_scene(synth.SceneSpec(seed=3, T=17))
-    s1 = stage1.null_stage1()
+    s1 = oracles.null_stage1()
     rows = transition.sigma_sweep(v, s1, (0.01, 0.1, 0.3, 0.5, 0.7), steps=1, seed=0)
     psnrs = [r[3] for r in rows]
     assert all(a >= b for a, b in zip(psnrs, psnrs[1:]))
@@ -87,7 +90,6 @@ def test_config_validation():
 
 
 def test_motion_preserved_at_small_sigma(hi_res):
-    import oracles
     specs, clips, model = hi_res
     cfg = transition.TransitionConfig(sigma=0.1, steps=1, seed=0)
     hits = total = 0
@@ -116,7 +118,7 @@ def test_pairs_roundtrip(tmp_path):
     assert len(rows) == 2
     assert set(rows[0]) == {"hr", "lr_tilde", "sigma", "steps", "seed"}
     assert rows[0]["sigma"] == 0.1 and rows[0]["steps"] == 1 and rows[0]["seed"] == 2
-    back = transition.load_pairs(str(tmp_path))
+    back = oracles.load_pairs(str(tmp_path))
     for (ta, ha), (tb, hb) in zip(pairs, back):
         npt.assert_array_equal(ta, tb)
         npt.assert_array_equal(ha, hb)
