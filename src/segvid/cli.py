@@ -27,7 +27,7 @@ import numpy as np
 
 from . import metrics, mixer, scheduler, stage1, stage2, streamer, synth, transition
 from .codec import CodecConfig, decode, encode, latent_shape
-from .conditioning import build_hybrid_reference, build_stage2_input
+from .conditioning import encode_reference
 from .grid import read_siv1, resize_spatial, write_siv1
 
 DEFAULTS = {
@@ -201,9 +201,7 @@ def _scene_video(cfg: _Cfg, T: int, seed_offset: int = 0) -> np.ndarray:
 
 def _truth_input(truth: np.ndarray, ccfg: CodecConfig):
     """Conditioning built from the ground-truth downsampled reference."""
-    v_lr = resize_spatial(truth, "down_avg", ccfg.f_s)
-    v_ref = build_hybrid_reference(v_lr, truth[0], ccfg.f_s)
-    return build_stage2_input(v_ref, truth[0], ccfg)
+    return encode_reference(resize_spatial(truth, "down_avg", ccfg.f_s), truth[0], ccfg)
 
 
 def _check_pipeline(s1, s2, image: np.ndarray, what: str = "image") -> None:
@@ -415,20 +413,42 @@ def _cmd_bench_streaming(cfg: _Cfg, args, out: str) -> None:
     truth = _scene_video(cfg, T, seed_offset=303)
     inp = _truth_input(truth, s2.codec_cfg)
     p = scheduler.plan(inp.z_ref.shape[0], cfg.get("M"), cfg.get("N"))
-    video, events, tm = streamer.run_streaming(s2, inp, p, seed,
-                                               queue_capacity=cfg.get("capacity"))
+    capacity = cfg.get("capacity")
+    video, events, tm = streamer.run_streaming(s2, inp, p, seed, queue_capacity=capacity)
     sequential = decode(stage2.infer_csg(s2, inp, p, seed), s2.codec_cfg)
-    identical = bool(np.array_equal(video, sequential))
+    # Measured end to end per mode: wall time of run_streaming and the time
+    # of its first emitted frame. Modes alternate, so a slow phase of a
+    # shared host lands on both.
+    modes = ("serial", "threads")
+    runs = {mode: {"wall_ms": [], "first_frame_ms": [], "matches_sequential": True}
+            for mode in modes}
+    for _ in range(cfg.get("repeats")):
+        for mode in modes:
+            tic = time.perf_counter()
+            v, evs, _ = streamer.run_streaming(s2, inp, p, seed, queue_capacity=capacity,
+                                               mode=mode)
+            r = runs[mode]
+            r["wall_ms"].append((time.perf_counter() - tic) * 1000.0)
+            r["first_frame_ms"].append(next(e.t_ms for e in evs if e.kind == "frames_emitted"))
+            r["matches_sequential"] &= bool(np.array_equal(v, sequential))
+    for r in runs.values():
+        r["wall_ms_p50"] = float(np.median(r["wall_ms"]))
+        r["first_frame_ms_p50"] = float(np.median(r["first_frame_ms"]))
+    identical = bool(np.array_equal(video, sequential)) and all(
+        r["matches_sequential"] for r in runs.values())
     streamer.write_events_csv(os.path.join(out, "events.csv"), events)
     report = {"predicted": streamer.predict_timing(tm),
               "measured_denoise_ms": list(tm.denoise_s),
               "measured_decode_ms": list(tm.decode_s),
+              "measured": runs,
               "matches_sequential": identical}
     with open(os.path.join(out, "streaming.json"), "w") as fo:
         json.dump(report, fo, indent=2)
     write_siv1(os.path.join(out, "video.siv1"), video)
     print(f"streaming: matches_sequential={identical} "
-          f"first_output={report['predicted']['first_output']:.2f}ms")
+          f"first_output={report['predicted']['first_output']:.2f}ms (predicted) "
+          + " ".join(f"{m}: wall {runs[m]['wall_ms_p50']:.2f}ms "
+                     f"first {runs[m]['first_frame_ms_p50']:.2f}ms" for m in modes))
 
 
 def _cmd_ablate_mn(cfg: _Cfg, args, out: str) -> None:

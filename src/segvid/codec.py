@@ -67,9 +67,21 @@ def latent_shape(T: int, H: int, W: int, cfg: CodecConfig) -> tuple[int, int, in
     return (num_blocks(T, cfg.f_t), H // cfg.f_s, W // cfg.f_s, cfg.c)
 
 
-def _pool_spatial(frames: np.ndarray, f_s: int) -> np.ndarray:
-    n, h, w, c = frames.shape
-    return frames.reshape(n, h // f_s, f_s, w // f_s, f_s, c).mean(axis=(2, 4), dtype=FLOAT)
+def group_means(video: np.ndarray, f_t: int) -> np.ndarray:
+    """(t-1, H, W, C): frames 2..T averaged in consecutive groups of f_t, one
+    per block 2..t."""
+    T, H, W, C = video.shape
+    t = num_blocks(T, f_t)
+    return video[1:].reshape(t - 1, f_t, H, W, C).mean(axis=1, dtype=FLOAT)
+
+
+def pool_and_lift(frames: np.ndarray, cfg: CodecConfig) -> np.ndarray:
+    """(n, H, W, 3) frames, one per block, to (n, h, w, c) latents: f_s x f_s
+    spatial mean pooling, then the channel lift."""
+    n, H, W, _ = frames.shape
+    f = cfg.f_s
+    pooled = frames.reshape(n, H // f, f, W // f, f, 3).mean(axis=(2, 4), dtype=FLOAT)
+    return pooled @ channel_lift(cfg).T
 
 
 def encode(video: np.ndarray, cfg: CodecConfig) -> np.ndarray:
@@ -79,12 +91,10 @@ def encode(video: np.ndarray, cfg: CodecConfig) -> np.ndarray:
         raise ValueError(f"expected (T,H,W,3) video, got shape {v.shape}")
     T, H, W, _ = v.shape
     t, h, w, c = latent_shape(T, H, W, cfg)
-    lift = channel_lift(cfg)
     out = np.empty((t, h, w, c), dtype=FLOAT)
-    out[0] = _pool_spatial(v[:1], cfg.f_s)[0] @ lift.T
-    if t > 1:  # blocks 2..t: frames 2..T in consecutive groups of f_t
-        groups = v[1:].reshape(t - 1, cfg.f_t, H, W, 3).mean(axis=1, dtype=FLOAT)
-        out[1:] = _pool_spatial(groups, cfg.f_s) @ lift.T
+    out[0] = pool_and_lift(v[:1], cfg)[0]
+    if t > 1:
+        out[1:] = pool_and_lift(group_means(v, cfg.f_t), cfg)
     return out
 
 

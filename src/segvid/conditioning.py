@@ -1,9 +1,17 @@
 """Stage II input construction.
 
-Two pieces: the hybrid pixel reference (upsampled low-resolution video with
-frame 1 swapped for the true input image), and its encoding into latent
-conditioning together with the anchor latent of the input image. The
-denoiser (mixer) installs the anchor as block 1 and concatenates the
+Stage II is conditioned on the hybrid reference: the low-resolution (LR)
+video upsampled to high resolution (HR), with frame 1 swapped for the true
+input image. Only its latents are needed, together with the anchor latent of
+the input image, so ``encode_reference`` computes them without building the
+HR hybrid video: block 1 is the encoded input image, and blocks 2..t take the
+f_t-frame temporal means at LR, upsample just those t−1 group frames, and
+pool and lift them as ``encode`` does. Averaging commutes with nearest
+upsampling bit for bit, so this equals encoding the HR hybrid video (the
+tests check it against that construction); the spatial pooling of the
+replicated pixels stays, because skipping it changes bits.
+
+The denoiser (mixer) installs the anchor as block 1 and concatenates the
 reference to the noisy latents along channels, one window at a time.
 """
 
@@ -13,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import CodecConfig, encode
-from .grid import as_f32, resize_spatial
+from .codec import CodecConfig, encode, group_means, num_blocks, pool_and_lift
+from .grid import FLOAT, as_f32, resize_spatial
 
 
 @dataclass(frozen=True)
@@ -29,22 +37,21 @@ class StageTwoInput:
             raise ValueError(f"block shape mismatch {self.z_ref.shape[1:]} vs {self.z_x.shape}")
 
 
-def build_hybrid_reference(v_lr: np.ndarray, x: np.ndarray, factor: int) -> np.ndarray:
-    """Nearest-upsample the LR video and replace frame 1 with the input image."""
+def encode_reference(v_lr: np.ndarray, x: np.ndarray, cfg: CodecConfig) -> StageTwoInput:
+    """Latents of the hybrid reference of a (T, H/f, W/f, 3) LR video and a
+    (H, W, 3) input image, and the anchor latent of the image."""
     v = as_f32(v_lr, "v_lr")
     xf = as_f32(x, "x")
     if v.ndim != 4 or xf.ndim != 3:
         raise ValueError("v_lr must be (T,H,W,C), x a single (H,W,C) frame")
-    up = resize_spatial(v, "up_nearest", factor)
-    if up.shape[1:] != xf.shape:
-        raise ValueError(f"upsampled frames {up.shape[1:]} do not match input frame {xf.shape}")
-    out = up.copy()
-    out[0] = xf
-    return out
-
-
-def build_stage2_input(v_ref: np.ndarray, x: np.ndarray, cfg: CodecConfig) -> StageTwoInput:
-    """Encode the hybrid reference and the input image into latent conditioning."""
-    z_ref = encode(v_ref, cfg)
-    z_x = encode(as_f32(x, "x")[None], cfg)[0]
+    factor = xf.shape[0] // max(v.shape[1], 1)
+    if factor < 1 or (v.shape[1] * factor, v.shape[2] * factor, v.shape[3]) != xf.shape:
+        raise ValueError(f"LR frames {v.shape[1:]} do not upsample to input frame {xf.shape}")
+    t = num_blocks(v.shape[0], cfg.f_t)
+    z_x = encode(xf[None], cfg)[0]
+    z_ref = np.empty((t, *z_x.shape), FLOAT)
+    z_ref[0] = z_x
+    if t > 1:
+        groups = resize_spatial(group_means(v, cfg.f_t), "up_nearest", factor)
+        z_ref[1:] = pool_and_lift(groups, cfg)
     return StageTwoInput(z_ref=z_ref, z_x=z_x)

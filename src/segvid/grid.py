@@ -10,7 +10,14 @@ through ``SeedSequence``. The same 64-bit seed yields the same value stream
 on every run and platform (for a fixed numpy major version). Sub-streams are
 derived with ``split``, which feeds a tuple of integer keys into
 ``SeedSequence(spawn_key=...)``; the key constants below are fixed and part
-of the format of any seeded artifact.
+of the format of any seeded artifact. A stream seeds its generator on its
+first draw, so a stream that is only split never builds one.
+
+``init_noise_blocks`` needs one sub-stream per latent block. Rather than a
+``SeedSequence`` and a ``PCG64`` per block, it restates numpy's
+``SeedSequence`` hashing and PCG64 seeding in Python integers (hashing the
+shared key prefix once per call) and sets the resulting state on one
+generator; the tests check it against the per-block ``split`` streams.
 """
 
 from __future__ import annotations
@@ -51,24 +58,28 @@ class Rng:
             raise ValueError(f"seed must fit in u64, got {seed}")
         self.seed = int(seed)
         self.key = tuple(int(k) for k in _key)
-        self._gen = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(entropy=self.seed, spawn_key=self.key))
-        )
+        self._gen = None
+
+    def _generator(self) -> np.random.Generator:
+        if self._gen is None:
+            self._gen = np.random.Generator(
+                np.random.PCG64(np.random.SeedSequence(entropy=self.seed, spawn_key=self.key)))
+        return self._gen
 
     def split(self, *keys: int) -> "Rng":
         """Child stream for the given key path, independent of this one."""
         return Rng(self.seed, self.key + keys)
 
     def normal(self, shape: tuple[int, ...]) -> np.ndarray:
-        return self._gen.standard_normal(shape, dtype=FLOAT)
+        return self._generator().standard_normal(shape, dtype=FLOAT)
 
     def uniform01(self) -> float:
         """One double in [0, 1)."""
-        return float(self._gen.random())
+        return float(self._generator().random())
 
     def integers(self, low: int, high: int) -> int:
         """One integer in [low, high)."""
-        return int(self._gen.integers(low, high))
+        return int(self._generator().integers(low, high))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Rng(seed={self.seed}, key={self.key})"
@@ -113,9 +124,110 @@ def init_noise_blocks(rng: Rng, t: int, h: int, w: int, c: int) -> np.ndarray:
     which is what makes the windowed, full-sequence, and streaming denoise
     paths comparable bit for bit."""
     z = np.zeros(_check_dims((t, h, w, c)), FLOAT)
+    pcg64_state = _pcg64_seeder(rng.seed, rng.key + (SUB_INIT_NOISE,))
+    bits = np.random.PCG64(0)
+    gen = np.random.Generator(bits)
     for i in range(2, t + 1):
-        z[i - 1] = rng.split(SUB_INIT_NOISE, i).normal((h, w, c))
+        # same bits as rng.split(SUB_INIT_NOISE, i).normal((h, w, c))
+        bits.state = pcg64_state(i)
+        gen.standard_normal(dtype=FLOAT, out=z[i - 1])
     return z
+
+
+# numpy's SeedSequence (a pool of four u32 words) and PCG64 seeding, in
+# Python integers. Part of the stream format, like the keys above.
+_M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _u32_words(x: int) -> list[int]:
+    """SeedSequence's coercion of a nonnegative int: little-endian u32 words."""
+    words = [x & _M32]
+    while x := x >> 32:
+        words.append(x & _M32)
+    return words
+
+
+def _hashmix(value: int, hc: int) -> tuple[int, int]:
+    """(hashed value, next hash constant)."""
+    value ^= hc
+    hc = hc * _MULT_A & _M32
+    value = value * hc & _M32
+    return value ^ value >> 16, hc
+
+
+def _mix(x: int, y: int) -> int:
+    r = (_MIX_L * x - _MIX_R * y) & _M32
+    return r ^ r >> 16
+
+
+def _hash_constants(hc: int, mult: int, n: int) -> list[tuple[int, int]]:
+    """The (xor, multiplier) pairs that n successive hashes starting from
+    hash constant hc apply; they do not depend on the hashed data."""
+    out = []
+    for _ in range(n):
+        out.append((hc, hc * mult & _M32))
+        hc = out[-1][1]
+    return out
+
+
+def _pcg64_seeder(seed: int, prefix: tuple[int, ...]):
+    """word -> the state dict of PCG64(SeedSequence(seed, spawn_key=prefix +
+    (word,))) for a one-word (u32) last key, bit for bit.
+
+    The pool after every entropy word but the last is computed once; the last
+    word then costs four hash-and-mix steps, the eight state words of
+    generate_state(4, uint64) and the 128-bit PCG64 set-seed, unrolled.
+    """
+    run = _u32_words(seed)
+    run += [0] * (4 - len(run))  # numpy pads the seed to the pool size under a spawn key
+    words = run + [w for k in prefix for w in _u32_words(k)]
+    hc = _INIT_A
+    pool = []
+    for w in words[:4]:
+        v, hc = _hashmix(w, hc)
+        pool.append(v)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                v, hc = _hashmix(pool[src], hc)
+                pool[dst] = _mix(pool[dst], v)
+    for w in words[4:]:
+        for dst in range(4):
+            v, hc = _hashmix(w, hc)
+            pool[dst] = _mix(pool[dst], v)
+    (x0, m0), (x1, m1), (x2, m2), (x3, m3) = _hash_constants(hc, _MULT_A, 4)
+    l0, l1, l2, l3 = (_MIX_L * p for p in pool)  # the pool's half of _mix
+    (a0, b0), (a1, b1), (a2, b2), (a3, b3), (a4, b4), (a5, b5), (a6, b6), (a7, b7) = \
+        _hash_constants(_INIT_B, _MULT_B, 8)
+    M, R = _M32, _MIX_R
+
+    def state(word: int) -> dict:
+        v = (word ^ x0) * m0 & M
+        q0 = (l0 - R * (v ^ v >> 16)) & M
+        v = (word ^ x1) * m1 & M
+        q1 = (l1 - R * (v ^ v >> 16)) & M
+        v = (word ^ x2) * m2 & M
+        q2 = (l2 - R * (v ^ v >> 16)) & M
+        v = (word ^ x3) * m3 & M
+        q3 = (l3 - R * (v ^ v >> 16)) & M
+        q0, q1, q2, q3 = q0 ^ q0 >> 16, q1 ^ q1 >> 16, q2 ^ q2 >> 16, q3 ^ q3 >> 16
+        s0, s1 = (q0 ^ a0) * b0 & M, (q1 ^ a1) * b1 & M
+        s2, s3 = (q2 ^ a2) * b2 & M, (q3 ^ a3) * b3 & M
+        s4, s5 = (q0 ^ a4) * b4 & M, (q1 ^ a5) * b5 & M
+        s6, s7 = (q2 ^ a6) * b6 & M, (q3 ^ a7) * b7 & M
+        # u64 words are little-endian u32 pairs; set-seed takes (high, low)
+        init = ((s1 ^ s1 >> 16) << 96 | (s0 ^ s0 >> 16) << 64
+                | (s3 ^ s3 >> 16) << 32 | s2 ^ s2 >> 16)
+        inc = ((s5 ^ s5 >> 16) << 97 | (s4 ^ s4 >> 16) << 65 | (s7 ^ s7 >> 16) << 33
+               | (s6 ^ s6 >> 16) << 1 | 1) & _M128
+        return {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                "state": {"state": ((inc + init) * _PCG_MULT + inc) & _M128, "inc": inc}}
+
+    return state
 
 
 def resize_spatial(video: np.ndarray, mode: str, factor: int) -> np.ndarray:

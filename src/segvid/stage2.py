@@ -23,7 +23,7 @@ import numpy as np
 
 from . import mixer, scheduler, stage1 as stage1_mod
 from .codec import CodecConfig, encode
-from .conditioning import StageTwoInput, build_hybrid_reference, build_stage2_input
+from .conditioning import StageTwoInput, encode_reference
 from .grid import as_f32, resize_spatial
 
 MN_CHOICES = ((2, 1), (2, 2), (3, 1), (3, 2))
@@ -88,9 +88,7 @@ def encode_pair(cfg: CodecConfig, v_ref_lr: np.ndarray, v_hr: np.ndarray):
     """(z_ref, z0): latents of the hybrid reference built from a (reference
     LR video, ground-truth HR video) pair, and of the HR clip."""
     v_hr = as_f32(v_hr, "v_hr")
-    factor = v_hr.shape[1] // v_ref_lr.shape[1]
-    v_ref = build_hybrid_reference(v_ref_lr, v_hr[0], factor)
-    return encode(v_ref, cfg), encode(v_hr, cfg)
+    return encode_reference(v_ref_lr, v_hr[0], cfg).z_ref, encode(v_hr, cfg)
 
 
 def _segment_window(z_ref: np.ndarray, z0: np.ndarray, rng, M: int, N: int):
@@ -137,5 +135,4 @@ def pipeline_inputs(s1, model: mixer.StageModel, x_hr: np.ndarray, T: int, seed:
     factor = model.codec_cfg.f_s  # LR is one spatial pooling factor below HR
     x_lr = resize_spatial(x[None], "down_avg", factor)[0]
     v_lr = stage1_mod.generate_lr(s1, x_lr, T, seed)
-    v_ref = build_hybrid_reference(v_lr, x, factor)
-    return build_stage2_input(v_ref, x, model.codec_cfg)
+    return encode_reference(v_lr, x, model.codec_cfg)

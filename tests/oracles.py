@@ -9,7 +9,11 @@ only tests use; it imports the package. It holds the stage-1 loss and LR
 rollout as they were before stage 1 became the one-window case of the shared
 denoiser (the bit-for-bit references for that fold), the per-step
 `train_step`s of both stages, the zero-parameter null models, the stage-2
-input layout as one tensor, and the transition-pair reader.
+input layout as one tensor, and the transition-pair reader. It also keeps
+the stage-2 conditioning built the obvious way, by encoding the HR hybrid
+video, and the initial block noise drawn from one `Rng.split` stream per
+block: the references for `conditioning.encode_reference` and
+`grid.init_noise_blocks`.
 """
 
 import json
@@ -19,7 +23,8 @@ import numpy as np
 
 from segvid import mixer, stage2
 from segvid.codec import CodecConfig, encode
-from segvid.grid import FLOAT, read_siv1
+from segvid.conditioning import StageTwoInput
+from segvid.grid import FLOAT, SUB_INIT_NOISE, as_f32, read_siv1, resize_spatial
 
 
 def plan_bruteforce(t, M, N):
@@ -222,6 +227,35 @@ def denoise_window_concat(forward, sigmas, z_window, ref_window, update_mask):
 
 
 # ---- retired package code and test-only helpers ---------------------------
+
+
+def build_hybrid_reference(v_lr, x, factor):
+    """Nearest-upsample the LR video and replace frame 1 with the input image."""
+    v = as_f32(v_lr, "v_lr")
+    xf = as_f32(x, "x")
+    if v.ndim != 4 or xf.ndim != 3:
+        raise ValueError("v_lr must be (T,H,W,C), x a single (H,W,C) frame")
+    up = resize_spatial(v, "up_nearest", factor)
+    if up.shape[1:] != xf.shape:
+        raise ValueError(f"upsampled frames {up.shape[1:]} do not match input frame {xf.shape}")
+    out = up.copy()
+    out[0] = xf
+    return out
+
+
+def build_stage2_input(v_ref, x, cfg):
+    """Encode the HR hybrid reference and the input image into conditioning."""
+    z_ref = encode(v_ref, cfg)
+    z_x = encode(as_f32(x, "x")[None], cfg)[0]
+    return StageTwoInput(z_ref=z_ref, z_x=z_x)
+
+
+def init_noise_blocks_loop(rng, t, h, w, c):
+    """Initial latents with one `Rng.split` stream per block, block 1 zero."""
+    z = np.zeros((t, h, w, c), FLOAT)
+    for i in range(2, t + 1):
+        z[i - 1] = rng.split(SUB_INIT_NOISE, i).normal((h, w, c))
+    return z
 
 
 def assemble_input(z_noisy, z_ref, z_x):

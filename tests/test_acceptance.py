@@ -11,7 +11,7 @@ import numpy as np
 import oracles
 from segvid import cli, mixer, scheduler, stage2, streamer, synth
 from segvid.codec import CodecConfig, decode, encode, num_blocks
-from segvid.conditioning import StageTwoInput, build_hybrid_reference, build_stage2_input
+from segvid.conditioning import StageTwoInput, encode_reference
 from segvid.grid import Rng, read_siv1, resize_spatial, write_siv1
 from segvid.streamer import TimingModel
 
@@ -23,8 +23,7 @@ def scene_input(seed, T, H=32, mask_mode="bidirectional"):
     v = synth.render_scene(synth.SceneSpec(seed=seed, T=T, H=H, W=H))
     model = stage2.new_stage2(seed, hr_h=H, hr_w=H, mask_mode=mask_mode)
     v_lr = resize_spatial(v, "down_avg", 4)
-    v_ref = build_hybrid_reference(v_lr, v[0], 4)
-    return model, build_stage2_input(v_ref, v[0], model.codec_cfg)
+    return model, encode_reference(v_lr, v[0], model.codec_cfg)
 
 
 def test_01_segment_plan_matches_enumeration(criterion):

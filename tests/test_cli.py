@@ -132,6 +132,12 @@ def test_bench_streaming(pipeline, tmp_path):
     assert set(rep["predicted"]) == {"first_output", "full_output", "sequential_total"}
     assert len(rep["measured_denoise_ms"]) == len(rep["measured_decode_ms"]) == 2
     assert (out / "events.csv").exists() and (out / "video.siv1").exists()
+    assert set(rep["measured"]) == {"serial", "threads"}
+    for mode in rep["measured"].values():
+        assert mode["matches_sequential"] is True
+        assert len(mode["wall_ms"]) == len(mode["first_frame_ms"]) == 10  # the default repeats
+        assert all(0.0 < f <= w for f, w in zip(mode["first_frame_ms"], mode["wall_ms"]))
+        assert mode["first_frame_ms_p50"] <= mode["wall_ms_p50"]
 
 
 def test_trained_checkpoints_record_losses(pipeline):

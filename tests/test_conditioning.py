@@ -3,13 +3,15 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from segvid import mixer
 from segvid.codec import CodecConfig, encode
-from segvid.conditioning import StageTwoInput, build_hybrid_reference, build_stage2_input
+from segvid.conditioning import StageTwoInput, encode_reference
 from segvid.grid import FLOAT, resize_spatial
 
 import oracles
+from oracles import build_hybrid_reference, build_stage2_input
 
 CFG = CodecConfig()
 
@@ -76,6 +78,37 @@ def test_build_stage2_input_consistency():
     npt.assert_array_equal(inp.z_x, encode(v_ref[:1], CFG)[0])
     # the hybrid reference holds the input image at frame 1, so both encodes agree
     npt.assert_array_equal(inp.z_ref[0], inp.z_x)
+
+
+@settings(deadline=None, max_examples=150)
+@given(f_s=st.sampled_from((2, 3, 4, 5, 8)), f_t=st.sampled_from((1, 2, 4)),
+       c=st.sampled_from((3, 4)), groups=st.integers(0, 6), h=st.integers(1, 3),
+       w=st.integers(1, 3), scale=st.sampled_from((1, 2)), seed=st.integers(0, 2**32 - 1))
+def test_encode_reference_equals_hybrid_oracle(f_s, f_t, c, groups, h, w, scale, seed):
+    # LR group means, upsampled and pooled, give the bits of encoding the HR
+    # hybrid video; T = 1 + groups * f_t goes down to a lone frame
+    cfg = CodecConfig(f_s=f_s, f_t=f_t, c=c)
+    factor = f_s * scale
+    rng = np.random.default_rng(seed)
+    v_lr = rng.random((1 + groups * f_t, h * f_s, w * f_s, 3)).astype(FLOAT)
+    x = rng.random((h * f_s * factor, w * f_s * factor, 3)).astype(FLOAT)
+    got = encode_reference(v_lr, x, cfg)
+    want = build_stage2_input(build_hybrid_reference(v_lr, x, factor), x, cfg)
+    assert got.z_ref.shape == want.z_ref.shape == (1 + groups, h * scale * f_s, w * scale * f_s, c)
+    npt.assert_array_equal(got.z_ref, want.z_ref)
+    npt.assert_array_equal(got.z_x, want.z_x)
+
+
+def test_encode_reference_validation():
+    x = np.zeros((32, 32, 3), FLOAT)
+    with pytest.raises(ValueError, match="do not upsample"):
+        encode_reference(np.zeros((5, 8, 16, 3), FLOAT), x, CFG)
+    with pytest.raises(ValueError, match="do not upsample"):
+        encode_reference(np.zeros((5, 5, 5, 3), FLOAT), x, CFG)
+    with pytest.raises(ValueError):
+        encode_reference(np.zeros((6, 8, 8, 3), FLOAT), x, CFG)  # T - 1 not a multiple of f_t
+    with pytest.raises(ValueError):
+        encode_reference(np.zeros((5, 8, 8, 3), FLOAT), x[None], CFG)
 
 
 def test_stage_two_input_validation():

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from segvid.grid import (FLOAT, Rng, as_f32, gaussian_fill, init_noise_blocks,
                          read_siv1, require_finite, resize_spatial, write_siv1)
@@ -63,6 +64,41 @@ def test_init_noise_blocks_keyed_per_block():
     # block content depends only on (seed, block index), not on t
     z9 = init_noise_blocks(Rng(3), 9, 2, 2, 3)
     npt.assert_array_equal(z9[:5], z)
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.one_of(st.integers(0, 2**64 - 1),
+                     st.sampled_from((0, 2**32 - 1, 2**32, 2**64 - 1))),
+       key=st.lists(st.one_of(st.integers(0, 2**64 - 1), st.integers(0, 300)), max_size=3),
+       t=st.sampled_from((1, 2, 161)), block=st.sampled_from(((2, 2, 4), (8, 8, 4))))
+def test_init_noise_blocks_equals_per_block_streams(seed, key, t, block):
+    # the Python-integer SeedSequence/PCG64 seeding gives each block the bits
+    # of its own Rng.split(SUB_INIT_NOISE, i) stream, for one- and multi-word
+    # seeds and keys
+    rng = Rng(seed).split(*key)
+    npt.assert_array_equal(init_noise_blocks(rng, t, *block),
+                           oracles.init_noise_blocks_loop(rng, t, *block))
+
+
+def test_rng_seeds_its_generator_on_first_draw(monkeypatch):
+    made = []
+    real = np.random.SeedSequence
+
+    def counted(*args, **kwargs):
+        made.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counted)
+    g = Rng(5)
+    child = g.split(1).split(2, 3)
+    init_noise_blocks(g.split(7), 9, 2, 2, 3)
+    assert made == []  # split-only streams and block noise seed no SeedSequence
+    a = child.normal((4,))
+    assert made == [{"entropy": 5, "spawn_key": (1, 2, 3)}]
+    b = child.normal((4,))
+    assert len(made) == 1 and not np.array_equal(a, b)
+    monkeypatch.undo()
+    npt.assert_array_equal(np.concatenate([a, b]), Rng(5).split(1, 2, 3).normal((8,)))
 
 
 def test_resize_constant_invariance():

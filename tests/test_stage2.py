@@ -6,8 +6,7 @@ import pytest
 
 from segvid import cli, mixer, scheduler, stage2, synth
 from segvid.codec import encode
-from segvid.conditioning import (StageTwoInput, build_hybrid_reference,
-                                 build_stage2_input)
+from segvid.conditioning import StageTwoInput, encode_reference
 from segvid.grid import FLOAT, SUB_TRAIN, Rng, resize_spatial
 
 import oracles
@@ -21,8 +20,7 @@ def truth_and_input(seed=0, T=33, cfg=None):
     truth = synth.render_scene(synth.SceneSpec(seed=seed, T=T))
     cfg = cfg or stage2.new_stage2(0).codec_cfg
     v_lr = resize_spatial(truth, "down_avg", cfg.f_s)
-    v_ref = build_hybrid_reference(v_lr, truth[0], cfg.f_s)
-    return truth, build_stage2_input(v_ref, truth[0], cfg)
+    return truth, encode_reference(v_lr, truth[0], cfg)
 
 
 def test_infer_deterministic():
@@ -206,20 +204,24 @@ def test_train_matches_hand_loop_of_train_step(with_transition):
 @pytest.mark.parametrize("steps", [10, 50])
 def test_train_encodes_each_pair_once(monkeypatch, tmp_path, steps):
     # train and eval_loss take encoded pairs; the train-stage2 command
-    # encodes each transition and downsampled pair once (two encodes each)
+    # encodes each transition and downsampled pair once (two encodes each:
+    # the reference latents and the HR clip)
     calls = []
 
-    def counting(video, cfg):
-        calls.append(video.shape)
-        return encode(video, cfg)
+    def counting(fn):
+        def count(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return count
 
-    monkeypatch.setattr(stage2, "encode", counting)
+    monkeypatch.setattr(stage2, "encode", counting(encode))
+    monkeypatch.setattr(stage2, "encode_reference", counting(encode_reference))
     corpus, s1 = str(tmp_path / "corpus"), str(tmp_path / "s1")
     assert cli.main(["synth", "--out", corpus, "--count", "3", "--frames", "17"]) == 0
     assert cli.main(["train-stage1", "--corpus", corpus, "--out", s1, "--steps", "5"]) == 0
     assert cli.main(["train-stage2", "--corpus", corpus, "--stage1", s1,
                      "--out", str(tmp_path / "s2"), "--steps", str(steps)]) == 0
-    assert len(calls) == 2 * (3 + 3)
+    assert sorted(calls) == ["encode"] * (3 + 3) + ["encode_reference"] * (3 + 3)
 
 
 def test_train_raises_on_divergence():

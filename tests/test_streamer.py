@@ -2,6 +2,8 @@
 event-log invariants, failure propagation, and the timing model."""
 
 import csv
+import queue
+import threading
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ import pytest
 import oracles
 from segvid import scheduler, stage2, streamer, synth
 from segvid.codec import decode
-from segvid.conditioning import build_hybrid_reference, build_stage2_input
+from segvid.conditioning import encode_reference
 from segvid.grid import resize_spatial
 from segvid.streamer import StreamError, StreamEvent, TimingModel
 
@@ -17,9 +19,7 @@ from segvid.streamer import StreamError, StreamEvent, TimingModel
 def make_setup(seed, T, M=3, N=1):
     v_hr = synth.render_scene(synth.SceneSpec(seed=seed, T=T, H=16, W=16))
     model = stage2.new_stage2(seed, hr_h=16, hr_w=16)
-    v_lr = resize_spatial(v_hr, "down_avg", 4)
-    v_ref = build_hybrid_reference(v_lr, v_hr[0], 4)
-    inp = build_stage2_input(v_ref, v_hr[0], model.codec_cfg)
+    inp = encode_reference(resize_spatial(v_hr, "down_avg", 4), v_hr[0], model.codec_cfg)
     p = scheduler.plan(inp.z_ref.shape[0], M, N)
     return model, inp, p
 
@@ -154,6 +154,55 @@ def test_producer_failure_before_first_event(small):
     with pytest.raises(StreamError) as ei:
         streamer.run_streaming(model, inp=bad, p=p, seed=5)
     assert ei.value.events == []
+
+
+def _producer_alive():
+    return any(th.name == "segment-producer" for th in threading.enumerate())
+
+
+def test_decoder_failure_joins_producer(small, monkeypatch):
+    # decode_block raises on segment 2's first block: the consumer's own
+    # exception propagates, and only after the producer thread has ended
+    model, inp, p, _ = small
+    real = streamer.decode_block
+    calls = []
+
+    def flaky(block, cfg, first):
+        calls.append(first)
+        if len(calls) == 1 + len(p.I[0]) + 1:  # anchor, segment 1, then segment 2
+            raise ArithmeticError("injected decode failure")
+        return real(block, cfg, first)
+
+    monkeypatch.setattr(streamer, "decode_block", flaky)
+    with pytest.raises(ArithmeticError, match="injected decode failure"):
+        streamer.run_streaming(model, inp, p, seed=5, mode="threads")
+    assert not _producer_alive()
+    assert len(calls) == 1 + len(p.I[0]) + 1
+
+
+def test_consumer_failure_while_producer_blocked(small, monkeypatch):
+    # capacity 1: the consumer fails while holding segment 1, once segment 2
+    # fills the queue and the producer is blocked putting segment 3
+    model, inp, p, _ = small
+    assert p.S >= 3
+    blocked = threading.Event()
+
+    class Watched(queue.Queue):
+        def put(self, item, block=True, timeout=None):
+            if item[0] == 3 and self.full():
+                blocked.set()
+            super().put(item, block, timeout)
+
+    def stuck(block, cfg, first):
+        assert blocked.wait(timeout=30.0), "producer never blocked on the full queue"
+        raise ArithmeticError("injected consumer failure")
+
+    monkeypatch.setattr(streamer.queue, "Queue", Watched)
+    monkeypatch.setattr(streamer, "decode_block", stuck)
+    with pytest.raises(ArithmeticError, match="injected consumer failure"):
+        streamer.run_streaming(model, inp, p, seed=5, queue_capacity=1, mode="threads")
+    assert blocked.is_set()
+    assert not _producer_alive()
 
 
 def test_predict_timing_examples():
