@@ -165,6 +165,8 @@ class _Cfg:
         v = getattr(self.args, name, None)
         if v is None:
             v = self.file.get(name, default)
+            if default is not None:
+                v = _typed(name, v, type(default))
         self.resolved[name] = v
         return v
 
@@ -179,6 +181,16 @@ class _Cfg:
     def echo(self, out):
         with open(os.path.join(out, "config.resolved.json"), "w") as f:
             json.dump(self.resolved, f, indent=2, sort_keys=True)
+
+
+def _typed(name: str, v, want: type):
+    """A config-file value checked against the type of its default: an int
+    passes as a float, a bool never passes as a number, null never passes."""
+    if want is float and type(v) is int:
+        return float(v)
+    if type(v) is not want:
+        raise ValueError(f"config key {name!r} expects {want.__name__}, got {json.dumps(v)}")
+    return v
 
 
 def _codec(cfg: _Cfg) -> CodecConfig:
@@ -221,7 +233,10 @@ def _check_pipeline(s1, s2, image: np.ndarray, what: str = "image") -> None:
 
 
 def _cmd_synth(cfg: _Cfg, args, out: str) -> None:
-    specs = synth.default_specs(cfg.get("count"), cfg.get("seed"), T=cfg.get("frames"),
+    count = cfg.get("count")
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
+    specs = synth.default_specs(count, cfg.get("seed"), T=cfg.get("frames"),
                                 H=cfg.get("height"), W=cfg.get("width"),
                                 motif=cfg.get("motif"))
     synth.write_corpus(out, specs, cfg.get("f_s"), cfg.get("f_t"))
@@ -323,10 +338,9 @@ def _cmd_bench_scaling(cfg: _Cfg, args, out: str) -> None:
         inp = _truth_input(truth, ccfg)
         t, h, w, _ = latent_shape(T, truth.shape[1], truth.shape[2], ccfg)
         p = scheduler.plan(t, M, N)
-        before = mixer.forward_calls
-        stage2.infer_csg(model, inp, p, seed)  # also the warm-up
-        rows.append([T, t, p.S, max(scheduler.token_budget(p, h, w)),
-                     mixer.forward_calls - before])
+        steps = []  # the warm-up run; one forward pass per denoise step
+        stage2.infer_csg(model, inp, p, seed, on_step=lambda *_: steps.append(1))
+        rows.append([T, t, p.S, max(scheduler.token_budget(p, h, w)), len(steps)])
         requests.append(functools.partial(stage2.infer_csg, model, inp, p, seed))
     # Batches run round-robin over the frame counts, so a slow phase of a
     # shared host lands on every point instead of on one of them.
@@ -413,29 +427,35 @@ def _cmd_bench_streaming(cfg: _Cfg, args, out: str) -> None:
     truth = _scene_video(cfg, T, seed_offset=303)
     inp = _truth_input(truth, s2.codec_cfg)
     p = scheduler.plan(inp.z_ref.shape[0], cfg.get("M"), cfg.get("N"))
-    capacity = cfg.get("capacity")
-    video, events, tm = streamer.run_streaming(s2, inp, p, seed, queue_capacity=capacity)
+    capacity, repeats = cfg.get("capacity"), cfg.get("repeats")
+    if repeats < 1:
+        raise ValueError(f"repeats must be at least 1, got {repeats}")
     sequential = decode(stage2.infer_csg(s2, inp, p, seed), s2.codec_cfg)
     # Measured end to end per mode: wall time of run_streaming and the time
     # of its first emitted frame. Modes alternate, so a slow phase of a
-    # shared host lands on both.
+    # shared host lands on both. The events, timing and video reported are
+    # the first threads run's.
     modes = ("serial", "threads")
     runs = {mode: {"wall_ms": [], "first_frame_ms": [], "matches_sequential": True}
             for mode in modes}
-    for _ in range(cfg.get("repeats")):
+    first = None
+    for _ in range(repeats):
         for mode in modes:
             tic = time.perf_counter()
-            v, evs, _ = streamer.run_streaming(s2, inp, p, seed, queue_capacity=capacity,
-                                               mode=mode)
+            result = streamer.run_streaming(s2, inp, p, seed, queue_capacity=capacity,
+                                            mode=mode)
             r = runs[mode]
             r["wall_ms"].append((time.perf_counter() - tic) * 1000.0)
+            v, evs, _ = result
             r["first_frame_ms"].append(next(e.t_ms for e in evs if e.kind == "frames_emitted"))
             r["matches_sequential"] &= bool(np.array_equal(v, sequential))
+            if first is None and mode == "threads":
+                first = result
+    video, events, tm = first
     for r in runs.values():
         r["wall_ms_p50"] = float(np.median(r["wall_ms"]))
         r["first_frame_ms_p50"] = float(np.median(r["first_frame_ms"]))
-    identical = bool(np.array_equal(video, sequential)) and all(
-        r["matches_sequential"] for r in runs.values())
+    identical = all(r["matches_sequential"] for r in runs.values())
     streamer.write_events_csv(os.path.join(out, "events.csv"), events)
     report = {"predicted": streamer.predict_timing(tm),
               "measured_denoise_ms": list(tm.denoise_s),

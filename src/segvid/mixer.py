@@ -40,8 +40,6 @@ from .grid import (FLOAT, SUB_TRAIN, Rng, init_noise_blocks, read_siv1, require_
 
 MASK_MODES = ("bidirectional", "causal")
 
-forward_calls = 0  # running count of forward passes; benchmarks read the delta
-
 
 @dataclass
 class MixerParams:
@@ -192,8 +190,6 @@ def forward(p: MixerParams, window_blocks: np.ndarray, sigma: float,
     `indices` are the blocks' absolute 1-based temporal positions; defaults
     to 1..n for tests that do not care.
     """
-    global forward_calls
-    forward_calls += 1
     y, _ = _forward_cache(p, window_blocks, sigma, indices)
     return y
 

@@ -1,12 +1,13 @@
 """Streaming runtime: overlap segment denoising with block decoding.
 
-One producer denoises segments in plan order and hands finalized latent
-blocks through a bounded FIFO queue; one consumer decodes each block as it
-arrives and emits its frame group immediately (the anchor frame rides with
-the first group). Because a segment's blocks are final the moment its window
-finishes, the emitted video is bit-identical to running the sequential
-inference loop followed by a full decode, for any queue capacity and any
-interleaving. A single-threaded serial mode performs the same work in a
+Streaming is the sequential segment loop, `stage2.infer_csg`, plus a consumer
+that decodes each finished segment's blocks and emits its frame groups
+immediately (the anchor frame rides with the first group). Because a
+segment's blocks are final the moment its window finishes, the emitted video
+is bit-identical to running the sequential loop followed by a full decode,
+for any queue capacity and any interleaving. Threads mode runs the loop on a
+producer thread and hands each segment to the consumer through a bounded
+FIFO queue; serial mode decodes each segment from inside the loop, in a
 deterministic denoise-one/decode-one interleave.
 
 predict_timing is the idealized pipelining model: decoding of segment s can
@@ -62,25 +63,25 @@ class StreamError(RuntimeError):
 
 
 class _Abort(Exception):
-    pass
+    """Raised out of the segment hook to stop the producer after the consumer failed."""
 
 
 def run_streaming(model: StageModel, inp: StageTwoInput, p: SegmentPlan,
-                  seed: int, queue_capacity: int = 2, consumer_delay_s=None,
-                  mode: str = "threads"):
+                  seed: int, queue_capacity: int = 2, mode: str = "threads"):
     """Returns (video, events, measured TimingModel of active work in ms).
 
-    consumer_delay_s: optional per-segment sleeps before the consumer touches
-    each dequeued segment, for exercising interleavings. Delays and queue
-    waits are excluded from the measured durations.
+    Segment s's denoise time runs from the end of the hand-off of segment
+    s-1 to the end of its window; for s=1 it runs from the start of the call,
+    so it includes drawing the initial noise (and starting the producer
+    thread). Queue waits are excluded from the measured durations. A
+    producer failure in threads mode is raised as StreamError; a consumer
+    failure is raised as itself, after the producer thread has been stopped
+    and joined.
     """
     if queue_capacity < 1:
         raise ValueError(f"queue capacity must be >= 1, got {queue_capacity}")
     if mode not in ("threads", "serial"):
         raise ValueError(f"mode must be 'threads' or 'serial', got {mode!r}")
-    delays = list(consumer_delay_s) if consumer_delay_s is not None else [0.0] * p.S
-    if len(delays) != p.S:
-        raise ValueError(f"need {p.S} consumer delays, got {len(delays)}")
 
     events: list[StreamEvent] = []
     t0 = time.monotonic()
@@ -89,22 +90,17 @@ def run_streaming(model: StageModel, inp: StageTwoInput, p: SegmentPlan,
         events.append(StreamEvent(kind, index, (time.monotonic() - t0) * 1000.0))
 
     cfg = model.codec_cfg
-    z = stage2.init_latents(inp, p.t, seed)
     denoise_ms = [0.0] * p.S
     decode_ms = [0.0] * p.S
     parts: list[np.ndarray] = []
+    decoded = 0
+    mark = t0
 
-    def produce_segment(s):
-        tic = time.monotonic()
-        stage2.denoise_segment(model, z, inp, p, s)
-        denoise_ms[s - 1] = (time.monotonic() - tic) * 1000.0
-        stamp("segment_denoised", s)
-        return s, [(i, z[i - 1].copy()) for i in p.I[s - 1]]
-
-    def consume_segment(item, s):
-        got, blocks = item
-        if got != s:
-            raise RuntimeError(f"out-of-order segment {got}, expected {s}")
+    def consume(item):
+        nonlocal decoded
+        s, blocks = item
+        if s != decoded + 1:
+            raise RuntimeError(f"out-of-order segment {s}, expected {decoded + 1}")
         tic = time.monotonic()
         if s == 1:
             parts.append(decode_block(inp.z_x, cfg, first=True))
@@ -115,86 +111,87 @@ def run_streaming(model: StageModel, inp: StageTwoInput, p: SegmentPlan,
             tic = time.monotonic()
         decode_ms[s - 1] += (time.monotonic() - tic) * 1000.0
         stamp("segment_decoded", s)
+        decoded = s
+
+    def on_segment(s, z):
+        nonlocal mark
+        denoise_ms[s - 1] = (time.monotonic() - mark) * 1000.0
+        stamp("segment_denoised", s)
+        hand_off((s, [(i, z[i - 1].copy()) for i in p.I[s - 1]]))
+        mark = time.monotonic()
+
+    def produce():
+        stage2.infer_csg(model, inp, p, seed, on_segment=on_segment)
 
     if mode == "serial":
-        for s in range(1, p.S + 1):
-            item = produce_segment(s)
-            if delays[s - 1]:
-                time.sleep(delays[s - 1])
-            consume_segment(item, s)
+        hand_off = consume
+        produce()
     else:
         q: queue.Queue = queue.Queue(maxsize=queue_capacity)
-        abort = threading.Event()
-        prod_exc: list[BaseException] = []
+        stop = threading.Event()
 
-        def put_item(item):
-            while True:
-                if abort.is_set():
-                    raise _Abort()
-                try:
-                    q.put(item, timeout=0.05)
-                    return
-                except queue.Full:
-                    continue
+        def hand_off(item):
+            # Once the consumer has stopped, nobody empties the queue. Checked
+            # before every put, so at most one put follows the consumer's
+            # drain, and it lands in an empty queue instead of blocking.
+            if stop.is_set():
+                raise _Abort()
+            q.put(item)
 
         def producer():
             try:
-                for s in range(1, p.S + 1):
-                    put_item(produce_segment(s))
+                produce()
             except _Abort:
                 pass
-            except BaseException as e:
-                prod_exc.append(e)
-                try:
-                    put_item(("error", None))
-                except _Abort:
-                    pass
+            except BaseException as e:  # handed to the consumer, which raises it
+                if not stop.is_set():
+                    q.put(e)
 
         th = threading.Thread(target=producer, name="segment-producer", daemon=True)
         th.start()
         try:
-            for s in range(1, p.S + 1):
-                if delays[s - 1]:
-                    time.sleep(delays[s - 1])
-                while True:
-                    try:
-                        item = q.get(timeout=0.05)
-                        break
-                    except queue.Empty:
-                        if not th.is_alive():
-                            msg = prod_exc[0] if prod_exc else "producer exited early"
-                            raise StreamError(msg, events) from (prod_exc[0] if prod_exc else None)
-                if item[0] == "error":
-                    raise StreamError(prod_exc[0], events) from prod_exc[0]
-                consume_segment(item, s)
+            for _ in range(p.S):
+                item = q.get()
+                if isinstance(item, BaseException):
+                    raise StreamError(str(item), events) from item
+                consume(item)
         except BaseException:
-            abort.set()
-            th.join()
+            stop.set()
+            try:
+                while True:
+                    q.get_nowait()
+            except queue.Empty:
+                pass
             raise
-        th.join()
+        finally:
+            th.join()
 
     video = np.concatenate(parts, axis=0)
     return video, events, TimingModel(tuple(denoise_ms), tuple(decode_ms))
 
 
+def _schedule(tm: TimingModel):
+    """Completion times per segment under the idealized model: the cumulative
+    denoise times, and end_decode(s) = max(end_denoise(s), end_decode(s-1))
+    + decode(s)."""
+    end_denoise = [float(x) for x in np.cumsum(tm.denoise_s)]
+    end_decode, last = [], 0.0
+    for den, dec in zip(end_denoise, tm.decode_s):
+        last = max(den, last) + dec
+        end_decode.append(last)
+    return end_denoise, end_decode
+
+
 def predict_timing(tm: TimingModel) -> dict:
     """Idealized pipeline schedule.
 
-    end_denoise(s) = cumulative denoise time; decoding of s starts at
-    max(end_denoise(s), end_decode(s-1)). Returns first_output (first
-    segment decoded), full_output (last segment decoded), and the
-    no-overlap sequential_total.
+    Returns first_output (first segment decoded), full_output (last segment
+    decoded), and the no-overlap sequential_total.
     """
-    end_denoise = np.cumsum(tm.denoise_s)
-    end_decode = 0.0
-    first = None
-    for s, dec in enumerate(tm.decode_s):
-        end_decode = max(float(end_denoise[s]), end_decode) + dec
-        if first is None:
-            first = end_decode
+    _, end_decode = _schedule(tm)
     return {
-        "first_output": first,
-        "full_output": end_decode,
+        "first_output": end_decode[0] if end_decode else None,
+        "full_output": end_decode[-1] if end_decode else 0.0,
         "sequential_total": float(sum(tm.denoise_s) + sum(tm.decode_s)),
     }
 
@@ -205,13 +202,9 @@ def predicted_order(tm: TimingModel) -> list:
     Ties resolve denoise-first (a decode can only consume already-denoised
     work).
     """
-    end_denoise = np.cumsum(tm.denoise_s)
-    evs = [(float(end_denoise[s]), 0, s + 1) for s in range(len(tm.denoise_s))]
-    end_decode = 0.0
-    for s, dec in enumerate(tm.decode_s):
-        end_decode = max(float(end_denoise[s]), end_decode) + dec
-        evs.append((end_decode, 1, s + 1))
-    evs.sort()
+    end_denoise, end_decode = _schedule(tm)
+    evs = sorted([(t, 0, s) for s, t in enumerate(end_denoise, 1)]
+                 + [(t, 1, s) for s, t in enumerate(end_decode, 1)])
     return [("segment_denoised" if k == 0 else "segment_decoded", i) for _, k, i in evs]
 
 

@@ -152,6 +152,8 @@ def load_corpus(corpus_dir) -> list[tuple[SceneSpec, np.ndarray]]:
     """Load (spec, video) pairs from a corpus directory written by write_corpus."""
     corpus_dir = Path(corpus_dir)
     records = json.loads((corpus_dir / "manifest.json").read_text())
+    if not records:
+        raise ValueError(f"corpus {corpus_dir} holds no clips")
     out = []
     for rec in records:
         spec = SceneSpec(seed=rec["seed"], T=rec["T"], H=rec["H"], W=rec["W"],

@@ -1,13 +1,17 @@
-"""Shared fixtures: the acceptance-criteria summary and one trained pipeline.
+"""Shared fixtures: the acceptance-criteria summary, one trained pipeline,
+and a slow streaming decoder.
 
 The pipeline fixture runs the real CLI end to end once per session (corpus,
 stage 1, stage 2) and hands the checkpoint directories to every test that
 needs a trained model, so training cost is paid once.
 """
 
+import itertools
+import time
+
 import pytest
 
-from segvid import cli, synth
+from segvid import cli, streamer, synth
 from segvid.grid import write_siv1
 
 ACC_KEY = "segvid/acceptance"
@@ -55,3 +59,34 @@ def pipeline(tmp_path_factory):
     frame = synth.render_scene(synth.SceneSpec(seed=777, T=17))[:1]
     write_siv1(image, frame)
     return {"root": root, "corpus": corpus, "s1": s1, "s2": s2, "image": image}
+
+
+@pytest.fixture
+def consumer_delays(monkeypatch):
+    """consumer_delays(p, delays) makes the streamer's decoder sleep
+    delays[s-1] seconds before the first decode of segment s (segment 1's
+    first decode is the anchor's), to vary the producer/consumer
+    interleaving; delays=None restores the real decoder."""
+    real = streamer.decode_block
+
+    def install(p, delays):
+        if delays is None:
+            monkeypatch.setattr(streamer, "decode_block", real)
+            return
+        assert len(delays) == p.S, f"need {p.S} delays, got {len(delays)}"
+        sizes = [1 + len(p.I[0])] + [len(i) for i in p.I[1:-1]]
+        sleeps = dict(zip(itertools.accumulate(sizes, initial=0), delays))
+        calls = 0
+
+        def decode_block(block, cfg, first):
+            nonlocal calls
+            if first:  # the anchor: a new stream starts
+                calls = 0
+            if calls in sleeps:
+                time.sleep(sleeps[calls])
+            calls += 1
+            return real(block, cfg, first)
+
+        monkeypatch.setattr(streamer, "decode_block", decode_block)
+
+    return install

@@ -107,7 +107,7 @@ def test_04_single_segment_equals_full_window(criterion):
               f"M=t-1 plan vs full-window path bit-identical for seeds 0,1,2 (t={t})")
 
 
-def test_05_streaming_equivalence_and_timing(criterion):
+def test_05_streaming_equivalence_and_timing(criterion, consumer_delays):
     model, inp = scene_input(50, T=37, H=16)
     p = scheduler.plan(inp.z_ref.shape[0], 3, 1)
     baseline = decode(stage2.infer_csg(model, inp, p, seed=7), model.codec_cfg)
@@ -116,10 +116,11 @@ def test_05_streaming_equivalence_and_timing(criterion):
     matched = 0
     for cap in (1, 2, 8):
         for delays in schedules:
-            video, events, _ = streamer.run_streaming(
-                model, inp, p, seed=7, queue_capacity=cap, consumer_delay_s=delays)
+            consumer_delays(p, delays)
+            video, events, _ = streamer.run_streaming(model, inp, p, seed=7, queue_capacity=cap)
             streamer.check_events(events, p)
             matched += np.array_equal(video, baseline)
+    consumer_delays(p, None)
 
     # overlap: during a longer run the first frames land while later segments
     # are still denoising
@@ -222,7 +223,8 @@ def test_09_transition_corruption_direction(criterion, pipeline, tmp_path):
     out = tmp_path / "tr"
     rc = cli.main(["transition", "--stage1", pipeline["s1"],
                    "--corpus", pipeline["corpus"], "--out", str(out)])
-    rows = list(csv.DictReader((out / "sigma_sweep.csv").open()))
+    with (out / "sigma_sweep.csv").open() as f:
+        rows = list(csv.DictReader(f))
     sigmas = [float(r["sigma"]) for r in rows]
     psnrs = [float(r["psnr_db"]) for r in rows]
     mono = all(a >= b for a, b in zip(psnrs, psnrs[1:]))
@@ -235,7 +237,8 @@ def test_10_scaling_linearity(criterion, tmp_path):
     tic = time.perf_counter()
     rc = cli.main(["bench", "scaling", "--out", str(out)])
     wall = time.perf_counter() - tic
-    rows = list(csv.DictReader((out / "scaling.csv").open()))
+    with (out / "scaling.csv").open() as f:
+        rows = list(csv.DictReader(f))
     frames = [int(r["T"]) for r in rows]
     blocks_ok = all(int(r["t"]) == 1 + (int(r["T"]) - 1) // 4 for r in rows)
     segs_ok = all(int(r["S"]) == -((int(r["t"]) - 1) // -2) for r in rows)

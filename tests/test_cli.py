@@ -41,6 +41,49 @@ def test_bad_config_exits_2(tmp_path):
                      "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("key, value, want", [
+    ("count", 2.5, "expects int, got 2.5"),
+    ("count", "3", 'expects int, got "3"'),
+    ("count", True, "expects int, got true"),
+    ("count", None, "expects int, got null"),
+    ("motif", 3, "expects str, got 3"),
+], ids=["float-for-int", "str-for-int", "bool-for-int", "null", "int-for-str"])
+def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, key, value, want):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    assert cli.main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.strip()
+    assert "\n" not in err and f"config key '{key}' {want}" in err
+
+
+def test_config_int_passes_as_float(tmp_path, capsys):
+    corpus, cfg = tmp_path / "corpus", tmp_path / "cfg.json"
+    assert cli.main(["synth", "--count", "1", "--frames", "17", "--out", str(corpus)]) == 0
+    train = ["train-stage1", "--corpus", str(corpus), "--config", str(cfg), "--steps", "2"]
+    cfg.write_text(json.dumps({"lr": 0}))
+    assert cli.main(train + ["--out", str(tmp_path / "a")]) == 0
+    resolved = json.loads((tmp_path / "a" / "config.resolved.json").read_text())
+    assert resolved["lr"] == 0.0 and isinstance(resolved["lr"], float)
+    capsys.readouterr()
+    cfg.write_text(json.dumps({"lr": False}))
+    assert cli.main(train + ["--out", str(tmp_path / "b")]) == 2
+    assert "config key 'lr' expects float, got false" in capsys.readouterr().err
+
+
+def test_empty_corpus_exits_2(tmp_path, capsys):
+    for count in ("0", "-1"):
+        assert cli.main(["synth", "--count", count, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.strip()
+        assert "\n" not in err and f"count must be at least 1, got {count}" in err
+    assert not (tmp_path / "o" / "manifest.json").exists()
+    corpus = tmp_path / "empty"
+    corpus.mkdir()
+    (corpus / "manifest.json").write_text("[]")
+    assert cli.main(["train-stage1", "--corpus", str(corpus), "--out", str(tmp_path / "s1")]) == 2
+    err = capsys.readouterr().err.strip()
+    assert "\n" not in err and "holds no clips" in err
+
+
 def test_config_layering(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"count": 2, "frames": 17}))
@@ -86,7 +129,8 @@ def test_generate_stream_matches_plain(pipeline, tmp_path):
     assert _generate(pipeline, plain) == 0
     assert _generate(pipeline, stream, "--stream") == 0
     assert (plain / "video.siv1").read_bytes() == (stream / "video.siv1").read_bytes()
-    rows = list(csv.reader((stream / "events.csv").open()))
+    with (stream / "events.csv").open() as f:
+        rows = list(csv.reader(f))
     assert rows[0] == ["kind", "index", "t_ms"]
     assert len(rows) > 1
     timing = json.loads((stream / "timing.json").read_text())
@@ -114,7 +158,8 @@ def test_ablate_mn(pipeline, tmp_path):
     rc = cli.main(["ablate-mn", "--stage2", pipeline["s2"], "--out", str(out),
                    "--frames", "33"])
     assert rc == 0
-    rows = list(csv.DictReader((out / "ablate_mn.csv").open()))
+    with (out / "ablate_mn.csv").open() as f:
+        rows = list(csv.DictReader(f))
     assert {(int(r["M"]), int(r["N"])) for r in rows} == {(2, 1), (2, 2), (3, 1), (3, 2)}
     for r in rows:
         assert float(r["psnr"]) > 0.0
@@ -144,7 +189,8 @@ def test_trained_checkpoints_record_losses(pipeline):
     for d in (pipeline["s1"], pipeline["s2"]):
         summary = json.loads((Path(d) / "summary.json").read_text())
         assert summary["final_loss"] < summary["init_loss"]
-        log = list(csv.DictReader((Path(d) / "train_log.csv").open()))
+        with (Path(d) / "train_log.csv").open() as f:
+            log = list(csv.DictReader(f))
         assert len(log) == 600
 
 

@@ -67,13 +67,6 @@ def test_forward_validation():
         mixer.forward(p, np.zeros((2, 10), FLOAT), 1.5)
 
 
-def test_forward_counter():
-    p = small_params(4)
-    before = mixer.forward_calls
-    mixer.forward(p, np.zeros((2, 10), FLOAT), 0.5)
-    assert mixer.forward_calls == before + 1
-
-
 def test_init_mixer_deterministic_and_zero_rows():
     a = mixer.init_mixer(Rng(5), 10, 4, d=6)
     b = mixer.init_mixer(Rng(5), 10, 4, d=6)

@@ -40,14 +40,25 @@ def test_serial_matches_sequential(small):
     assert len(tm.denoise_s) == p.S
 
 
-def test_threads_match_for_any_capacity_and_delays(small):
+def test_serial_interleaves_denoise_and_decode(small):
+    model, inp, p, _ = small
+    _, events, _ = streamer.run_streaming(model, inp, p, seed=5, mode="serial")
+    want = []
+    for s in range(1, p.S + 1):
+        want += [("segment_denoised", s)]
+        want += [("frames_emitted", i - 1) for i in p.I[s - 1]]
+        want += [("segment_decoded", s)]
+    assert [(e.kind, e.index) for e in events] == want
+
+
+def test_threads_match_for_any_capacity_and_delays(small, consumer_delays):
     model, inp, p, baseline = small
     rng = np.random.default_rng(0)
     schedules = [None] + [rng.uniform(0.0, 0.004, p.S).tolist() for _ in range(2)]
     for cap in (1, 2, 8):
         for delays in schedules:
-            video, events, _ = streamer.run_streaming(
-                model, inp, p, seed=5, queue_capacity=cap, consumer_delay_s=delays)
+            consumer_delays(p, delays)
+            video, events, _ = streamer.run_streaming(model, inp, p, seed=5, queue_capacity=cap)
             assert np.array_equal(video, baseline), (cap, delays)
             streamer.check_events(events, p)
 
@@ -68,7 +79,8 @@ def test_event_counts_and_csv(tmp_path):
 
     path = tmp_path / "events.csv"
     streamer.write_events_csv(path, events)
-    rows = list(csv.reader(path.open()))
+    with path.open() as f:
+        rows = list(csv.reader(f))
     assert rows[0] == ["kind", "index", "t_ms"]
     assert len(rows) == 1 + len(events)
     assert [r[0] for r in rows[1:]] == kinds
@@ -81,8 +93,6 @@ def test_argument_validation(small):
         streamer.run_streaming(model, inp, p, seed=0, queue_capacity=0)
     with pytest.raises(ValueError):
         streamer.run_streaming(model, inp, p, seed=0, mode="fork")
-    with pytest.raises(ValueError):
-        streamer.run_streaming(model, inp, p, seed=0, consumer_delay_s=[0.0] * (p.S + 1))
     with pytest.raises(ValueError):
         TimingModel((1.0, 2.0), (1.0,))
     with pytest.raises(ValueError):
@@ -129,6 +139,10 @@ def test_check_events_rejects_bad_logs():
         streamer.check_events(short, p)
 
 
+def _producer_alive():
+    return any(th.name == "segment-producer" for th in threading.enumerate())
+
+
 def test_producer_failure_preserves_partial_log(small, monkeypatch):
     model, inp, p, _ = small
     real = stage2.denoise_segment
@@ -146,6 +160,7 @@ def test_producer_failure_preserves_partial_log(small, monkeypatch):
     assert [e.index for e in events if e.kind == "segment_decoded"] == [1]
     assert "injected segment failure" in str(ei.value)
     assert all(e.kind in streamer.KINDS for e in events)
+    assert not _producer_alive()
 
 
 def test_producer_failure_before_first_event(small):
@@ -154,10 +169,7 @@ def test_producer_failure_before_first_event(small):
     with pytest.raises(StreamError) as ei:
         streamer.run_streaming(model, inp=bad, p=p, seed=5)
     assert ei.value.events == []
-
-
-def _producer_alive():
-    return any(th.name == "segment-producer" for th in threading.enumerate())
+    assert not _producer_alive()
 
 
 def test_decoder_failure_joins_producer(small, monkeypatch):
@@ -203,6 +215,39 @@ def test_consumer_failure_while_producer_blocked(small, monkeypatch):
         streamer.run_streaming(model, inp, p, seed=5, queue_capacity=1, mode="threads")
     assert blocked.is_set()
     assert not _producer_alive()
+
+
+def test_consumer_failure_stops_producer_early(monkeypatch):
+    # capacity 1 and S=7, and the consumer fails on its first decode: the
+    # producer, at most two segments ahead, must stop at its next hand-off
+    # instead of denoising the rest or blocking on a queue nobody drains
+    model, inp, p = make_setup(seed=8, T=81)
+    real = stage2.denoise_segment
+    denoised = []
+
+    def counted(m, z, i, plan_, s, on_step=None):
+        denoised.append(s)
+        return real(m, z, i, plan_, s, on_step=on_step)
+
+    def fail(block, cfg, first):
+        raise ArithmeticError("injected consumer failure")
+
+    monkeypatch.setattr(stage2, "denoise_segment", counted)
+    monkeypatch.setattr(streamer, "decode_block", fail)
+    raised = []
+
+    def run():
+        try:
+            streamer.run_streaming(model, inp, p, seed=1, queue_capacity=1)
+        except ArithmeticError as e:
+            raised.append(e)
+
+    th = threading.Thread(target=run, daemon=True)
+    th.start()
+    th.join(timeout=30.0)
+    assert not th.is_alive(), "run_streaming did not return after the consumer failed"
+    assert len(raised) == 1 and not _producer_alive()
+    assert p.S == 7 and len(denoised) <= 4
 
 
 def test_predict_timing_examples():
