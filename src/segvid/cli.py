@@ -41,6 +41,9 @@ DEFAULTS = {
 }
 
 MASKS = {"bi": "bidirectional", "causal": "causal"}
+# Keys that count things (clips, timed runs, seeds); a run over zero of them
+# has nothing to report.
+COUNTS = ("count", "repeats", "seeds", "clips")
 SCALING_FRAMES = (17, 33, 49, 65, 81)
 # The scaling bench wants its max-token column constant across the sweep, so
 # its (M, N) default sits in the saturated regime: every plan in the sweep,
@@ -157,17 +160,24 @@ class _Cfg:
             if not isinstance(self.file, dict):
                 raise ValueError(f"{args.config}: config must be a JSON object")
         self.resolved = {}
+        for name in COUNTS:  # before any command writes output
+            self._value(name, DEFAULTS[name])
 
     def get(self, name):
         return self.get_or(name, DEFAULTS.get(name))
 
     def get_or(self, name, default):
+        v = self.resolved[name] = self._value(name, default)
+        return v
+
+    def _value(self, name, default):
         v = getattr(self.args, name, None)
         if v is None:
             v = self.file.get(name, default)
             if default is not None:
                 v = _typed(name, v, type(default))
-        self.resolved[name] = v
+        if name in COUNTS and v < 1:
+            raise ValueError(f"{name} must be at least 1, got {v}")
         return v
 
     def out_dir(self):
@@ -233,10 +243,7 @@ def _check_pipeline(s1, s2, image: np.ndarray, what: str = "image") -> None:
 
 
 def _cmd_synth(cfg: _Cfg, args, out: str) -> None:
-    count = cfg.get("count")
-    if count < 1:
-        raise ValueError(f"count must be at least 1, got {count}")
-    specs = synth.default_specs(count, cfg.get("seed"), T=cfg.get("frames"),
+    specs = synth.default_specs(cfg.get("count"), cfg.get("seed"), T=cfg.get("frames"),
                                 H=cfg.get("height"), W=cfg.get("width"),
                                 motif=cfg.get("motif"))
     synth.write_corpus(out, specs, cfg.get("f_s"), cfg.get("f_t"))
@@ -428,8 +435,6 @@ def _cmd_bench_streaming(cfg: _Cfg, args, out: str) -> None:
     inp = _truth_input(truth, s2.codec_cfg)
     p = scheduler.plan(inp.z_ref.shape[0], cfg.get("M"), cfg.get("N"))
     capacity, repeats = cfg.get("capacity"), cfg.get("repeats")
-    if repeats < 1:
-        raise ValueError(f"repeats must be at least 1, got {repeats}")
     sequential = decode(stage2.infer_csg(s2, inp, p, seed), s2.codec_cfg)
     # Measured end to end per mode: wall time of run_streaming and the time
     # of its first emitted frame. Modes alternate, so a slow phase of a

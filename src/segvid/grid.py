@@ -112,11 +112,6 @@ def as_f32(arr, name: str = "tensor") -> np.ndarray:
     return out
 
 
-def gaussian_fill(rng: Rng, dims: tuple[int, ...]) -> np.ndarray:
-    """I.i.d. standard-normal float32 tensor, reproducible per stream."""
-    return rng.normal(_check_dims(dims))
-
-
 def init_noise_blocks(rng: Rng, t: int, h: int, w: int, c: int) -> np.ndarray:
     """Initial latents: blocks 2..t from per-block noise sub-streams, block 1
     zeroed (the caller installs the anchor there). Keying by block index means

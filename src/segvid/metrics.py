@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .codec import CodecConfig
+from .codec import CodecConfig, frames_for_block
 from .scheduler import SegmentPlan
 
 SSIM_WIN = 8
@@ -97,7 +97,7 @@ def segment_frames(p: SegmentPlan, s: int, f_t: int) -> tuple[int, int]:
     if not 1 <= s <= p.S:
         raise ValueError(f"segment {s} out of range [1, {p.S}]")
     blocks = p.I[s - 1]
-    return ((blocks[0] - 2) * f_t + 2, (blocks[-1] - 1) * f_t + 1)
+    return frames_for_block(blocks[0], f_t)[0], frames_for_block(blocks[-1], f_t)[1]
 
 
 def boundary_pairs(p: SegmentPlan, f_t: int) -> list[tuple[int, int]]:

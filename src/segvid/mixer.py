@@ -282,13 +282,14 @@ def sampler_step(z: np.ndarray, v_hat: np.ndarray, sigma_from: float, sigma_to: 
 
 
 def denoise_window(p: MixerParams, sigmas, z_window: np.ndarray, ref_window: np.ndarray,
-                   update_mask: np.ndarray, indices, on_step=None) -> np.ndarray:
+                   n_noisy: int, indices, on_step=None) -> np.ndarray:
     """Run the sigma ladder on one window of blocks.
 
-    z_window, ref_window: (n, h, w, c). The [z | ref] input buffer is built
-    once per window; each step refreshes its noisy channels, predicts
-    velocities for every block, and applies the Euler update only where
-    update_mask is True (conditioning blocks pass through untouched).
+    z_window, ref_window: (n, h, w, c). A window is a read-only conditioning
+    prefix followed by its noisy tail, the last n_noisy blocks. The
+    [z | ref] input buffer is built once per window; each step refreshes its
+    noisy channels, predicts velocities for every block, and applies the
+    Euler update to the tail only (the prefix passes through untouched).
     Every denoising path in the package funnels through here, which is what
     makes the sequential / streaming / single-window variants bit-identical.
 
@@ -296,15 +297,17 @@ def denoise_window(p: MixerParams, sigmas, z_window: np.ndarray, ref_window: np.
     """
     z = z_window.copy()
     n, h, w, c = z.shape
+    if not 0 <= n_noisy <= n:
+        raise ValueError(f"n_noisy must lie in [0, {n}], got {n_noisy}")
+    prefix = n - n_noisy
     idx = tuple(indices)
-    upd = np.asarray(update_mask, dtype=bool)
     zr = np.concatenate([z, ref_window], axis=-1)  # [z | ref] per pixel; ref half is fixed
     x = zr.reshape(n, -1)
     for k, (sigma_from, sigma_to) in enumerate(zip(sigmas, sigmas[1:])):
         zr[..., :c] = z
         v_hat = forward(p, x, sigma_from, idx).reshape(n, h, w, c)
         stepped = sampler_step(z, v_hat, sigma_from, sigma_to)
-        z[upd] = stepped[upd]
+        z[prefix:] = stepped[prefix:]
         if on_step is not None:
             on_step(k, z, idx)
     return z
@@ -366,23 +369,22 @@ def init_latents(z_x: np.ndarray, t: int, seed: int, key: int) -> np.ndarray:
 def denoise_full(p: MixerParams, sigmas, z: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """All t blocks in one window, block 1 (the anchor) held fixed."""
     t = z.shape[0]
-    upd = np.ones(t, bool)
-    upd[0] = False
-    return denoise_window(p, sigmas, z, ref, upd, range(1, t + 1))
+    return denoise_window(p, sigmas, z, ref, t - 1, range(1, t + 1))
 
 
-def window_loss(p: MixerParams, z_ref: np.ndarray, z0: np.ndarray, indices, noisy,
+def window_loss(p: MixerParams, z_ref: np.ndarray, z0: np.ndarray, indices, n_noisy: int,
                 rng: Rng):
     """Teacher-forced loss and gradients on one window: the training twin of
     denoise_window.
 
-    z_ref, z0: (t, h, w, c) reference and clean latents. The window's blocks
-    in `noisy` move to a drawn sigma on the path to a drawn eps; the others
-    keep their clean latents as conditioning. Returns (loss, grads).
+    z_ref, z0: (t, h, w, c) reference and clean latents. The window's noisy
+    tail, its last n_noisy blocks, moves to a drawn sigma on the path to a
+    drawn eps; the conditioning prefix keeps its clean latents. Returns
+    (loss, grads).
     """
-    mask = np.array([i in noisy for i in indices], bool)
-    sigma = 1.0 - rng.split(1).uniform01()   # U(0, 1]
     n = len(indices)
+    mask = np.arange(n) >= n - n_noisy
+    sigma = 1.0 - rng.split(1).uniform01()   # U(0, 1]
     eps = rng.split(2).normal((n,) + z0.shape[1:])
     rows = np.asarray(indices) - 1
     clean = z0[rows]
@@ -394,7 +396,7 @@ def window_loss(p: MixerParams, z_ref: np.ndarray, z0: np.ndarray, indices, nois
 
 def train_windows(p: MixerParams, windows, steps: int, seed: int, lr: float, stage: int):
     """SGD, one window per step. windows(step, rng) gives the step's
-    (z_ref, z0, indices, noisy, extra); the log row is (step, loss, *extra).
+    (z_ref, z0, indices, n_noisy, extra); the log row is (step, loss, *extra).
     Raises FloatingPointError, naming the stage and step, if training
     diverges."""
     g = Rng(seed).split(SUB_TRAIN)

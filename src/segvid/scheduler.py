@@ -9,9 +9,14 @@ blocks regardless of t.
 
     S   = ceil((t - 1) / M)
     a_s = 2 + (s - 1) * M
-    I_s = {a_s .. min(a_s + M - 1, t)}
-    N_1 = {} ;  N_s = {max(2, a_s - N) .. a_s - 1}   for s > 1
-    W_s = sorted({1} | N_s | I_s)
+    I_s = (a_s .. min(a_s + M - 1, t))
+    N_1 = () ;  N_s = (max(2, a_s - N) .. a_s - 1)   for s > 1
+    W_s = (1,) + N_s + I_s
+
+A window is therefore a read-only conditioning prefix, the anchor and the
+neighbors, followed by its noisy tail I_s: the last len(I_s) blocks of W_s,
+which are the consecutive global blocks a_s .. a_s + len(I_s) - 1. The
+denoiser and the window loss take a window as (W_s, len(I_s)).
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ class SegmentPlan:
     a: tuple[int, ...]                  # segment starts a_s
     I: tuple[tuple[int, ...], ...]      # noisy indices per segment
     Nbr: tuple[tuple[int, ...], ...]    # neighbor (read-only) indices per segment
-    W: tuple[tuple[int, ...], ...]      # full window per segment, ascending
+    W: tuple[tuple[int, ...], ...]      # full window per segment: (1,) + Nbr + I, ascending
 
 
 def plan(t: int, M: int, N: int) -> SegmentPlan:
@@ -61,11 +66,10 @@ def _build_plan(t: int, M: int, N: int) -> SegmentPlan:
         a_s = 2 + (s - 1) * M
         i_s = tuple(range(a_s, min(a_s + M - 1, t) + 1))
         n_s = () if s == 1 else tuple(range(max(2, a_s - N), a_s))
-        w_s = tuple(sorted({1} | set(n_s) | set(i_s)))
         a.append(a_s)
         I.append(i_s)
         Nbr.append(n_s)
-        W.append(w_s)
+        W.append((1,) + n_s + i_s)
     return SegmentPlan(t=t, M=M, N=N, S=S, a=tuple(a), I=tuple(I), Nbr=tuple(Nbr), W=tuple(W))
 
 
@@ -80,8 +84,8 @@ def window_gather(latents: np.ndarray, p: SegmentPlan, s: int):
     """Pull segment s's window out of (t, h, w, c) latents.
 
     Returns (window, idx) where window[k] is a copy of latents[idx[k] - 1]
-    and idx is the ascending tuple of global block indices W_s. Predictions
-    are scattered back through idx.
+    and idx is the ascending tuple of global block indices W_s. The window's
+    last len(I_s) blocks are the noisy tail, global blocks a_s onward.
     """
     if latents.shape[0] != p.t:
         raise ValueError(f"latents have {latents.shape[0]} blocks, plan expects {p.t}")
@@ -90,18 +94,6 @@ def window_gather(latents: np.ndarray, p: SegmentPlan, s: int):
     idx = p.W[s - 1]
     window = latents[np.asarray(idx) - 1]
     return window, idx
-
-
-def scatter_back(latents: np.ndarray, idx: tuple[int, ...], window: np.ndarray,
-                 only: set[int] | None = None) -> None:
-    """Write window blocks back to their global positions, in place.
-
-    `only` restricts the write-set (the denoiser passes I_s so conditioning
-    blocks are never touched).
-    """
-    for k, i in enumerate(idx):
-        if only is None or i in only:
-            latents[i - 1] = window[k]
 
 
 def to_json(p: SegmentPlan) -> str:

@@ -65,7 +65,7 @@ def _window(z0: np.ndarray):
     if t < 2:
         raise ValueError("clip too short: need at least one block beyond the anchor")
     p = scheduler.plan(t, t - 1, 0)
-    return np.broadcast_to(z0[0], z0.shape), z0, p.W[0], set(p.I[0]), ()
+    return np.broadcast_to(z0[0], z0.shape), z0, p.W[0], len(p.I[0]), ()
 
 
 def eval_loss(model: mixer.StageModel, latents, seed: int, draws: int = 8) -> float:

@@ -1,11 +1,12 @@
 """Segment-wise denoising for the high-resolution stage.
 
-Inference walks the segment plan in order. Each segment gathers its window
-(anchor, up to N finalized neighbors, the M current noisy blocks), runs the
-full sigma ladder on that window, and writes back only the current segment's
-blocks. Conditioning content is never written, so the anchor and all
-finalized history are bit-stable for the rest of the run, and a finished
-segment can be decoded immediately.
+Inference walks the segment plan in order. Each segment gathers its window,
+a conditioning prefix (anchor, up to N finalized neighbors) followed by a
+noisy tail (the segment's own blocks), runs the full sigma ladder on that
+window, and writes the tail back as one contiguous run of global blocks.
+Conditioning content is never written, so the anchor and all finalized
+history are bit-stable for the rest of the run, and a finished segment can
+be decoded immediately.
 
 Stage 1 is the one-window case of the same denoiser; the stages share the
 model type, the window loss and the training loop (see mixer). What is this
@@ -50,14 +51,14 @@ def init_latents(inp: StageTwoInput, t: int, seed: int) -> np.ndarray:
 
 def denoise_segment(model: mixer.StageModel, z: np.ndarray, inp: StageTwoInput,
                     p: scheduler.SegmentPlan, s: int, on_step=None) -> None:
-    """Denoise segment s in place on the global latents z."""
+    """Denoise segment s in place on the global latents z: its noisy tail,
+    global blocks a_s .. a_s + m - 1, is written back as one slice."""
     z_win, idx = scheduler.window_gather(z, p, s)
     ref_win, _ = scheduler.window_gather(inp.z_ref, p, s)
-    noisy = set(p.I[s - 1])
-    upd = np.array([i in noisy for i in idx], bool)
+    a, m = p.a[s - 1], len(p.I[s - 1])
     out = mixer.denoise_window(model.params, model.schedule.sigmas, z_win, ref_win,
-                               upd, idx, on_step=on_step)
-    scheduler.scatter_back(z, idx, out, only=noisy)
+                               m, idx, on_step=on_step)
+    z[a - 1:a - 1 + m] = out[-m:]
 
 
 def infer_csg(model: mixer.StageModel, inp: StageTwoInput, p: scheduler.SegmentPlan,
@@ -95,7 +96,7 @@ def _segment_window(z_ref: np.ndarray, z0: np.ndarray, rng, M: int, N: int):
     """A seeded segment of the (M, N) plan over the pair's latents."""
     p = scheduler.plan(z0.shape[0], M, N)
     s = rng.split(4).integers(0, p.S)
-    return z_ref, z0, p.W[s], set(p.I[s])
+    return z_ref, z0, p.W[s], len(p.I[s])
 
 
 def eval_loss(model: mixer.StageModel, latents, seed: int, draws: int = 8,

@@ -104,7 +104,7 @@ def run_streaming(model: StageModel, inp: StageTwoInput, p: SegmentPlan,
         tic = time.monotonic()
         if s == 1:
             parts.append(decode_block(inp.z_x, cfg, first=True))
-        for i, blk in blocks:
+        for i, blk in enumerate(blocks, p.a[s - 1]):
             parts.append(decode_block(blk, cfg, first=False))
             decode_ms[s - 1] += (time.monotonic() - tic) * 1000.0
             stamp("frames_emitted", i - 1)
@@ -117,7 +117,8 @@ def run_streaming(model: StageModel, inp: StageTwoInput, p: SegmentPlan,
         nonlocal mark
         denoise_ms[s - 1] = (time.monotonic() - mark) * 1000.0
         stamp("segment_denoised", s)
-        hand_off((s, [(i, z[i - 1].copy()) for i in p.I[s - 1]]))
+        a = p.a[s - 1]
+        hand_off((s, z[a - 1:a - 1 + len(p.I[s - 1])].copy()))
         mark = time.monotonic()
 
     def produce():

@@ -293,9 +293,7 @@ def anchored_denoise(params, sigmas, z, z_x):
     """The stage-1 rollout before the shared full-window denoise: every block
     in one window, block 1 held, the broadcast anchor as the reference."""
     t = z.shape[0]
-    upd = np.ones(t, bool)
-    upd[0] = False
-    return mixer.denoise_window(params, sigmas, z, np.broadcast_to(z_x, z.shape), upd,
+    return mixer.denoise_window(params, sigmas, z, np.broadcast_to(z_x, z.shape), t - 1,
                                 range(1, t + 1))
 
 

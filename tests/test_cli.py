@@ -84,6 +84,22 @@ def test_empty_corpus_exits_2(tmp_path, capsys):
     assert "\n" not in err and "holds no clips" in err
 
 
+@pytest.mark.parametrize("key", ["count", "repeats", "seeds", "clips"])
+def test_count_below_one_exits_2_before_any_output(pipeline, tmp_path, capsys, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"repeats": 0}))
+    accumulation = ["bench", "accumulation", "--stage2", pipeline["s2"]]
+    argv = {"count": ["synth", "--count", "0"],
+            "repeats": ["bench", "scaling", "--config", str(cfg)],
+            "seeds": accumulation + ["--seeds", "0"],
+            "clips": accumulation + ["--clips", "0"]}[key]
+    out = tmp_path / "o"
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert "\n" not in err and f"{key} must be at least 1, got 0" in err
+    assert not out.exists()
+
+
 def test_config_layering(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"count": 2, "frames": 17}))

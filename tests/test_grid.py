@@ -8,27 +8,27 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from segvid.grid import (FLOAT, Rng, as_f32, gaussian_fill, init_noise_blocks,
-                         read_siv1, require_finite, resize_spatial, write_siv1)
+from segvid.grid import (FLOAT, Rng, as_f32, init_noise_blocks, read_siv1, require_finite,
+                         resize_spatial, write_siv1)
 
 import oracles
 
 
 def test_rng_determinism():
-    a = gaussian_fill(Rng(7), (2, 2))
-    b = gaussian_fill(Rng(7), (2, 2))
+    a = Rng(7).normal((2, 2))
+    b = Rng(7).normal((2, 2))
     assert np.array_equal(a, b)
     assert a.dtype == FLOAT
 
 
 def test_rng_distinct_seeds():
-    a = gaussian_fill(Rng(7), (2, 2))
-    b = gaussian_fill(Rng(8), (2, 2))
+    a = Rng(7).normal((2, 2))
+    b = Rng(8).normal((2, 2))
     assert not np.array_equal(a, b)
 
 
 def test_rng_moments():
-    x = gaussian_fill(Rng(0), (1000, 1000))
+    x = Rng(0).normal((1000, 1000))
     assert abs(float(x.mean())) < 0.01
     assert abs(float(x.var()) - 1.0) < 0.02
 

@@ -178,17 +178,19 @@ def test_schedules():
         mixer.default_schedule(0)
 
 
-def test_denoise_window_respects_update_mask():
+def test_denoise_window_holds_conditioning_prefix():
     p = mixer.init_mixer(Rng(9), d_in=10, d_out=5, d=6)
     g = np.random.default_rng(4)
     z = g.standard_normal((3, 1, 1, 5)).astype(FLOAT)
     ref = g.standard_normal((3, 1, 1, 5)).astype(FLOAT)
     before = z.copy()
-    upd = np.array([False, True, True])
-    out = mixer.denoise_window(p, mixer.default_schedule(2).sigmas, z, ref, upd, (1, 2, 3))
+    out = mixer.denoise_window(p, mixer.default_schedule(2).sigmas, z, ref, 2, (1, 2, 3))
     npt.assert_array_equal(out[0], z[0])
     assert not np.array_equal(out[1], z[1])
     npt.assert_array_equal(z, before)  # caller's array untouched
+    for bad in (-1, 4):
+        with pytest.raises(ValueError):
+            mixer.denoise_window(p, mixer.default_schedule(2).sigmas, z, ref, bad, (1, 2, 3))
 
 
 def test_save_load_roundtrip(tmp_path):
@@ -256,14 +258,16 @@ def test_denoise_window_matches_concat_per_step_and_keeps_inputs(broadcast_ref):
     ref = (np.broadcast_to(g.standard_normal((2, 2, 3)).astype(FLOAT), z.shape)
            if broadcast_ref else g.standard_normal((5, 2, 2, 3)).astype(FLOAT))
     z0, ref0 = z.copy(), ref.copy()
-    upd = np.array([False, True, False, True, True])
     idx = (1, 3, 4, 6, 7)
+    n = len(idx)
     sigmas = mixer.default_schedule(4).sigmas
-    a = mixer.denoise_window(p, sigmas, z, ref, upd, idx)
-    b = mixer.denoise_window(p, sigmas, z, ref, upd, idx)
-    npt.assert_array_equal(z, z0)
-    npt.assert_array_equal(ref, ref0)
-    assert a.tobytes() == b.tobytes()
-    want = oracles.denoise_window_concat(lambda x, s: mixer.forward(p, x, s, idx),
-                                         sigmas, z, ref, upd)
-    assert a.tobytes() == want.tobytes()
+    for n_noisy in range(1, n + 1):
+        a = mixer.denoise_window(p, sigmas, z, ref, n_noisy, idx)
+        b = mixer.denoise_window(p, sigmas, z, ref, n_noisy, idx)
+        npt.assert_array_equal(z, z0)
+        npt.assert_array_equal(ref, ref0)
+        assert a.tobytes() == b.tobytes()
+        tail = np.arange(n) >= n - n_noisy
+        want = oracles.denoise_window_concat(lambda x, s: mixer.forward(p, x, s, idx),
+                                             sigmas, z, ref, tail)
+        assert a.tobytes() == want.tobytes()
