@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import FLOAT, Rng, SUB_PARAMS, as_f32
+from .grid import FLOAT, Rng, SUB_PARAMS, as_f32, cell_means
 
 
 @dataclass(frozen=True)
@@ -77,11 +77,14 @@ def group_means(video: np.ndarray, f_t: int) -> np.ndarray:
 
 def pool_and_lift(frames: np.ndarray, cfg: CodecConfig) -> np.ndarray:
     """(n, H, W, 3) frames, one per block, to (n, h, w, c) latents: f_s x f_s
-    spatial mean pooling, then the channel lift."""
+    spatial mean pooling, then the channel lift.
+
+    The pooling is ``grid.cell_means``: each cell's taps are added in
+    row-major order, which for C-contiguous frames is the order numpy's
+    float32 mean over the two tap axes adds in, so the bits equal that mean."""
     n, H, W, _ = frames.shape
     f = cfg.f_s
-    pooled = frames.reshape(n, H // f, f, W // f, f, 3).mean(axis=(2, 4), dtype=FLOAT)
-    return pooled @ channel_lift(cfg).T
+    return cell_means(frames.reshape(n, H // f, f, W // f, f, 3)) @ channel_lift(cfg).T
 
 
 def encode(video: np.ndarray, cfg: CodecConfig) -> np.ndarray:

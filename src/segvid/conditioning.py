@@ -4,12 +4,15 @@ Stage II is conditioned on the hybrid reference: the low-resolution (LR)
 video upsampled to high resolution (HR), with frame 1 swapped for the true
 input image. Only its latents are needed, together with the anchor latent of
 the input image, so ``encode_reference`` computes them without building the
-HR hybrid video: block 1 is the encoded input image, and blocks 2..t take the
-f_t-frame temporal means at LR, upsample just those t−1 group frames, and
-pool and lift them as ``encode`` does. Averaging commutes with nearest
-upsampling bit for bit, so this equals encoding the HR hybrid video (the
-tests check it against that construction); the spatial pooling of the
-replicated pixels stays, because skipping it changes bits.
+HR hybrid video or its group frames: block 1 is the encoded input image, and
+blocks 2..t take the f_t-frame temporal means at LR. Averaging commutes with
+nearest upsampling bit for bit, and the HR extent is k·f_s times the LR
+extent (k = 1 in the pipeline), so all f_s×f_s taps of a latent pixel read
+one pixel of those means upsampled by k. A stride-0 view repeats that pixel
+f_s×f_s times and ``grid.cell_means`` pools it, adding the copies one by one
+as the pooling of the HR frames does (skipping the pooling would change
+bits), so this equals encoding the HR hybrid video (the tests check it
+against that construction).
 
 The denoiser (mixer) installs the anchor as block 1 and concatenates the
 reference to the noisy latents along channels, one window at a time.
@@ -21,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import CodecConfig, encode, group_means, num_blocks, pool_and_lift
-from .grid import FLOAT, as_f32, resize_spatial
+from .codec import CodecConfig, channel_lift, encode, group_means, num_blocks
+from .grid import FLOAT, as_f32, cell_means, resize_spatial
 
 
 @dataclass(frozen=True)
@@ -47,11 +50,17 @@ def encode_reference(v_lr: np.ndarray, x: np.ndarray, cfg: CodecConfig) -> Stage
     factor = xf.shape[0] // max(v.shape[1], 1)
     if factor < 1 or (v.shape[1] * factor, v.shape[2] * factor, v.shape[3]) != xf.shape:
         raise ValueError(f"LR frames {v.shape[1:]} do not upsample to input frame {xf.shape}")
+    f = cfg.f_s
+    if factor % f:
+        raise ValueError(f"LR frames {v.shape[1:]} upsample to input frame {xf.shape} by "
+                         f"{factor}, not a multiple of f_s={f}")
     t = num_blocks(v.shape[0], cfg.f_t)
     z_x = encode(xf[None], cfg)[0]
     z_ref = np.empty((t, *z_x.shape), FLOAT)
     z_ref[0] = z_x
     if t > 1:
-        groups = resize_spatial(group_means(v, cfg.f_t), "up_nearest", factor)
-        z_ref[1:] = pool_and_lift(groups, cfg)
+        same = resize_spatial(group_means(v, cfg.f_t), "up_nearest", factor // f)
+        n, h, w, _ = same.shape
+        taps = np.broadcast_to(same[:, :, None, :, None], (n, h, f, w, f, 3))
+        z_ref[1:] = cell_means(taps) @ channel_lift(cfg).T
     return StageTwoInput(z_ref=z_ref, z_x=z_x)

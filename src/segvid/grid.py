@@ -3,7 +3,8 @@
 Every array that crosses a module boundary in this package is a row-major
 float32 numpy array with finite entries. Pixel videos are (T, H, W, C) with
 values in [0, 1]; latent videos are (t, h, w, c). This module owns the three
-shared primitives: the deterministic RNG, spatial resizing, and file I/O.
+shared primitives: the deterministic RNG, spatial resizing (and the cell
+pooling that the codec shares), and file I/O.
 
 Reproducibility contract: ``Rng`` wraps numpy's PCG64 bit generator seeded
 through ``SeedSequence``. The same 64-bit seed yields the same value stream
@@ -85,17 +86,18 @@ class Rng:
         return f"Rng(seed={self.seed}, key={self.key})"
 
 
-def _check_dims(dims: tuple[int, ...]) -> tuple[int, ...]:
+def _check_dims(dims: tuple[int, ...], where: str = "") -> tuple[int, ...]:
+    """The extents as ints; errors start with ``where`` (e.g. a file path)."""
     dims = tuple(int(d) for d in dims)
     if len(dims) == 0:
-        raise ValueError("dims must be non-empty")
+        raise ValueError(f"{where}dims must be non-empty")
     if any(d <= 0 for d in dims):
-        raise ValueError(f"all extents must be positive, got {dims}")
+        raise ValueError(f"{where}all extents must be positive, got {dims}")
     n = 1
     for d in dims:
         n *= d
     if n > _MAX_ELEMENTS:
-        raise ValueError(f"tensor of {n} elements exceeds the {_MAX_ELEMENTS} cap")
+        raise ValueError(f"{where}tensor of {n} elements exceeds the {_MAX_ELEMENTS} cap")
     return dims
 
 
@@ -225,12 +227,35 @@ def _pcg64_seeder(seed: int, prefix: tuple[int, ...]):
     return state
 
 
+def cell_means(taps: np.ndarray) -> np.ndarray:
+    """(n, h, f, w, g, C) float32 tap view to its (n, h, w, C) cell means.
+
+    The f·g taps of a cell are added into a float32 sum that starts at +0.0,
+    in row-major (i, j) order, and the sum is divided by f·g in float32. For
+    a C-contiguous view with C >= 2 that is the order in which numpy's
+    float32 mean over axes 2 and 4 adds (the channel axis is innermost and
+    not reduced), and numpy's float64 division rounds to the same float32, so
+    the bits equal numpy's mean. For C = 1 or other strides numpy adds in
+    another order; no caller pools such views. A stride-0 view over a smaller
+    array is pooled without materialising it.
+    """
+    f, g = taps.shape[2], taps.shape[4]
+    out = taps[:, :, 0, :, 0] + FLOAT(0)  # as numpy's sum, so a cell of -0.0 gives +0.0
+    for i in range(f):
+        for j in range(g):
+            if i or j:
+                out += taps[:, :, i, :, j]
+    out /= FLOAT(f * g)
+    return out
+
+
 def resize_spatial(video: np.ndarray, mode: str, factor: int) -> np.ndarray:
     """Spatial resize of a (T, H, W, C) pixel video.
 
     ``down_avg`` takes non-overlapping factor×factor block means (H and W must
-    be divisible by factor); ``up_nearest`` replicates each pixel factor×factor.
-    Values stay in [0, 1] for inputs in [0, 1].
+    be divisible by factor) with ``cell_means``, which for C >= 2 equals
+    numpy's float32 mean of each cell bit for bit; ``up_nearest`` replicates
+    each pixel factor×factor. Values stay in [0, 1] for inputs in [0, 1].
     """
     v = as_f32(video, "video")
     if v.ndim != 4:
@@ -244,8 +269,7 @@ def resize_spatial(video: np.ndarray, mode: str, factor: int) -> np.ndarray:
     if mode == "down_avg":
         if h % factor or w % factor:
             raise ValueError(f"extents {h}x{w} not divisible by factor {factor}")
-        blocks = v.reshape(t, h // factor, factor, w // factor, factor, c)
-        return blocks.mean(axis=(2, 4), dtype=FLOAT)
+        return cell_means(v.reshape(t, h // factor, factor, w // factor, factor, c))
     if mode == "up_nearest":
         return np.repeat(np.repeat(v, factor, axis=1), factor, axis=2)
     raise ValueError(f"unknown resize mode {mode!r}")
@@ -284,7 +308,7 @@ def read_siv1(path) -> np.ndarray:
             raise ValueError(f"{path}: bad magic {magic!r}")
         if reserved != 0:
             raise ValueError(f"{path}: nonzero reserved word {reserved}")
-        dims = _check_dims((d0, d1, d2, d3))
+        dims = _check_dims((d0, d1, d2, d3), f"{path}: ")
         n = d0 * d1 * d2 * d3
         size = os.fstat(f.fileno()).st_size - _HEADER.size
         if size != 4 * n:

@@ -11,9 +11,9 @@ denoiser (the bit-for-bit references for that fold), the per-step
 `train_step`s of both stages, the zero-parameter null models, the stage-2
 input layout as one tensor, and the transition-pair reader. It also keeps
 the stage-2 conditioning built the obvious way, by encoding the HR hybrid
-video, and the initial block noise drawn from one `Rng.split` stream per
-block: the references for `conditioning.encode_reference` and
-`grid.init_noise_blocks`.
+video with `encode_loop` (numpy's mean, not the package's pooling), and the
+initial block noise drawn from one `Rng.split` stream per block: the
+references for `conditioning.encode_reference` and `grid.init_noise_blocks`.
 """
 
 import json
@@ -22,7 +22,7 @@ import os
 import numpy as np
 
 from segvid import mixer, stage2
-from segvid.codec import CodecConfig, encode
+from segvid.codec import CodecConfig, channel_lift, encode
 from segvid.conditioning import StageTwoInput
 from segvid.grid import FLOAT, SUB_INIT_NOISE, as_f32, read_siv1, resize_spatial
 
@@ -244,9 +244,11 @@ def build_hybrid_reference(v_lr, x, factor):
 
 
 def build_stage2_input(v_ref, x, cfg):
-    """Encode the HR hybrid reference and the input image into conditioning."""
-    z_ref = encode(v_ref, cfg)
-    z_x = encode(as_f32(x, "x")[None], cfg)[0]
+    """Encode the HR hybrid reference and the input image into conditioning,
+    block by block with numpy's mean (`encode_loop`)."""
+    lift = channel_lift(cfg)
+    z_ref = encode_loop(v_ref, cfg.f_s, cfg.f_t, lift)
+    z_x = encode_loop(as_f32(x, "x")[None], cfg.f_s, cfg.f_t, lift)[0]
     return StageTwoInput(z_ref=z_ref, z_x=z_x)
 
 

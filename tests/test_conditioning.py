@@ -1,5 +1,7 @@
 """Stage II input construction tests."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -85,8 +87,9 @@ def test_build_stage2_input_consistency():
        c=st.sampled_from((3, 4)), groups=st.integers(0, 6), h=st.integers(1, 3),
        w=st.integers(1, 3), scale=st.sampled_from((1, 2)), seed=st.integers(0, 2**32 - 1))
 def test_encode_reference_equals_hybrid_oracle(f_s, f_t, c, groups, h, w, scale, seed):
-    # LR group means, upsampled and pooled, give the bits of encoding the HR
-    # hybrid video; T = 1 + groups * f_t goes down to a lone frame
+    # LR group means pooled through a stride-0 tap view give the bits of
+    # encoding the HR hybrid video with numpy's mean; T = 1 + groups * f_t
+    # goes down to a lone frame
     cfg = CodecConfig(f_s=f_s, f_t=f_t, c=c)
     factor = f_s * scale
     rng = np.random.default_rng(seed)
@@ -109,6 +112,32 @@ def test_encode_reference_validation():
         encode_reference(np.zeros((6, 8, 8, 3), FLOAT), x, CFG)  # T - 1 not a multiple of f_t
     with pytest.raises(ValueError):
         encode_reference(np.zeros((5, 8, 8, 3), FLOAT), x[None], CFG)
+
+
+def test_encode_reference_rejects_factor_not_multiple_of_f_s():
+    # 16x16 LR frames upsample to 32x32 by 2, which f_s=4 does not divide
+    with pytest.raises(ValueError) as e:
+        encode_reference(np.zeros((5, 16, 16, 3), FLOAT), np.zeros((32, 32, 3), FLOAT), CFG)
+    msg = str(e.value)
+    assert "(16, 16, 3)" in msg and "(32, 32, 3)" in msg and "f_s=4" in msg
+    assert "\n" not in msg
+
+
+def test_encode_reference_builds_no_hr_group_frames():
+    # a T=641, 32x32 request: the (160, 32, 32, 3) float32 HR group frames
+    # would take 1.97 MB; the stride-0 tap view keeps the peak at LR size
+    rng = np.random.default_rng(4)
+    v_lr = rng.random((641, 8, 8, 3), dtype=np.float32)
+    x = rng.random((32, 32, 3), dtype=np.float32)
+    hr_groups = 160 * 32 * 32 * 3 * 4
+    encode_reference(v_lr, x, CFG)  # warm the lift cache outside the trace
+    tracemalloc.start()
+    try:
+        encode_reference(v_lr, x, CFG)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < hr_groups // 2, f"{peak} bytes at peak, HR group frames take {hr_groups}"
 
 
 def test_stage_two_input_validation():

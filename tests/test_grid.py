@@ -128,6 +128,23 @@ def test_down_then_up_matches_loop_oracle():
     npt.assert_array_equal(again, got)
 
 
+@settings(deadline=None, max_examples=200)
+@given(c=st.sampled_from((2, 3, 4)), f=st.integers(1, 8), t=st.integers(1, 3),
+       h=st.integers(1, 3), w=st.integers(1, 3), mag=st.floats(1e-3, 1e4),
+       neg_zero=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_down_avg_equals_numpy_mean(c, f, t, h, w, mag, neg_zero, seed):
+    # the ordered tap sums give the bits of numpy's float32 mean over the two
+    # tap axes for C-contiguous input with C >= 2, including -0.0 taps
+    rng = np.random.default_rng(seed)
+    v = (mag * rng.standard_normal((t, h * f, w * f, c))).astype(FLOAT)
+    if neg_zero and f > 1:  # factor 1 is a copy, which keeps -0.0
+        v[rng.random(v.shape) < 0.5] = -0.0
+        v[:, :f, :f] = -0.0  # one cell of -0.0 only
+    want = v.reshape(t, h, f, w, f, c).mean(axis=(2, 4), dtype=np.float32)
+    got = resize_spatial(v, "down_avg", f)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_resize_factor_one_is_copy():
     v = np.zeros((2, 4, 4, 3), FLOAT)
     out = resize_spatial(v, "down_avg", 1)
@@ -218,13 +235,55 @@ def _siv1_bytes(dims, payload_floats):
     (_siv1_bytes((1, 2, 2, 1), 3), "payload is 12 bytes, expected 16"),
     (_siv1_bytes((1 << 16, 1 << 16, 1, 1), 1), "exceeds"),
     (_siv1_bytes((1, 2, 2, 1), 5), "payload is 20 bytes, expected 16"),
-], ids=["truncated-header", "truncated-payload", "oversized-extents", "trailing-bytes"])
+    (_siv1_bytes((0, 2, 2, 1), 0), "all extents must be positive"),
+], ids=["truncated-header", "truncated-payload", "oversized-extents", "trailing-bytes",
+        "zero-extent"])
 def test_siv1_rejects_corrupt_file_with_one_line_reason(tmp_path, raw, reason):
     p = tmp_path / "c.siv1"
     p.write_bytes(raw)
     with pytest.raises(ValueError) as e:
         read_siv1(p)
-    assert reason in str(e.value) and "\n" not in str(e.value)
+    msg = str(e.value)
+    assert msg.startswith(f"{p}: ") and reason in msg and "\n" not in msg
+
+
+_SIV1_CORRUPTION = st.one_of(
+    st.tuples(st.just("field"), st.integers(0, 5),
+              st.one_of(st.sampled_from((0, 1, 2, 3, 1 << 16, 1 << 31, (1 << 32) - 1)),
+                        st.integers(0, (1 << 32) - 1))),
+    st.tuples(st.just("byte"), st.integers(0, 24 + 4 * 12 - 1), st.integers(0, 255)),
+    st.tuples(st.just("truncate"), st.integers(0, 24 + 4 * 12 - 1), st.just(0)),
+    st.tuples(st.just("append"), st.integers(1, 9), st.integers(0, 255)),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(corruptions=st.lists(_SIV1_CORRUPTION, min_size=1, max_size=3))
+def test_siv1_fuzz_rejects_only_with_one_line_reason(tmp_path_factory, corruptions):
+    # mutated header fields or bytes, truncations and trailing bytes of a
+    # valid (1, 2, 3, 2) file: reading it either succeeds or raises a
+    # ValueError whose one-line message starts with the path
+    p = tmp_path_factory.mktemp("fuzz") / "f.siv1"
+    raw = bytearray(struct.pack("<4sIIIII", b"SIV1", 1, 2, 3, 2, 0)
+                    + np.arange(12, dtype="<f4").tobytes())
+    for kind, at, value in corruptions:
+        if kind == "field" and 4 * at + 4 <= len(raw):
+            struct.pack_into("<I", raw, 4 * at, value)  # field 0 is the magic
+        elif kind == "byte" and at < len(raw):
+            raw[at] = value
+        elif kind == "truncate":
+            del raw[at:]
+        elif kind == "append":
+            raw += bytes([value]) * at
+    p.write_bytes(bytes(raw))
+    try:
+        arr = read_siv1(p)
+    except ValueError as e:
+        msg = str(e)
+        assert msg.startswith(f"{p}"), msg
+        assert "\n" not in msg, msg
+    else:
+        assert arr.dtype == FLOAT and arr.ndim == 4 and np.isfinite(arr).all()
 
 
 @pytest.mark.parametrize("head", [b"SIVX" + bytes(20), _siv1_bytes((1, 2, 2, 1), 0)],
