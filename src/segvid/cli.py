@@ -234,12 +234,28 @@ def _check_pipeline(s1, s2, image: np.ndarray, what: str = "image") -> None:
     if diff:
         raise ValueError(f"stage-1 and stage-2 codec configs differ: {', '.join(diff)}")
     H, W = image.shape[:2]
-    f, c = b["f_s"], b["c"]
-    for stage, model, scale in ((1, s1, f * f), (2, s2, f)):
-        d_in = 2 * c * (H // scale) * (W // scale)
-        if d_in != model.params.d_in:
-            raise ValueError(f"{what} is {H}x{W} (d_in {d_in}), but the stage-{stage} "
-                             f"checkpoint has d_in {model.params.d_in}")
+    f = b["f_s"]
+    _check_size(s1, 1, H, W, f * f, what)
+    _check_size(s2, 2, H, W, f, what)
+
+
+def _check_size(model, stage: int, H: int, W: int, scale: int, what: str) -> None:
+    """Reject H x W frames whose latents, `scale` times smaller per side, do
+    not fit the stage's checkpoint, before they reach its mixer."""
+    per_px = 2 * model.codec_cfg.c  # w_in rows per latent pixel: [noisy c | reference c]
+    d_in = per_px * (H // scale) * (W // scale)
+    if d_in != model.params.d_in:
+        raise ValueError(f"{what} is {H}x{W} (d_in {d_in}), but the stage-{stage} checkpoint "
+                         f"has d_in {model.params.d_in} "
+                         f"({model.params.d_in // per_px * scale * scale} pixels per frame)")
+
+
+def _load_stage2_for(cfg: _Cfg, args) -> mixer.StageModel:
+    """The --stage2 checkpoint, checked against the configured frame size."""
+    s2 = stage2.load_stage2(args.stage2)
+    _check_size(s2, 2, cfg.get("height"), cfg.get("width"), s2.codec_cfg.f_s,
+                "height x width")
+    return s2
 
 
 def _cmd_synth(cfg: _Cfg, args, out: str) -> None:
@@ -414,7 +430,7 @@ def accumulation_rows(model: mixer.StageModel, truths, seeds, M: int, N: int):
 
 
 def _cmd_bench_accumulation(cfg: _Cfg, args, out: str) -> None:
-    s2 = stage2.load_stage2(args.stage2)
+    s2 = _load_stage2_for(cfg, args)
     T, seed = cfg.get_or("frames", ACCUM_FRAMES), cfg.get("seed")
     truths = [_scene_video(cfg, T, seed_offset=201 + j) for j in range(cfg.get("clips"))]
     seeds = [seed + j for j in range(cfg.get("seeds"))]
@@ -429,7 +445,7 @@ def _cmd_bench_accumulation(cfg: _Cfg, args, out: str) -> None:
 
 
 def _cmd_bench_streaming(cfg: _Cfg, args, out: str) -> None:
-    s2 = stage2.load_stage2(args.stage2)
+    s2 = _load_stage2_for(cfg, args)
     T, seed = cfg.get("frames"), cfg.get("seed")
     truth = _scene_video(cfg, T, seed_offset=303)
     inp = _truth_input(truth, s2.codec_cfg)
@@ -477,7 +493,7 @@ def _cmd_bench_streaming(cfg: _Cfg, args, out: str) -> None:
 
 
 def _cmd_ablate_mn(cfg: _Cfg, args, out: str) -> None:
-    s2 = stage2.load_stage2(args.stage2)
+    s2 = _load_stage2_for(cfg, args)
     T, seed = cfg.get("frames"), cfg.get("seed")
     truth = _scene_video(cfg, T, seed_offset=404)
     inp = _truth_input(truth, s2.codec_cfg)
@@ -500,6 +516,7 @@ def _cmd_transition(cfg: _Cfg, args, out: str) -> None:
     s1 = stage1.load_stage1(args.stage1)
     clips = [v for _, v in synth.load_corpus(args.corpus)]
     f, seed = cfg.get("f_s"), cfg.get("seed")
+    _check_size(s1, 1, *clips[0].shape[1:3], f * s1.codec_cfg.f_s, "corpus frame")
     # The sweep diagnostic denoises with the full schedule depth:a single
     # Euler jump from a large sigma lands near the model mean and scrambles
     # the psnr-vs-sigma ordering that the sweep exists to show. Synthesis

@@ -67,6 +67,11 @@ def latent_shape(T: int, H: int, W: int, cfg: CodecConfig) -> tuple[int, int, in
     return (num_blocks(T, cfg.f_t), H // cfg.f_s, W // cfg.f_s, cfg.c)
 
 
+def video_shape(t: int, h: int, w: int, cfg: CodecConfig) -> tuple[int, int, int, int]:
+    """(T, H, W, 3) of the video that t latent blocks of h x w decode to."""
+    return (1 + (t - 1) * cfg.f_t, h * cfg.f_s, w * cfg.f_s, 3)
+
+
 def group_means(video: np.ndarray, f_t: int) -> np.ndarray:
     """(t-1, H, W, C): frames 2..T averaged in consecutive groups of f_t, one
     per block 2..t."""
@@ -101,23 +106,44 @@ def encode(video: np.ndarray, cfg: CodecConfig) -> np.ndarray:
     return out
 
 
-def decode_block(block: np.ndarray, cfg: CodecConfig, first: bool) -> np.ndarray:
-    """Decode one (h, w, c) latent block to its frames (1 or f_t of them)."""
-    lift = channel_lift(cfg)
+def decode_block(block: np.ndarray, cfg: CodecConfig, first: bool,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Decode one (h, w, c) latent block to its frames (1 or f_t of them).
+
+    The frames are written into ``out`` when given, a C-contiguous
+    (n, h·f_s, w·f_s, 3) float32 array such as a slice of the video, and
+    returned; otherwise into a new array.
+    """
+    h, w, _ = block.shape
+    f = cfg.f_s
+    shape = (1 if first else cfg.f_t, h * f, w * f, 3)
+    if out is None:
+        out = np.empty(shape, FLOAT)
+    elif out.shape != shape or out.dtype != FLOAT or not out.flags.c_contiguous:
+        raise ValueError(f"decode target must be C-contiguous {shape} float32, "
+                         f"got {out.shape} {out.dtype}")
     # exact left inverse of the lift; clamping is elementwise, so clamping
-    # before the spatial repeat and the frame broadcast gives the same bits
-    rgb = np.clip(block @ lift, 0.0, 1.0)
-    up = np.repeat(np.repeat(rgb, cfg.f_s, axis=0), cfg.f_s, axis=1)
-    return np.repeat(up[None], 1 if first else cfg.f_t, axis=0).astype(FLOAT, copy=False)
+    # before the spatial repeat and the frame copies gives the same bits.
+    # np.clip, not maximum/minimum: those differ from it on -0.0.
+    rgb = block @ channel_lift(cfg)
+    np.clip(rgb, 0.0, 1.0, out=rgb)
+    out.reshape(shape[0], h, f, w, f, 3)[0] = rgb[:, None, :, None]  # a view: out is contiguous
+    out[1:] = out[0]
+    return out
 
 
 def decode(latent: np.ndarray, cfg: CodecConfig) -> np.ndarray:
-    """Decode (t, h, w, c) latents to a (T, H, W, 3) video clamped to [0, 1]."""
+    """Decode (t, h, w, c) latents to a (T, H, W, 3) video clamped to [0, 1],
+    block by block into one video array."""
     z = as_f32(latent, "latent")
     if z.ndim != 4:
         raise ValueError(f"expected (t,h,w,c) latent, got shape {z.shape}")
     if z.shape[3] != cfg.c:
         raise ValueError(f"latent has {z.shape[3]} channels, config expects {cfg.c}")
-    t = z.shape[0]
-    parts = [decode_block(z[i - 1], cfg, first=(i == 1)) for i in range(1, t + 1)]
-    return np.concatenate(parts, axis=0)
+    t, h, w, _ = z.shape
+    video = np.empty(video_shape(t, h, w, cfg), FLOAT)
+    decode_block(z[0], cfg, first=True, out=video[:1])
+    for i in range(2, t + 1):
+        lo, hi = frames_for_block(i, cfg.f_t)
+        decode_block(z[i - 1], cfg, first=False, out=video[lo - 1:hi])
+    return video

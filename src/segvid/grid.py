@@ -14,11 +14,15 @@ derived with ``split``, which feeds a tuple of integer keys into
 of the format of any seeded artifact. A stream seeds its generator on its
 first draw, so a stream that is only split never builds one.
 
-``init_noise_blocks`` needs one sub-stream per latent block. Rather than a
-``SeedSequence`` and a ``PCG64`` per block, it restates numpy's
-``SeedSequence`` hashing and PCG64 seeding in Python integers (hashing the
-shared key prefix once per call) and sets the resulting state on one
-generator; the tests check it against the per-block ``split`` streams.
+The initial latent noise needs one sub-stream per latent block. Rather than
+a ``SeedSequence`` and a ``PCG64`` per block, ``noise_filler`` restates
+numpy's ``SeedSequence`` hashing and PCG64 seeding in Python integers
+(hashing the shared key prefix once per request) and sets the resulting
+state on one generator; the tests check it against the per-block ``split``
+streams. A filler draws any run of blocks on demand, so the segment-wise
+stage-2 loop draws each segment's noisy tail when it reaches that segment,
+and its work before the first segment does not grow with the video length;
+``init_noise_blocks`` is the call that draws every block at once.
 """
 
 from __future__ import annotations
@@ -114,20 +118,35 @@ def as_f32(arr, name: str = "tensor") -> np.ndarray:
     return out
 
 
-def init_noise_blocks(rng: Rng, t: int, h: int, w: int, c: int) -> np.ndarray:
-    """Initial latents: blocks 2..t from per-block noise sub-streams, block 1
-    zeroed (the caller installs the anchor there). Keying by block index means
-    any windowed traversal of the same stream sees identical noise per block,
-    which is what makes the windowed, full-sequence, and streaming denoise
-    paths comparable bit for bit."""
-    z = np.zeros(_check_dims((t, h, w, c)), FLOAT)
+def noise_filler(rng: Rng):
+    """The initial-noise filler of stream rng: fill(out, first_block) writes
+    the noise of blocks first_block, first_block + 1, ... (1-based) into the
+    rows of out, one row per block.
+
+    A block's noise is the bits of rng.split(SUB_INIT_NOISE, block).normal
+    over the row's shape, whichever call draws it. Keying by block index
+    means any windowed traversal of the same stream sees identical noise per
+    block, which is what makes the windowed, full-sequence, and streaming
+    denoise paths comparable bit for bit. The key prefix is hashed once,
+    here; each block then costs one seeding and one draw.
+    """
     pcg64_state = _pcg64_seeder(rng.seed, rng.key + (SUB_INIT_NOISE,))
     bits = np.random.PCG64(0)
     gen = np.random.Generator(bits)
-    for i in range(2, t + 1):
-        # same bits as rng.split(SUB_INIT_NOISE, i).normal((h, w, c))
-        bits.state = pcg64_state(i)
-        gen.standard_normal(dtype=FLOAT, out=z[i - 1])
+
+    def fill(out: np.ndarray, first_block: int) -> None:
+        for i, row in enumerate(out, first_block):
+            bits.state = pcg64_state(i)
+            gen.standard_normal(dtype=FLOAT, out=row)
+
+    return fill
+
+
+def init_noise_blocks(rng: Rng, t: int, h: int, w: int, c: int) -> np.ndarray:
+    """Initial latents: blocks 2..t at their noise (see noise_filler), block 1
+    zeroed (the caller installs the anchor there)."""
+    z = np.zeros(_check_dims((t, h, w, c)), FLOAT)
+    noise_filler(rng)(z[1:], 2)
     return z
 
 

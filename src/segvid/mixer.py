@@ -12,8 +12,11 @@ Conditioning enters additively: a fixed sinusoidal code of the noise level
 and a fixed sinusoidal positional code of each block's absolute temporal
 index (windows are non-contiguous, so window-relative positions would alias).
 Both codes are tabled rather than recomputed per forward pass: position codes
-live in a read-only per-(d, dtype) table whose rows are `sin_code` rows, and
-noise-level codes in a small bounded cache, so the bits equal `sin_code`'s.
+live in a read-only per-(d, dtype) table whose rows are `sin_code` rows, a
+window's rows of it are gathered once per index tuple into a small bounded
+cache (a window runs every step of its sigma ladder on the same indices),
+and noise-level codes sit in another such cache, so the bits equal
+`sin_code`'s.
 
 Both pipeline stages are this denoiser. A stage model is the mixer parameters
 plus the codec and sigma schedule it was trained with; a stage differs from
@@ -135,12 +138,21 @@ def _pos_table(rows: int, d: int, dtype) -> np.ndarray:
     return table
 
 
-def _pos_codes(indices, d: int, dtype) -> np.ndarray:
+@lru_cache(maxsize=256)
+def _window_pos_codes(indices: tuple, d: int, dtype) -> np.ndarray:
+    # Bounded: training and long videos visit many windows, each briefly.
     ix = np.asarray(indices)
     if ix.dtype.kind not in "iu" or ix.min() < 1:
-        return np.stack([sin_code(float(i), d, dtype) for i in ix], axis=0)
+        raise ValueError(f"block indices must be integers >= 1, got {indices}")
     rows = 1 << max(6, (int(ix.max()) - 1).bit_length())
-    return _pos_table(rows, d, dtype)[ix - 1]
+    codes = _pos_table(rows, d, dtype)[ix - 1]
+    codes.flags.writeable = False
+    return codes
+
+
+def _pos_codes(indices, d: int, dtype) -> np.ndarray:
+    """Position-code rows of the 1-based block indices, sin_code's bits."""
+    return _window_pos_codes(indices if type(indices) is tuple else tuple(indices), d, dtype)
 
 
 def _embed(p: MixerParams, x: np.ndarray, sigma: float, indices) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Segment-wise denoising for the high-resolution stage.
 
-Inference walks the segment plan in order. Each segment gathers its window,
-a conditioning prefix (anchor, up to N finalized neighbors) followed by a
-noisy tail (the segment's own blocks), runs the full sigma ladder on that
-window, and writes the tail back as one contiguous run of global blocks.
+Inference walks the segment plan in order. Each segment draws the initial
+noise of its own blocks, gathers its window, a conditioning prefix (anchor,
+up to N finalized neighbors) followed by a noisy tail (the segment's own
+blocks), runs the full sigma ladder on that window, and writes the tail back
+as one contiguous run of global blocks.
 Conditioning content is never written, so the anchor and all finalized
 history are bit-stable for the rest of the run, and a finished segment can
 be decoded immediately.
@@ -25,7 +26,7 @@ import numpy as np
 from . import mixer, scheduler, stage1 as stage1_mod
 from .codec import CodecConfig, encode
 from .conditioning import StageTwoInput, encode_reference
-from .grid import as_f32, resize_spatial
+from .grid import FLOAT, Rng, as_f32, noise_filler, resize_spatial
 
 MN_CHOICES = ((2, 1), (2, 2), (3, 1), (3, 2))
 TRANSITION_SHARE = 0.7  # transition pairs vs plain downsampled pairs
@@ -65,13 +66,21 @@ def infer_csg(model: mixer.StageModel, inp: StageTwoInput, p: scheduler.SegmentP
               seed: int, on_step=None, on_segment=None) -> np.ndarray:
     """Sequential segment-wise inference. Deterministic per seed.
 
+    Each segment's noisy tail is drawn when the loop reaches it, with the
+    same bits as init_latents, so the work before segment 1 does not grow
+    with t. Blocks no segment has reached yet hold zeros.
+
     on_step(s, k, window, idx) observes each denoise step; on_segment(s, z)
     observes the global latents after each segment.
     """
     if inp.z_ref.shape[0] != p.t:
         raise ValueError(f"reference has {inp.z_ref.shape[0]} blocks, plan expects {p.t}")
-    z = init_latents(inp, p.t, seed)
+    z = np.zeros((p.t,) + inp.z_x.shape, FLOAT)
+    z[0] = inp.z_x
+    fill = noise_filler(Rng(seed).split(NOISE_KEY))
     for s in range(1, p.S + 1):
+        a = p.a[s - 1]
+        fill(z[a - 1:a - 1 + len(p.I[s - 1])], a)
         hook = None if on_step is None else (lambda k, zw, idx, _s=s: on_step(_s, k, zw, idx))
         denoise_segment(model, z, inp, p, s, on_step=hook)
         if on_segment is not None:

@@ -2,13 +2,18 @@
 
 Streaming is the sequential segment loop, `stage2.infer_csg`, plus a consumer
 that decodes each finished segment's blocks and emits its frame groups
-immediately (the anchor frame rides with the first group). Because a
-segment's blocks are final the moment its window finishes, the emitted video
-is bit-identical to running the sequential loop followed by a full decode,
-for any queue capacity and any interleaving. Threads mode runs the loop on a
+immediately (the anchor frame rides with the first group). The consumer
+decodes each block straight into its frames of the one (T, H, W, 3) video
+array, allocated up front, so the video is held once. Because a segment's
+blocks are final the moment its window finishes, the emitted video is
+bit-identical to running the sequential loop followed by a full decode, for
+any queue capacity and any interleaving. Threads mode runs the loop on a
 producer thread and hands each segment to the consumer through a bounded
-FIFO queue; serial mode decodes each segment from inside the loop, in a
-deterministic denoise-one/decode-one interleave.
+FIFO queue; a hand-off to an idle consumer waits until the consumer holds
+the segment, so the consumer gets the GIL as soon as a segment lands, and
+the producer runs ahead only while the consumer is busy. Serial mode decodes
+each segment from inside the loop, in a deterministic denoise-one/decode-one
+interleave.
 
 predict_timing is the idealized pipelining model: decoding of segment s can
 start once segment s is denoised and segment s-1 is decoded. It ignores
@@ -27,8 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import stage2
-from .codec import decode_block
+from .codec import decode_block, frames_for_block, video_shape
 from .conditioning import StageTwoInput
+from .grid import FLOAT
 from .mixer import StageModel
 from .scheduler import SegmentPlan
 
@@ -70,13 +76,17 @@ def run_streaming(model: StageModel, inp: StageTwoInput, p: SegmentPlan,
                   seed: int, queue_capacity: int = 2, mode: str = "threads"):
     """Returns (video, events, measured TimingModel of active work in ms).
 
-    Segment s's denoise time runs from the end of the hand-off of segment
-    s-1 to the end of its window; for s=1 it runs from the start of the call,
-    so it includes drawing the initial noise (and starting the producer
-    thread). Queue waits are excluded from the measured durations. A
-    producer failure in threads mode is raised as StreamError; a consumer
-    failure is raised as itself, after the producer thread has been stopped
-    and joined.
+    The video is allocated once and filled in place, block by block, as the
+    segments are decoded. Segment s's denoise time runs from the end of the
+    hand-off of segment s-1 to the end of its window, and includes drawing
+    the initial noise of its own blocks; for s=1 it runs from the start of
+    the call, so it also includes allocating the video (and starting the
+    producer thread), but not the noise of any later segment, which the loop
+    draws when it reaches that segment. Queue waits, and the producer's wait
+    for an idle consumer to take a segment, are excluded from the measured
+    durations. A producer failure in threads mode is raised as StreamError;
+    a consumer failure is raised as itself, after the producer thread has
+    been stopped and joined.
     """
     if queue_capacity < 1:
         raise ValueError(f"queue capacity must be >= 1, got {queue_capacity}")
@@ -90,9 +100,9 @@ def run_streaming(model: StageModel, inp: StageTwoInput, p: SegmentPlan,
         events.append(StreamEvent(kind, index, (time.monotonic() - t0) * 1000.0))
 
     cfg = model.codec_cfg
+    video = np.empty(video_shape(p.t, *inp.z_x.shape[:2], cfg), FLOAT)
     denoise_ms = [0.0] * p.S
     decode_ms = [0.0] * p.S
-    parts: list[np.ndarray] = []
     decoded = 0
     mark = t0
 
@@ -103,9 +113,10 @@ def run_streaming(model: StageModel, inp: StageTwoInput, p: SegmentPlan,
             raise RuntimeError(f"out-of-order segment {s}, expected {decoded + 1}")
         tic = time.monotonic()
         if s == 1:
-            parts.append(decode_block(inp.z_x, cfg, first=True))
+            decode_block(inp.z_x, cfg, first=True, out=video[:1])
         for i, blk in enumerate(blocks, p.a[s - 1]):
-            parts.append(decode_block(blk, cfg, first=False))
+            lo, hi = frames_for_block(i, cfg.f_t)
+            decode_block(blk, cfg, first=False, out=video[lo - 1:hi])
             decode_ms[s - 1] += (time.monotonic() - tic) * 1000.0
             stamp("frames_emitted", i - 1)
             tic = time.monotonic()
@@ -130,6 +141,11 @@ def run_streaming(model: StageModel, inp: StageTwoInput, p: SegmentPlan,
     else:
         q: queue.Queue = queue.Queue(maxsize=queue_capacity)
         stop = threading.Event()
+        # The consumer's side of the hand-off, guarded by `turn`: whether it
+        # is blocked on the queue (or about to be), and how many segments it
+        # has taken off it.
+        turn = threading.Condition()
+        waiting, taken = True, 0
 
         def hand_off(item):
             # Once the consumer has stopped, nobody empties the queue. Checked
@@ -138,6 +154,13 @@ def run_streaming(model: StageModel, inp: StageTwoInput, p: SegmentPlan,
             if stop.is_set():
                 raise _Abort()
             q.put(item)
+            # A consumer waiting for this segment is woken, but it runs only
+            # once it gets the GIL, which the producer would keep for up to
+            # the switch interval. Blocking here until the consumer has taken
+            # the segment hands the GIL over; a busy consumer is not waiting,
+            # so a producer that runs ahead of it does not block.
+            with turn:
+                turn.wait_for(lambda: not waiting or taken >= item[0])
 
         def producer():
             try:
@@ -152,12 +175,20 @@ def run_streaming(model: StageModel, inp: StageTwoInput, p: SegmentPlan,
         th.start()
         try:
             for _ in range(p.S):
+                with turn:
+                    waiting = True
                 item = q.get()
+                with turn:
+                    waiting, taken = False, taken + 1
+                    turn.notify()
                 if isinstance(item, BaseException):
                     raise StreamError(str(item), events) from item
                 consume(item)
         except BaseException:
             stop.set()
+            with turn:
+                waiting = False
+                turn.notify()
             try:
                 while True:
                     q.get_nowait()
@@ -167,7 +198,6 @@ def run_streaming(model: StageModel, inp: StageTwoInput, p: SegmentPlan,
         finally:
             th.join()
 
-    video = np.concatenate(parts, axis=0)
     return video, events, TimingModel(tuple(denoise_ms), tuple(decode_ms))
 
 

@@ -14,31 +14,31 @@ import pytest
 from segvid import cli, streamer, synth
 from segvid.grid import write_siv1
 
-ACC_KEY = "segvid/acceptance"
+# The session's criterion rows, kept in memory so the summary also works
+# with pytest's cache plugin disabled (-p no:cacheprovider).
+ACC_KEY = pytest.StashKey[dict]()
 
 
-def pytest_sessionstart(session):
-    session.config.cache.set(ACC_KEY, {})
+def pytest_configure(config):
+    config.stash[ACC_KEY] = {}
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    rows = config.cache.get(ACC_KEY, {})
+    rows = config.stash.get(ACC_KEY, {})
     if not rows:
         return
     terminalreporter.section("acceptance criteria")
-    for n in sorted(rows, key=int):
+    for n in sorted(rows):
         ok, detail = rows[n]
         terminalreporter.write_line(
-            f"criterion {int(n):2d} {'PASS' if ok else 'FAIL'}  {detail}")
+            f"criterion {n:2d} {'PASS' if ok else 'FAIL'}  {detail}")
 
 
 @pytest.fixture
 def criterion(request):
     """Record one acceptance-criterion outcome for the terminal summary."""
     def record(n, ok, detail):
-        rows = request.config.cache.get(ACC_KEY, {})
-        rows[str(n)] = [bool(ok), detail]
-        request.config.cache.set(ACC_KEY, rows)
+        request.config.stash[ACC_KEY][n] = (bool(ok), detail)
         assert ok, f"criterion {n}: {detail}"
     return record
 
@@ -78,14 +78,14 @@ def consumer_delays(monkeypatch):
         sleeps = dict(zip(itertools.accumulate(sizes, initial=0), delays))
         calls = 0
 
-        def decode_block(block, cfg, first):
+        def decode_block(block, cfg, first, out=None):
             nonlocal calls
             if first:  # the anchor: a new stream starts
                 calls = 0
             if calls in sleeps:
                 time.sleep(sleeps[calls])
             calls += 1
-            return real(block, cfg, first)
+            return real(block, cfg, first, out)
 
         monkeypatch.setattr(streamer, "decode_block", decode_block)
 

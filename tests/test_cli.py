@@ -310,3 +310,30 @@ def test_train_stage2_rejects_stage1_of_other_size(pipeline, tmp_path, capsys):
     err = capsys.readouterr().err.strip()
     assert "\n" not in err and "corpus frame is 64x64" in err and "stage-1" in err
     assert not (tmp_path / "s2" / "stage2.json").exists()
+
+
+def test_transition_rejects_stage1_of_other_size(pipeline, tmp_path, capsys):
+    # a 32x32 stage-1 checkpoint on a 64x64 corpus
+    corpus = _corpus_64(tmp_path)
+    capsys.readouterr()
+    rc = cli.main(["transition", "--corpus", corpus, "--stage1", pipeline["s1"],
+                   "--out", str(tmp_path / "tr")])
+    assert rc == 2
+    err = capsys.readouterr().err.strip()
+    assert "\n" not in err and "corpus frame is 64x64" in err and "stage-1" in err
+
+
+@pytest.mark.parametrize("argv", [["bench", "streaming"], ["bench", "accumulation"],
+                                  ["ablate-mn"]])
+def test_stage2_commands_reject_frame_size_mismatch(pipeline, tmp_path, capsys, argv):
+    # 64x64 frames against the 32x32 stage-2 checkpoint: a one-line reason,
+    # not the mixer's shape error
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"height": 64, "width": 64}))
+    rc = cli.main(argv + ["--config", str(cfg), "--stage2", pipeline["s2"],
+                          "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err.strip()
+    assert "\n" not in err and "height x width is 64x64" in err
+    assert "stage-2 checkpoint has d_in 512 (1024 pixels per frame)" in err
+    assert "window blocks" not in err

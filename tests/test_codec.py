@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from segvid.codec import (CodecConfig, channel_lift, decode, decode_block,
-                          encode, frames_for_block, latent_shape, num_blocks)
+                          encode, frames_for_block, latent_shape, num_blocks, video_shape)
 from segvid.grid import FLOAT
 
 import oracles
@@ -18,6 +18,7 @@ def test_block_arithmetic():
     assert num_blocks(1, 4) == 1
     assert num_blocks(17, 4) == 5
     assert latent_shape(81, 32, 32, CFG) == (21, 8, 8, 4)
+    assert video_shape(21, 8, 8, CFG) == (81, 32, 32, 3)
     with pytest.raises(ValueError):
         num_blocks(16, 4)
     with pytest.raises(ValueError):
@@ -124,5 +125,15 @@ def test_decode_block_equals_repeat_then_clip(c):
         got = decode_block(z, cfg, first=first)
         want = oracles.decode_block_repeat_then_clip(z, channel_lift(cfg), cfg.f_s,
                                                      cfg.f_t, first)
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         assert got.flags.writeable and got.flags.c_contiguous
+        # into a slice of a larger buffer: exactly the slice is written
+        n = want.shape[0]
+        buf = np.full((n + 5,) + want.shape[1:], -7.0, FLOAT)
+        assert decode_block(z, cfg, first=first, out=buf[2:2 + n]).base is buf
+        assert buf[2:2 + n].tobytes() == want.tobytes()
+        assert (buf[:2] == -7.0).all() and (buf[2 + n:] == -7.0).all()
+    with pytest.raises(ValueError, match="decode target"):
+        decode_block(z, cfg, first=False, out=np.empty((2, 8, 12, 3), FLOAT))  # too few frames
+    with pytest.raises(ValueError, match="decode target"):
+        decode_block(z, cfg, first=True, out=np.empty((1, 8, 24, 3), FLOAT)[:, :, ::2])

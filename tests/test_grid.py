@@ -8,8 +8,8 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from segvid.grid import (FLOAT, Rng, as_f32, init_noise_blocks, read_siv1, require_finite,
-                         resize_spatial, write_siv1)
+from segvid.grid import (FLOAT, Rng, as_f32, init_noise_blocks, noise_filler, read_siv1,
+                         require_finite, resize_spatial, write_siv1)
 
 import oracles
 
@@ -70,14 +70,23 @@ def test_init_noise_blocks_keyed_per_block():
 @given(seed=st.one_of(st.integers(0, 2**64 - 1),
                      st.sampled_from((0, 2**32 - 1, 2**32, 2**64 - 1))),
        key=st.lists(st.one_of(st.integers(0, 2**64 - 1), st.integers(0, 300)), max_size=3),
-       t=st.sampled_from((1, 2, 161)), block=st.sampled_from(((2, 2, 4), (8, 8, 4))))
-def test_init_noise_blocks_equals_per_block_streams(seed, key, t, block):
+       t=st.sampled_from((1, 2, 161)), block=st.sampled_from(((2, 2, 4), (8, 8, 4))),
+       data=st.data())
+def test_init_noise_blocks_equals_per_block_streams(seed, key, t, block, data):
     # the Python-integer SeedSequence/PCG64 seeding gives each block the bits
     # of its own Rng.split(SUB_INIT_NOISE, i) stream, for one- and multi-word
-    # seeds and keys
+    # seeds and keys, whether all blocks are drawn at once or any run of
+    # them through one filler
     rng = Rng(seed).split(*key)
-    npt.assert_array_equal(init_noise_blocks(rng, t, *block),
-                           oracles.init_noise_blocks_loop(rng, t, *block))
+    want = oracles.init_noise_blocks_loop(rng, t, *block)
+    npt.assert_array_equal(init_noise_blocks(rng, t, *block), want)
+    fill = noise_filler(rng)
+    for _ in range(3):
+        first = data.draw(st.integers(2, max(2, t)), label="first_block")
+        count = data.draw(st.integers(0, t + 1 - first), label="count")
+        out = np.full((count,) + block, np.nan, FLOAT)
+        fill(out, first)
+        assert out.tobytes() == want[first - 1:first - 1 + count].tobytes()
 
 
 def test_rng_seeds_its_generator_on_first_draw(monkeypatch):

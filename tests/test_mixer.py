@@ -217,12 +217,15 @@ def test_position_table_equals_stacked_sin_code_rows(dtype):
     want = oracles.stacked_codes(mixer.sin_code, range(1, 1025), d, dt)
     got = mixer._pos_codes(range(1, 1025), d, dt)
     assert got.dtype == dt and np.array_equal(got, want)
+    # resolved once per window: every step of a window reads the same rows
+    assert mixer._pos_codes((1, 4, 5), d, dt) is mixer._pos_codes((1, 4, 5), d, dt)
+    assert not got.flags.writeable
     for idx in ([7, 3, 3, 1024, 1, 7], (5,), np.array([2, 2, 900, 1])):
         npt.assert_array_equal(mixer._pos_codes(idx, d, dt),
                                oracles.stacked_codes(mixer.sin_code, idx, d, dt))
-    for idx in ([0, 2, 5], [-3, 4], [3.5, 1.0]):  # < 1 or not integral: sin_code itself
-        npt.assert_array_equal(mixer._pos_codes(idx, d, dt),
-                               oracles.stacked_codes(mixer.sin_code, idx, d, dt))
+    for idx in ([0, 2, 5], [-3, 4], [3.5, 1.0]):  # block indices are integers >= 1
+        with pytest.raises(ValueError, match="block indices"):
+            mixer._pos_codes(idx, d, dt)
 
 
 def test_position_table_is_never_mutated_when_a_longer_one_is_needed():

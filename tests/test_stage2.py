@@ -41,23 +41,34 @@ def test_anchor_survives_inference():
     npt.assert_array_equal(z0[0], inp.z_x)
 
 
-def test_write_set_discipline():
-    # blocks change only during their own segment, and stay at their seeded
-    # noise beforehand
+def test_write_set_discipline(monkeypatch):
+    # a block is zero until its segment starts, enters its first window
+    # holding exactly its seeded initial noise, and never changes after its
+    # segment
     model = stage2.new_stage2(2)
     _, inp = truth_and_input(seed=1)
     t = inp.z_ref.shape[0]
     p = scheduler.plan(t, 3, 1)
     init = stage2.init_latents(inp, t, 5)
+    real = mixer.denoise_window
+    windows = []
+
+    def watched(params, sigmas, z_window, ref_window, n_noisy, indices, on_step=None):
+        windows.append((z_window.copy(), n_noisy, tuple(indices)))
+        return real(params, sigmas, z_window, ref_window, n_noisy, indices, on_step)
+
+    monkeypatch.setattr(mixer, "denoise_window", watched)
     states = []
-    stage2.infer_csg(model, inp, p, 5, on_segment=lambda s, z: states.append(z.copy()))
-    done = {1}
-    for s, z in enumerate(states, 1):
-        done |= set(p.I[s - 1])
-        for i in range(2, t + 1):
-            if i not in done:
-                npt.assert_array_equal(z[i - 1], init[i - 1])
-    assert done == set(range(1, t + 1))
+    final = stage2.infer_csg(model, inp, p, 5, on_segment=lambda s, z: states.append(z.copy()))
+    assert len(windows) == len(states) == p.S
+    for s, ((z_win, m, idx), z) in enumerate(zip(windows, states), 1):
+        assert idx == p.W[s - 1] and m == len(p.I[s - 1])
+        tail = np.asarray(idx[-m:]) - 1
+        assert z_win[-m:].tobytes() == init[tail].tobytes()
+        last = p.I[s - 1][-1]
+        assert z[:last].tobytes() == final[:last].tobytes()
+        assert not z[last:].any()
+    npt.assert_array_equal(final[0], inp.z_x)
 
 
 def test_single_segment_plan_equals_full_window():

@@ -3,7 +3,10 @@ event-log invariants, failure propagation, and the timing model."""
 
 import csv
 import queue
+import sys
 import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ import pytest
 import oracles
 from segvid import scheduler, stage2, streamer, synth
 from segvid.codec import decode
-from segvid.conditioning import encode_reference
+from segvid.conditioning import StageTwoInput, encode_reference
 from segvid.grid import resize_spatial
 from segvid.streamer import StreamError, StreamEvent, TimingModel
 
@@ -61,6 +64,85 @@ def test_threads_match_for_any_capacity_and_delays(small, consumer_delays):
             video, events, _ = streamer.run_streaming(model, inp, p, seed=5, queue_capacity=cap)
             assert np.array_equal(video, baseline), (cap, delays)
             streamer.check_events(events, p)
+
+
+def test_threads_hand_off_under_fast_gil_switching(small, consumer_delays):
+    # the producer waits at a hand-off only while the consumer is idle; with
+    # the GIL switching every microsecond and the consumer sometimes slower
+    # than the producer, no run may stall, lose a segment or change a bit
+    model, inp, p, baseline = small
+    rng = np.random.default_rng(3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for run in range(12):
+            consumer_delays(p, None if run % 3 == 0 else rng.uniform(0.0, 0.002, p.S).tolist())
+            out = []
+            th = threading.Thread(target=lambda: out.append(streamer.run_streaming(
+                model, inp, p, seed=5, queue_capacity=1 + run % 2)), daemon=True)
+            th.start()
+            th.join(timeout=30.0)
+            assert not th.is_alive(), f"run {run} did not finish"
+            video, events, _ = out[0]
+            assert np.array_equal(video, baseline), run
+            streamer.check_events(events, p)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not _producer_alive()
+
+
+def test_hand_off_when_the_consumer_finishes_first(small, monkeypatch):
+    # each put lets the consumer take the segment, decode it and wait for
+    # the next one before the producer returns from it: the producer must
+    # see the segment as taken, not wait for the consumer to hold one
+    model, inp, p, baseline = small
+
+    class Slow(queue.Queue):
+        def put(self, item, block=True, timeout=None):
+            super().put(item, block, timeout)
+            time.sleep(0.005)
+
+    monkeypatch.setattr(streamer.queue, "Queue", Slow)
+    out = []
+    th = threading.Thread(target=lambda: out.append(streamer.run_streaming(
+        model, inp, p, seed=5, queue_capacity=1)), daemon=True)
+    th.start()
+    th.join(timeout=10.0)
+    assert not th.is_alive(), "the producer waits for a segment the consumer already took"
+    assert np.array_equal(out[0][0], baseline)
+
+
+def _peak_bytes(fn):
+    """Peak traced allocation of fn(), above what was allocated before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_video_is_held_once():
+    # T=641 at 32x32: decode and both streaming modes fill one video array,
+    # so their peak is the video plus the latents and one window's work arrays,
+    # not the video twice (a list of frame groups, then their concatenation)
+    model = stage2.new_stage2(0)
+    rng = np.random.default_rng(0)
+    t, h, w, c = 161, 8, 8, model.codec_cfg.c
+    inp = StageTwoInput(z_ref=rng.standard_normal((t, h, w, c)).astype(np.float32),
+                        z_x=rng.standard_normal((h, w, c)).astype(np.float32))
+    p = scheduler.plan(t, 3, 1)
+    z = stage2.infer_csg(model, inp, p, seed=0)
+    video = decode(z, model.codec_cfg)
+    assert video.shape == (641, 32, 32, 3)
+    limit = video.nbytes + (1 << 20)
+    runs = {"decode": lambda: decode(z, model.codec_cfg)}
+    for mode in ("serial", "threads"):
+        runs[mode] = lambda mode=mode: streamer.run_streaming(model, inp, p, seed=0, mode=mode)
+    for name, run in runs.items():
+        peak = _peak_bytes(run)
+        assert peak <= limit, f"{name}: {peak} bytes at peak, video is {video.nbytes}"
 
 
 def test_event_counts_and_csv(tmp_path):
@@ -179,11 +261,11 @@ def test_decoder_failure_joins_producer(small, monkeypatch):
     real = streamer.decode_block
     calls = []
 
-    def flaky(block, cfg, first):
+    def flaky(block, cfg, first, out=None):
         calls.append(first)
         if len(calls) == 1 + len(p.I[0]) + 1:  # anchor, segment 1, then segment 2
             raise ArithmeticError("injected decode failure")
-        return real(block, cfg, first)
+        return real(block, cfg, first, out)
 
     monkeypatch.setattr(streamer, "decode_block", flaky)
     with pytest.raises(ArithmeticError, match="injected decode failure"):
@@ -205,7 +287,7 @@ def test_consumer_failure_while_producer_blocked(small, monkeypatch):
                 blocked.set()
             super().put(item, block, timeout)
 
-    def stuck(block, cfg, first):
+    def stuck(block, cfg, first, out=None):
         assert blocked.wait(timeout=30.0), "producer never blocked on the full queue"
         raise ArithmeticError("injected consumer failure")
 
@@ -229,7 +311,7 @@ def test_consumer_failure_stops_producer_early(monkeypatch):
         denoised.append(s)
         return real(m, z, i, plan_, s, on_step=on_step)
 
-    def fail(block, cfg, first):
+    def fail(block, cfg, first, out=None):
         raise ArithmeticError("injected consumer failure")
 
     monkeypatch.setattr(stage2, "denoise_segment", counted)
