@@ -124,10 +124,13 @@ def decode_block(block: np.ndarray, cfg: CodecConfig, first: bool,
                          f"got {out.shape} {out.dtype}")
     # exact left inverse of the lift; clamping is elementwise, so clamping
     # before the spatial repeat and the frame copies gives the same bits.
-    # np.clip, not maximum/minimum: those differ from it on -0.0.
+    # The clip ufunc (np.clip's), not maximum/minimum: those differ from it
+    # on -0.0.
     rgb = block @ channel_lift(cfg)
-    np.clip(rgb, 0.0, 1.0, out=rgb)
-    out.reshape(shape[0], h, f, w, f, 3)[0] = rgb[:, None, :, None]  # a view: out is contiguous
+    rgb.clip(0.0, 1.0, out=rgb)
+    # Repeat along W, then copy each row f times down H: views of out[0],
+    # since out is contiguous.
+    out[0].reshape(h, f, w * f, 3)[...] = rgb.repeat(f, axis=1)[:, None]
     out[1:] = out[0]
     return out
 

@@ -16,13 +16,16 @@ first draw, so a stream that is only split never builds one.
 
 The initial latent noise needs one sub-stream per latent block. Rather than
 a ``SeedSequence`` and a ``PCG64`` per block, ``noise_filler`` restates
-numpy's ``SeedSequence`` hashing and PCG64 seeding in Python integers
-(hashing the shared key prefix once per request) and sets the resulting
+numpy's ``SeedSequence`` hashing and PCG64 seeding and sets the resulting
 state on one generator; the tests check it against the per-block ``split``
-streams. A filler draws any run of blocks on demand, so the segment-wise
-stage-2 loop draws each segment's noisy tail when it reaches that segment,
-and its work before the first segment does not grow with the video length;
-``init_noise_blocks`` is the call that draws every block at once.
+streams. The shared key prefix is hashed once per request in Python
+integers, and the block indices of all t blocks in one batched numpy
+``uint64`` pass when the filler is built, so a block then costs its 128-bit
+state assembly, the state set and the draw. A filler draws any run of
+blocks on demand, so the segment-wise stage-2 loop draws each segment's
+noisy tail when it reaches that segment, and its Python work before the
+first segment does not grow with the video length; ``init_noise_blocks`` is
+the call that draws every block at once.
 """
 
 from __future__ import annotations
@@ -118,25 +121,30 @@ def as_f32(arr, name: str = "tensor") -> np.ndarray:
     return out
 
 
-def noise_filler(rng: Rng):
-    """The initial-noise filler of stream rng: fill(out, first_block) writes
-    the noise of blocks first_block, first_block + 1, ... (1-based) into the
-    rows of out, one row per block.
+def noise_filler(rng: Rng, t: int):
+    """The initial-noise filler of stream rng over blocks 1..t: fill(out,
+    first_block) writes the noise of blocks first_block, first_block + 1, ...
+    (1-based, at most t) into the rows of out, one row per block.
 
     A block's noise is the bits of rng.split(SUB_INIT_NOISE, block).normal
     over the row's shape, whichever call draws it. Keying by block index
     means any windowed traversal of the same stream sees identical noise per
     block, which is what makes the windowed, full-sequence, and streaming
-    denoise paths comparable bit for bit. The key prefix is hashed once,
-    here; each block then costs one seeding and one draw.
+    denoise paths comparable bit for bit. The key prefix is hashed once, and
+    the block indices in one numpy pass, here; each block then costs its
+    128-bit state assembly, one state set and one draw.
     """
-    pcg64_state = _pcg64_seeder(rng.seed, rng.key + (SUB_INIT_NOISE,))
+    seeds = _pcg64_seed_words(rng.seed, rng.key + (SUB_INIT_NOISE,),
+                              np.arange(1, t + 1, dtype=np.uint64)).tolist()
     bits = np.random.PCG64(0)
     gen = np.random.Generator(bits)
 
     def fill(out: np.ndarray, first_block: int) -> None:
-        for i, row in enumerate(out, first_block):
-            bits.state = pcg64_state(i)
+        last = first_block + len(out) - 1
+        if len(out) and not 1 <= first_block <= last <= t:
+            raise ValueError(f"blocks {first_block}..{last} outside 1..{t}")
+        for row, words in zip(out, seeds[first_block - 1:]):
+            bits.state = _pcg64_state(*words)
             gen.standard_normal(dtype=FLOAT, out=row)
 
     return fill
@@ -146,12 +154,13 @@ def init_noise_blocks(rng: Rng, t: int, h: int, w: int, c: int) -> np.ndarray:
     """Initial latents: blocks 2..t at their noise (see noise_filler), block 1
     zeroed (the caller installs the anchor there)."""
     z = np.zeros(_check_dims((t, h, w, c)), FLOAT)
-    noise_filler(rng)(z[1:], 2)
+    noise_filler(rng, t)(z[1:], 2)
     return z
 
 
 # numpy's SeedSequence (a pool of four u32 words) and PCG64 seeding, in
-# Python integers. Part of the stream format, like the keys above.
+# Python integers and, per block, in numpy uint64. Part of the stream format,
+# like the keys above.
 _M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
@@ -190,20 +199,28 @@ def _hash_constants(hc: int, mult: int, n: int) -> list[tuple[int, int]]:
     return out
 
 
-def _pcg64_seeder(seed: int, prefix: tuple[int, ...]):
-    """word -> the state dict of PCG64(SeedSequence(seed, spawn_key=prefix +
-    (word,))) for a one-word (u32) last key, bit for bit.
+# The same constants as uint64 arrays and scalars, for the batched hash.
+_U_M32, _U_SHIFT16, _U_SHIFT32, _U_MIX_R = (np.uint64(v) for v in (_M32, 16, 32, _MIX_R))
+_GEN_XOR, _GEN_MULT = np.array(_hash_constants(_INIT_B, _MULT_B, 8), np.uint64).T
 
-    The pool after every entropy word but the last is computed once; the last
-    word then costs four hash-and-mix steps, the eight state words of
-    generate_state(4, uint64) and the 128-bit PCG64 set-seed, unrolled.
+
+def _pcg64_seed_words(seed: int, prefix: tuple[int, ...], words: np.ndarray) -> np.ndarray:
+    """(n, 4) uint64: for each u32 word of words, the seed of
+    PCG64(SeedSequence(seed, spawn_key=prefix + (word,))) as the u64 pairs
+    (initstate high, low, initseq high, low), bit for bit.
+
+    The pool after every entropy word but the last is computed once, in
+    Python integers; the last word then costs four hash-and-mix steps and
+    the eight state words of generate_state(4, uint64), done for all words
+    at once in uint64 arithmetic (everything is reduced mod 2**32, which
+    wrapping mod 2**64 preserves).
     """
     run = _u32_words(seed)
     run += [0] * (4 - len(run))  # numpy pads the seed to the pool size under a spawn key
-    words = run + [w for k in prefix for w in _u32_words(k)]
+    entropy = run + [w for k in prefix for w in _u32_words(k)]
     hc = _INIT_A
     pool = []
-    for w in words[:4]:
+    for w in entropy[:4]:
         v, hc = _hashmix(w, hc)
         pool.append(v)
     for src in range(4):
@@ -211,39 +228,33 @@ def _pcg64_seeder(seed: int, prefix: tuple[int, ...]):
             if src != dst:
                 v, hc = _hashmix(pool[src], hc)
                 pool[dst] = _mix(pool[dst], v)
-    for w in words[4:]:
+    for w in entropy[4:]:
         for dst in range(4):
             v, hc = _hashmix(w, hc)
             pool[dst] = _mix(pool[dst], v)
-    (x0, m0), (x1, m1), (x2, m2), (x3, m3) = _hash_constants(hc, _MULT_A, 4)
-    l0, l1, l2, l3 = (_MIX_L * p for p in pool)  # the pool's half of _mix
-    (a0, b0), (a1, b1), (a2, b2), (a3, b3), (a4, b4), (a5, b5), (a6, b6), (a7, b7) = \
-        _hash_constants(_INIT_B, _MULT_B, 8)
-    M, R = _M32, _MIX_R
 
-    def state(word: int) -> dict:
-        v = (word ^ x0) * m0 & M
-        q0 = (l0 - R * (v ^ v >> 16)) & M
-        v = (word ^ x1) * m1 & M
-        q1 = (l1 - R * (v ^ v >> 16)) & M
-        v = (word ^ x2) * m2 & M
-        q2 = (l2 - R * (v ^ v >> 16)) & M
-        v = (word ^ x3) * m3 & M
-        q3 = (l3 - R * (v ^ v >> 16)) & M
-        q0, q1, q2, q3 = q0 ^ q0 >> 16, q1 ^ q1 >> 16, q2 ^ q2 >> 16, q3 ^ q3 >> 16
-        s0, s1 = (q0 ^ a0) * b0 & M, (q1 ^ a1) * b1 & M
-        s2, s3 = (q2 ^ a2) * b2 & M, (q3 ^ a3) * b3 & M
-        s4, s5 = (q0 ^ a4) * b4 & M, (q1 ^ a5) * b5 & M
-        s6, s7 = (q2 ^ a6) * b6 & M, (q3 ^ a7) * b7 & M
-        # u64 words are little-endian u32 pairs; set-seed takes (high, low)
-        init = ((s1 ^ s1 >> 16) << 96 | (s0 ^ s0 >> 16) << 64
-                | (s3 ^ s3 >> 16) << 32 | s2 ^ s2 >> 16)
-        inc = ((s5 ^ s5 >> 16) << 97 | (s4 ^ s4 >> 16) << 65 | (s7 ^ s7 >> 16) << 33
-               | (s6 ^ s6 >> 16) << 1 | 1) & _M128
-        return {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                "state": {"state": ((inc + init) * _PCG_MULT + inc) & _M128, "inc": inc}}
+    # Column j ends as generate_state's word j, which hashes pool word j % 4;
+    # each pool word (the last word hashed, then mixed into it) is computed
+    # in two columns.
+    xor, mult = np.array(_hash_constants(hc, _MULT_A, 4) * 2, np.uint64).T
+    st = (words[:, None] ^ xor) * mult & _U_M32
+    st ^= st >> _U_SHIFT16
+    st = (np.array([_MIX_L * p & _M32 for p in pool] * 2, np.uint64) - _U_MIX_R * st) & _U_M32
+    st ^= st >> _U_SHIFT16
+    st ^= _GEN_XOR
+    st *= _GEN_MULT
+    st &= _U_M32
+    st ^= st >> _U_SHIFT16
+    # u64 words are little-endian u32 pairs
+    return st[:, 1::2] << _U_SHIFT32 | st[:, 0::2]
 
-    return state
+
+def _pcg64_state(init_hi: int, init_lo: int, seq_hi: int, seq_lo: int) -> dict:
+    """PCG64's set-seed of a 128-bit initstate and initseq, as a state dict."""
+    init = init_hi << 64 | init_lo
+    inc = (seq_hi << 65 | seq_lo << 1 | 1) & _M128
+    return {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+            "state": {"state": ((inc + init) * _PCG_MULT + inc) & _M128, "inc": inc}}
 
 
 def cell_means(taps: np.ndarray) -> np.ndarray:

@@ -16,7 +16,12 @@ live in a read-only per-(d, dtype) table whose rows are `sin_code` rows, a
 window's rows of it are gathered once per index tuple into a small bounded
 cache (a window runs every step of its sigma ladder on the same indices),
 and noise-level codes sit in another such cache, so the bits equal
-`sin_code`'s.
+`sin_code`'s. The attention scale is cached per (d, dtype) and the causal
+mask per window length, and the embedding and softmax work in place.
+
+Inference runs each window in its own [z | ref] input buffer, built once per
+window: a step writes only the noisy channels of the window's tail back into
+it, and the conditioning prefix and the reference half stay as built.
 
 Both pipeline stages are this denoiser. A stage model is the mixer parameters
 plus the codec and sigma schedule it was trained with; a stage differs from
@@ -161,22 +166,36 @@ def _embed(p: MixerParams, x: np.ndarray, sigma: float, indices) -> np.ndarray:
         indices = range(1, n + 1)
     dt = p.w_in.dtype
     h = x @ p.w_in
-    h = h + _level_code(float(1000.0 * sigma), p.d, dt)[None, :]
-    return h + _pos_codes(indices, p.d, dt)
+    h += _level_code(float(1000.0 * sigma), p.d, dt)
+    h += _pos_codes(indices, p.d, dt)
+    return h
+
+
+@lru_cache(maxsize=None)
+def _attn_scale(d: int, dtype):
+    return dtype.type(1.0) / np.sqrt(dtype.type(d))
+
+
+@lru_cache(maxsize=64)
+def _future_mask(n: int) -> np.ndarray:
+    # The entries a causal row may not attend to: the complement of
+    # np.tril(np.ones((n, n), bool)). Bounded: training windows reach t rows.
+    mask = ~np.tril(np.ones((n, n), dtype=bool))
+    mask.flags.writeable = False
+    return mask
 
 
 def _attend(p: MixerParams, h: np.ndarray):
-    n = h.shape[0]
     dt = h.dtype
     q, k, v = h @ p.w_q, h @ p.w_k, h @ p.w_v
-    scale = dt.type(1.0) / np.sqrt(dt.type(p.d))
-    logits = (q @ k.T) * scale
+    scale = _attn_scale(p.d, dt)
+    logits = q @ k.T
+    logits *= scale
     if p.mask_mode == "causal":
-        keep = np.tril(np.ones((n, n), dtype=bool))
-        logits = np.where(keep, logits, dt.type(-np.inf))
-    m = logits.max(axis=1, keepdims=True)
-    e = np.exp(logits - m)
-    attn = e / e.sum(axis=1, keepdims=True)
+        np.copyto(logits, dt.type(-np.inf), where=_future_mask(h.shape[0]))
+    logits -= np.maximum.reduce(logits, axis=1, keepdims=True)
+    attn = np.exp(logits, out=logits)
+    attn /= np.add.reduce(attn, axis=1, keepdims=True)
     return q, k, v, attn, scale
 
 
@@ -190,7 +209,8 @@ def _forward_cache(p: MixerParams, window_blocks: np.ndarray, sigma: float, indi
         raise ValueError(f"sigma must lie in [0,1], got {sigma}")
     h = _embed(p, x, sigma, indices)
     q, k, v, attn, scale = _attend(p, h)
-    r = h + attn @ v
+    r = attn @ v
+    r += h
     y = r @ p.w_out
     return y, (x, h, q, k, v, attn, scale, r)
 
@@ -298,31 +318,35 @@ def denoise_window(p: MixerParams, sigmas, z_window: np.ndarray, ref_window: np.
     """Run the sigma ladder on one window of blocks.
 
     z_window, ref_window: (n, h, w, c). A window is a read-only conditioning
-    prefix followed by its noisy tail, the last n_noisy blocks. The
-    [z | ref] input buffer is built once per window; each step refreshes its
-    noisy channels, predicts velocities for every block, and applies the
-    Euler update to the tail only (the prefix passes through untouched).
-    Every denoising path in the package funnels through here, which is what
-    makes the sequential / streaming / single-window variants bit-identical.
+    prefix followed by its noisy tail, the last n_noisy blocks. The window
+    runs in its own [z | ref] input buffer, built once: each step predicts
+    velocities for every block from the buffer, applies the Euler update to
+    the tail only, and writes the tail back into the buffer's noisy
+    channels, so the prefix and the reference half are written once. The
+    inputs are only read, and the result is a new contiguous array. Every
+    denoising path in the package funnels through here, which is what makes
+    the sequential / streaming / single-window variants bit-identical.
 
-    on_step(k, z, idx), if given, observes the window after each step.
+    on_step(k, z, idx), if given, observes the window's noisy channels (a
+    view into the buffer) after each step.
     """
-    z = z_window.copy()
-    n, h, w, c = z.shape
+    n, h, w, c = z_window.shape
     if not 0 <= n_noisy <= n:
         raise ValueError(f"n_noisy must lie in [0, {n}], got {n_noisy}")
     prefix = n - n_noisy
     idx = tuple(indices)
-    zr = np.concatenate([z, ref_window], axis=-1)  # [z | ref] per pixel; ref half is fixed
+    zr = np.concatenate([z_window, ref_window], axis=-1)  # [z | ref] per pixel
     x = zr.reshape(n, -1)
+    # The tail's state, contiguous: stepping the buffer's strided channels in
+    # place runs numpy's inner loop over c values at a time, which is slower.
+    tail = np.array(z_window[prefix:])
     for k, (sigma_from, sigma_to) in enumerate(zip(sigmas, sigmas[1:])):
-        zr[..., :c] = z
         v_hat = forward(p, x, sigma_from, idx).reshape(n, h, w, c)
-        stepped = sampler_step(z, v_hat, sigma_from, sigma_to)
-        z[prefix:] = stepped[prefix:]
+        tail[...] = sampler_step(tail, v_hat[prefix:], sigma_from, sigma_to)
+        zr[prefix:, ..., :c] = tail
         if on_step is not None:
-            on_step(k, z, idx)
-    return z
+            on_step(k, zr[..., :c], idx)
+    return np.concatenate([z_window[:prefix], tail])
 
 
 def save_params(p: MixerParams, out_dir: str) -> None:

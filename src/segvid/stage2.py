@@ -67,8 +67,9 @@ def infer_csg(model: mixer.StageModel, inp: StageTwoInput, p: scheduler.SegmentP
     """Sequential segment-wise inference. Deterministic per seed.
 
     Each segment's noisy tail is drawn when the loop reaches it, with the
-    same bits as init_latents, so the work before segment 1 does not grow
-    with t. Blocks no segment has reached yet hold zeros.
+    same bits as init_latents, so the per-block work before segment 1 is one
+    batched seed hash (see grid.noise_filler). Blocks no segment has reached
+    yet hold zeros.
 
     on_step(s, k, window, idx) observes each denoise step; on_segment(s, z)
     observes the global latents after each segment.
@@ -77,7 +78,7 @@ def infer_csg(model: mixer.StageModel, inp: StageTwoInput, p: scheduler.SegmentP
         raise ValueError(f"reference has {inp.z_ref.shape[0]} blocks, plan expects {p.t}")
     z = np.zeros((p.t,) + inp.z_x.shape, FLOAT)
     z[0] = inp.z_x
-    fill = noise_filler(Rng(seed).split(NOISE_KEY))
+    fill = noise_filler(Rng(seed).split(NOISE_KEY), p.t)
     for s in range(1, p.S + 1):
         a = p.a[s - 1]
         fill(z[a - 1:a - 1 + len(p.I[s - 1])], a)

@@ -226,6 +226,23 @@ def denoise_window_concat(forward, sigmas, z_window, ref_window, update_mask):
     return z
 
 
+def attend_uncached(p, h):
+    """mixer._attend as it was before its in-place form: a fresh causal
+    keep-mask per call, np.where, and out-of-place softmax steps."""
+    n = h.shape[0]
+    dt = h.dtype
+    q, k, v = h @ p.w_q, h @ p.w_k, h @ p.w_v
+    scale = dt.type(1.0) / np.sqrt(dt.type(p.d))
+    logits = (q @ k.T) * scale
+    if p.mask_mode == "causal":
+        keep = np.tril(np.ones((n, n), dtype=bool))
+        logits = np.where(keep, logits, dt.type(-np.inf))
+    m = logits.max(axis=1, keepdims=True)
+    e = np.exp(logits - m)
+    attn = e / e.sum(axis=1, keepdims=True)
+    return q, k, v, attn, scale
+
+
 # ---- retired package code and test-only helpers ---------------------------
 
 

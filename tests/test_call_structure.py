@@ -1,0 +1,102 @@
+"""The call structure that outside instrumentation relies on.
+
+A span tracer that wraps the package's public functions at their import
+sites (perfbench/tracer.py) checks, on every traced request, that a generate
+request makes K1 + K2·S `mixer.forward` calls, that each `codec.decode` and
+each `streamer.run_streaming` decodes through t direct `decode_block` calls,
+and that every stage-2 window is gathered by `scheduler.window_gather` within
+the (1 + N + M)·h·w token budget. These tests count the same calls the same
+way, so a refactor that would break those checks fails here first.
+"""
+
+import numpy as np
+import pytest
+
+from segvid import codec, mixer, scheduler, stage1, stage2, streamer, synth
+
+
+class Counter:
+    """Wraps one function at its import sites and counts its calls."""
+
+    def __init__(self, monkeypatch, sites, name):
+        real = getattr(sites[0], name)
+        self.calls = []
+
+        def counted(*args, **kwargs):
+            self.calls.append((args, kwargs))
+            return real(*args, **kwargs)
+
+        for mod in sites:
+            assert getattr(mod, name) is real, f"{mod.__name__}.{name} is not {name}"
+            monkeypatch.setattr(mod, name, counted)
+
+    def __len__(self):
+        return len(self.calls)
+
+
+@pytest.fixture(scope="module")
+def request_parts():
+    s1 = stage1.new_stage1(3, K=3)
+    s2 = stage2.new_stage2(4, K=2)
+    image = synth.render_scene(synth.SceneSpec(seed=11, T=1))[0]
+    return s1, s2, image
+
+
+@pytest.fixture
+def counters(monkeypatch):
+    return {
+        "forward": Counter(monkeypatch, [mixer], "forward"),
+        "decode_block": Counter(monkeypatch, [codec, streamer], "decode_block"),
+        "window_gather": Counter(monkeypatch, [scheduler], "window_gather"),
+    }
+
+
+def _decodes_per_call(monkeypatch, counters):
+    """Wrap codec.decode at its import sites; returns the list of
+    decode_block counts, one per decode call."""
+    real = codec.decode
+    per_call = []
+
+    def decode(latent, cfg):
+        before = len(counters["decode_block"])
+        video = real(latent, cfg)
+        per_call.append(len(counters["decode_block"]) - before)
+        return video
+
+    for mod in (codec, stage1):
+        assert mod.decode is real
+        monkeypatch.setattr(mod, "decode", decode)
+    return per_call
+
+
+@pytest.mark.parametrize("T, M, N", [(17, 3, 1), (49, 2, 2), (33, 3, 2)])
+def test_generate_request_call_counts(monkeypatch, request_parts, counters, T, M, N):
+    s1, s2, image = request_parts
+    decodes = _decodes_per_call(monkeypatch, counters)
+    inp = stage2.pipeline_inputs(s1, s2, image, T, seed=5)
+    p = scheduler.plan(inp.z_ref.shape[0], M, N)
+    assert len(counters["forward"]) == s1.schedule.K  # stage 1: one window
+    codec.decode(stage2.infer_csg(s2, inp, p, seed=5), s2.codec_cfg)
+    assert len(counters["forward"]) == s1.schedule.K + s2.schedule.K * p.S
+    assert decodes == [p.t, p.t]  # the LR rollout's decode, then the HR video's
+    h, w = inp.z_x.shape[:2]
+    gathered = [args[2] for args, _ in counters["window_gather"].calls]
+    assert sorted(set(gathered)) == list(range(1, p.S + 1))
+    tokens = [args[0].shape[1] * args[0].shape[2] * len(p.W[args[2] - 1])
+              for args, _ in counters["window_gather"].calls]
+    assert max(tokens) <= (1 + N + M) * h * w
+
+
+@pytest.mark.parametrize("mode", ["serial", "threads"])
+def test_run_streaming_decodes_each_block_once(monkeypatch, request_parts, counters, mode):
+    s1, s2, image = request_parts
+    decodes = _decodes_per_call(monkeypatch, counters)
+    inp = stage2.pipeline_inputs(s1, s2, image, 41, seed=6)
+    p = scheduler.plan(inp.z_ref.shape[0], 3, 1)
+    before = len(counters["decode_block"]), len(counters["forward"])
+    video, _, _ = streamer.run_streaming(s2, inp, p, seed=6, mode=mode)
+    assert len(counters["decode_block"]) - before[0] == p.t
+    assert decodes == [p.t]  # only the LR rollout: the stream decodes block by block
+    assert len(counters["forward"]) - before[1] == s2.schedule.K * p.S
+    ref = codec.decode(stage2.infer_csg(s2, inp, p, seed=6), s2.codec_cfg)
+    assert np.array_equal(video, ref)

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import segvid
 from segvid import cli, synth
@@ -118,6 +119,84 @@ def test_config_layering(tmp_path):
     assert cli.main(["synth", "--config", str(cfg), "--out", str(out2),
                      "--count", "3"]) == 0
     assert len(json.loads((out2 / "manifest.json").read_text())) == 3  # flag beats file
+
+
+# Config keys of `train-stage2` under the layering property: how a flag is
+# drawn (None: the command has no flag for the key), and JSON values of the
+# wrong type for the key's default.
+_INTS = st.integers(-10**6, 10**6)
+_FLOATS = st.floats(-1e6, 1e6, allow_nan=False)
+_LAYERED = {
+    "seed": (_INTS, [2.5, "3", True, None]),
+    "steps": (_INTS, [1.0, "600", False, None]),
+    "tsteps": (_INTS, [[1], {"a": 1}, True]),
+    "sigma": (_FLOATS, ["0.1", True, None]),
+    "mask": (st.sampled_from(sorted(cli.MASKS)), [3, 1.5, False, None]),
+    "height": (None, [32.0, "32", True]),
+    "motif": (None, [0, None, ["x"]]),
+    "count": (None, [6.0, "6", None]),
+}
+_MISSING = object()  # the key is absent from the file
+_VALID = {int: st.integers(-10**6, 10**6), float: st.one_of(_FLOATS, _INTS),
+          str: st.text(max_size=8)}
+
+
+@st.composite
+def _layers(draw):
+    """{key: (flag or None, file value or a missing marker)}."""
+    out = {}
+    for key, (flag, wrong) in _LAYERED.items():
+        default = cli.DEFAULTS[key]
+        f = draw(st.one_of(st.none(), flag)) if flag is not None else None
+        valid = _VALID[type(default)]
+        if key == "count":
+            valid = st.integers(-2, 50)  # a count below 1 is rejected too
+        v = draw(st.one_of(st.just(_MISSING), valid, st.sampled_from(wrong)))
+        out[key] = (f, v)
+    return out
+
+
+@settings(deadline=None, max_examples=150)
+@given(layers=_layers())
+def test_config_layering_property(tmp_path_factory, layers):
+    # flag > file > default; a file value must have its default's JSON type
+    # (an int passes as a float, bool and null never pass as a number); a
+    # flag hides the file's value, wrong or not; a count below 1 is rejected
+    cfg_path = tmp_path_factory.getbasetemp() / "layering.json"
+    cfg_path.write_text(json.dumps({k: v for k, (_, v) in layers.items() if v is not _MISSING}))
+    argv = ["train-stage2", "--corpus", "c", "--stage1", "s", "--config", str(cfg_path)]
+    argv += [f"--{k}={f}" for k, (f, _) in layers.items() if f is not None]
+    args = cli._build_parser().parse_args(argv)
+
+    def expect(key):
+        flag, v = layers[key]
+        default = cli.DEFAULTS[key]
+        if flag is not None:
+            return flag
+        if v is _MISSING:
+            return default
+        if type(default) is float and type(v) is int:
+            v = float(v)
+        if type(v) is not type(default):
+            return ValueError(f"config key '{key}' expects {type(default).__name__}")
+        if key in cli.COUNTS and v < 1:
+            return ValueError(f"{key} must be at least 1, got {v}")
+        return v
+
+    if isinstance(expect("count"), ValueError):  # counts are checked up front
+        with pytest.raises(ValueError, match=str(expect("count"))):
+            cli._Cfg(args)
+        return
+    cfg = cli._Cfg(args)
+    for key in _LAYERED:
+        want = expect(key)
+        if isinstance(want, ValueError):
+            with pytest.raises(ValueError, match=str(want)):
+                cfg.get(key)
+        else:
+            got = cfg.get(key)
+            assert type(got) is type(want) and got == want, key
+            assert cfg.resolved[key] == want
 
 
 def _generate(pipeline, out, *extra):

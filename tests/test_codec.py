@@ -117,10 +117,17 @@ def test_encode_equals_per_block_loop(T, c):
 
 @pytest.mark.parametrize("c", [3, 4])
 def test_decode_block_equals_repeat_then_clip(c):
-    cfg = CodecConfig(c=c)
+    for f_s in (1, 2, 4):
+        _check_decode_block_equals_repeat_then_clip(CodecConfig(c=c, f_s=f_s))
+
+
+def _check_decode_block_equals_repeat_then_clip(cfg):
+    c, f_s = cfg.c, cfg.f_s
     z = (3.0 * np.random.default_rng(c).standard_normal((2, 3, c))).astype(FLOAT)
+    z[0, 0] = -0.0  # a pixel of negative zeros
+    z[1, 2, 0] = -0.0
     rgb = z @ channel_lift(cfg)
-    assert (rgb < 0.0).any() and (rgb > 1.0).any()
+    assert (rgb < 0.0).any() and (rgb > 1.0).any() and (rgb == 0.0).any()
     for first in (True, False):
         got = decode_block(z, cfg, first=first)
         want = oracles.decode_block_repeat_then_clip(z, channel_lift(cfg), cfg.f_s,
@@ -133,7 +140,8 @@ def test_decode_block_equals_repeat_then_clip(c):
         assert decode_block(z, cfg, first=first, out=buf[2:2 + n]).base is buf
         assert buf[2:2 + n].tobytes() == want.tobytes()
         assert (buf[:2] == -7.0).all() and (buf[2 + n:] == -7.0).all()
+    H, W = 2 * f_s, 3 * f_s
     with pytest.raises(ValueError, match="decode target"):
-        decode_block(z, cfg, first=False, out=np.empty((2, 8, 12, 3), FLOAT))  # too few frames
+        decode_block(z, cfg, first=False, out=np.empty((2, H, W, 3), FLOAT))  # too few frames
     with pytest.raises(ValueError, match="decode target"):
-        decode_block(z, cfg, first=True, out=np.empty((1, 8, 24, 3), FLOAT)[:, :, ::2])
+        decode_block(z, cfg, first=True, out=np.empty((1, H, 2 * W, 3), FLOAT)[:, :, ::2])

@@ -8,8 +8,9 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from segvid.grid import (FLOAT, Rng, as_f32, init_noise_blocks, noise_filler, read_siv1,
-                         require_finite, resize_spatial, write_siv1)
+from segvid import grid
+from segvid.grid import (FLOAT, SUB_INIT_NOISE, Rng, as_f32, init_noise_blocks, noise_filler,
+                         read_siv1, require_finite, resize_spatial, write_siv1)
 
 import oracles
 
@@ -80,13 +81,55 @@ def test_init_noise_blocks_equals_per_block_streams(seed, key, t, block, data):
     rng = Rng(seed).split(*key)
     want = oracles.init_noise_blocks_loop(rng, t, *block)
     npt.assert_array_equal(init_noise_blocks(rng, t, *block), want)
-    fill = noise_filler(rng)
+    fill = noise_filler(rng, t)
     for _ in range(3):
         first = data.draw(st.integers(2, max(2, t)), label="first_block")
         count = data.draw(st.integers(0, t + 1 - first), label="count")
         out = np.full((count,) + block, np.nan, FLOAT)
         fill(out, first)
         assert out.tobytes() == want[first - 1:first - 1 + count].tobytes()
+
+
+EDGE_SEEDS = (0, 2**32 - 1, 2**32, 2**64 - 1)
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**64 - 1)),
+       key=st.lists(st.integers(0, 2**64 - 1), max_size=2),
+       run=st.sampled_from((1, 3, 160)), first=st.integers(1, 400),
+       spare=st.integers(0, 5))
+def test_noise_filler_runs_equal_per_block_streams(seed, key, run, first, spare):
+    # the batched seed hash: a run of blocks at any first_block has the bits
+    # of each block's own Rng(seed).split(*key, SUB_INIT_NOISE, i) stream
+    rng = Rng(seed).split(*key)
+    t = first + run - 1 + spare
+    out = np.full((run, 2, 2, 4), np.nan, FLOAT)
+    noise_filler(rng, t)(out, first)
+    for i, row in enumerate(out, first):
+        want = Rng(seed).split(*key, SUB_INIT_NOISE, i).normal((2, 2, 4))
+        assert row.tobytes() == want.tobytes(), f"block {i}"
+
+
+def test_noise_filler_rejects_blocks_outside_its_range():
+    fill = noise_filler(Rng(1), 6)
+    fill(np.empty((0, 2), FLOAT), 9)  # an empty run draws nothing
+    for first, count in ((6, 2), (0, 1), (7, 1)):
+        with pytest.raises(ValueError, match="outside 1..6"):
+            fill(np.empty((count, 2), FLOAT), first)
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**64 - 1)),
+       prefix=st.lists(st.integers(0, 2**64 - 1), max_size=3),
+       words=st.lists(st.one_of(st.sampled_from((0, 1, 2**31 - 1, 2**31, 2**32 - 1)),
+                                st.integers(0, 2**32 - 1)), min_size=1, max_size=8))
+def test_seed_hash_equals_numpy_seeding_per_word(seed, prefix, words):
+    # every u32 last key word, including those no video reaches (up to
+    # 2**32 - 1), seeds PCG64 as numpy's SeedSequence does
+    seeds = grid._pcg64_seed_words(seed, tuple(prefix), np.array(words, np.uint64))
+    for w, row in zip(words, seeds.tolist()):
+        want = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(*prefix, w))).state
+        assert grid._pcg64_state(*row) == want, f"word {w}"
 
 
 def test_rng_seeds_its_generator_on_first_draw(monkeypatch):

@@ -274,3 +274,61 @@ def test_denoise_window_matches_concat_per_step_and_keeps_inputs(broadcast_ref):
         want = oracles.denoise_window_concat(lambda x, s: mixer.forward(p, x, s, idx),
                                              sigmas, z, ref, tail)
         assert a.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("mask_mode", ["causal", "bidirectional"])
+def test_attention_equals_uncached_mask_and_softmax(monkeypatch, mask_mode, dtype):
+    # the cached causal mask and the in-place softmax give the bits of a
+    # fresh np.tril mask and out-of-place steps, forward and backward
+    p = small_params(13, mask_mode).astype(dtype)
+    for n in range(1, 9):
+        x, clean, eps, mask, sigma = random_instance(30 + n, n=n)
+        x, clean, eps = (a.astype(dtype) for a in (x, clean, eps))
+        got_y = mixer.forward(p, x, sigma)
+        got_loss, got_grads = mixer.loss_and_grad(p, x, clean, mask, sigma, eps)
+        with monkeypatch.context() as m:
+            m.setattr(mixer, "_attend", oracles.attend_uncached)
+            want_y = mixer.forward(p, x, sigma)
+            want_loss, want_grads = mixer.loss_and_grad(p, x, clean, mask, sigma, eps)
+        assert got_y.dtype == want_y.dtype and got_y.tobytes() == want_y.tobytes()
+        assert got_loss == want_loss
+        for name in MATS:
+            assert got_grads[name].tobytes() == want_grads[name].tobytes(), name
+    # one read-only mask per window length, reused by every call
+    assert mixer._future_mask(5) is mixer._future_mask(5)
+    assert not mixer._future_mask(5).flags.writeable
+    npt.assert_array_equal(mixer._future_mask(5), ~np.tril(np.ones((5, 5), bool)))
+
+
+def _readonly(a):
+    a = np.array(a, copy=True)
+    a.flags.writeable = False
+    return a
+
+
+@pytest.mark.parametrize("broadcast_ref", [False, True])
+def test_denoise_window_never_writes_its_inputs_or_returns_its_buffer(broadcast_ref):
+    p = mixer.init_mixer(Rng(14), d_in=2 * 2 * 2 * 3, d_out=2 * 2 * 3, d=8)
+    g = np.random.default_rng(8)
+    z = _readonly(g.standard_normal((4, 2, 2, 3)).astype(FLOAT))
+    # stage 1's reference: one anchor latent broadcast over the window (stride 0)
+    ref = (np.broadcast_to(g.standard_normal((2, 2, 3)).astype(FLOAT), z.shape)
+           if broadcast_ref else _readonly(g.standard_normal((4, 2, 2, 3)).astype(FLOAT)))
+    assert not z.flags.writeable and not ref.flags.writeable
+    z0, ref0 = z.tobytes(), np.ascontiguousarray(ref).tobytes()
+    sigmas = mixer.default_schedule(3).sigmas
+    seen = []
+    a = mixer.denoise_window(p, sigmas, z, ref, 3, (1, 2, 3, 4),
+                             on_step=lambda k, zw, idx: seen.append(zw))
+    a_bytes = a.tobytes()
+    assert z.tobytes() == z0 and np.ascontiguousarray(ref).tobytes() == ref0
+    assert a.flags.c_contiguous and a.flags.writeable and a.flags.owndata
+    assert not np.shares_memory(a, z) and not np.shares_memory(a, ref)
+    assert not any(np.shares_memory(a, zw) for zw in seen)
+    # the observed window after the last step is the result
+    assert np.ascontiguousarray(seen[-1]).tobytes() == a_bytes
+    b = mixer.denoise_window(p, sigmas, z, ref, 3, (1, 2, 3, 4))
+    assert a.tobytes() == a_bytes == b.tobytes()  # a later call leaves it alone
+    b[:] = 0.0  # and writing one result changes no other
+    assert a.tobytes() == a_bytes
