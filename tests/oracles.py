@@ -13,18 +13,21 @@ input layout as one tensor, and the transition-pair reader. It also keeps
 the stage-2 conditioning built the obvious way, by encoding the HR hybrid
 video with `encode_loop` (numpy's mean, not the package's pooling), and the
 initial block noise drawn from one `Rng.split` stream per block: the
-references for `conditioning.encode_reference` and `grid.init_noise_blocks`.
+references for `conditioning.encode_reference` and `grid.init_noise_blocks`,
+and the SIV1 writer that truncates its target first, the byte reference for
+the in-place `grid.write_siv1`.
 """
 
 import json
 import os
+import struct
 
 import numpy as np
 
 from segvid import mixer, stage2
 from segvid.codec import CodecConfig, channel_lift, encode
 from segvid.conditioning import StageTwoInput
-from segvid.grid import FLOAT, SUB_INIT_NOISE, as_f32, read_siv1, resize_spatial
+from segvid.grid import FLOAT, SUB_INIT_NOISE, _check_dims, as_f32, read_siv1, resize_spatial
 
 
 def plan_bruteforce(t, M, N):
@@ -376,3 +379,15 @@ def load_pairs(in_dir):
             pairs.append((read_siv1(os.path.join(in_dir, row["lr_tilde"])),
                           read_siv1(os.path.join(in_dir, row["hr"]))))
     return pairs
+
+
+def write_siv1_truncating(path, arr):
+    """SIV1 writer that truncates an existing file on open ("wb") and writes
+    the header, then the payload."""
+    a = as_f32(arr, "tensor")
+    if a.ndim != 4:
+        raise ValueError(f"SIV1 stores 4-D tensors, got shape {a.shape}")
+    _check_dims(a.shape)
+    with open(path, "wb") as f:
+        f.write(struct.pack("<4sIIIII", b"SIV1", *a.shape, 0))
+        f.write(np.ascontiguousarray(a, dtype="<f4").data)

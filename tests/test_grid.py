@@ -1,7 +1,13 @@
 """RNG, resize, and SIV1 container tests."""
 
+import io
+import os
+import stat
 import struct
+import sys
+import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
@@ -118,6 +124,39 @@ def test_noise_filler_rejects_blocks_outside_its_range():
             fill(np.empty((count, 2), FLOAT), first)
 
 
+def test_noise_filler_threads_draw_on_their_own_generators():
+    # fillers share one generator per thread, not per filler: threads
+    # filling at once, switching every few bytecodes, still draw each
+    # block's own split stream bit for bit
+    t, block = 24, (2, 2, 4)
+    rngs = [Rng(seed).split(9) for seed in range(4)]  # more threads than cores
+    want = [oracles.init_noise_blocks_loop(r, t, *block)[1:].tobytes() for r in rngs]
+    got = [[] for _ in rngs]
+    start = threading.Barrier(len(rngs))
+
+    def work(i):
+        fill = noise_filler(rngs[i], t)
+        start.wait(timeout=30)
+        for _ in range(30):
+            out = np.empty((t - 1,) + block, FLOAT)
+            fill(out, 2)
+            got[i].append(out.tobytes())
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(rngs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for i, runs in enumerate(got):
+        assert len(runs) == 30 and all(r == want[i] for r in runs), f"thread {i}"
+
+
 @settings(deadline=None, max_examples=60)
 @given(seed=st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**64 - 1)),
        prefix=st.lists(st.integers(0, 2**64 - 1), max_size=3),
@@ -223,6 +262,77 @@ def test_siv1_roundtrip_bit_exact(tmp_path):
     back = read_siv1(path)
     assert back.tobytes() == arr.tobytes()
     assert back.dtype == FLOAT and back.shape == arr.shape
+
+
+@settings(deadline=None, max_examples=80)
+@given(shape=st.tuples(*[st.integers(1, 5)] * 4),
+       before=st.sampled_from(("missing", "shorter", "equal", "longer")),
+       spare=st.integers(1, 64), fill=st.integers(1, 255),
+       umask=st.sampled_from((0o000, 0o002, 0o022, 0o077)))
+def test_siv1_write_in_place_equals_truncating_write(tmp_path_factory, shape, before,
+                                                     spare, fill, umask):
+    # writing over a missing, shorter, equal-size or longer file gives the
+    # bytes of a truncating write, and a new file its mode; no open truncates
+    d = tmp_path_factory.mktemp("inplace")
+    p, ref = d / "p.siv1", d / "ref.siv1"
+    arr = np.random.default_rng(sum(shape)).standard_normal(shape).astype(FLOAT)
+    size = 24 + 4 * arr.size
+    if before != "missing":
+        old = {"shorter": size - min(spare, size - 1), "equal": size, "longer": size + spare}
+        p.write_bytes(bytes([fill]) * old[before])
+    mask = os.umask(umask)
+    try:
+        with mock.patch.object(os, "open", wraps=os.open) as spy:
+            write_siv1(p, arr)
+        oracles.write_siv1_truncating(ref, arr)
+    finally:
+        os.umask(mask)
+    assert spy.call_count == 1
+    assert not spy.call_args.args[1] & os.O_TRUNC
+    assert p.read_bytes() == ref.read_bytes()
+    if before == "missing":
+        assert stat.S_IMODE(p.stat().st_mode) == stat.S_IMODE(ref.stat().st_mode)
+
+
+def test_siv1_writes_to_non_regular_targets(tmp_path):
+    # /dev/null cannot be truncated and a pipe cannot be rewound either:
+    # both take the header, then the payload
+    arr = np.arange(12, dtype=FLOAT).reshape(1, 2, 3, 2)
+    write_siv1(os.devnull, arr)
+    oracles.write_siv1_truncating(tmp_path / "ref.siv1", arr)
+    r, w = os.pipe()
+    try:
+        write_siv1(f"/proc/self/fd/{w}", arr)
+        got = os.read(r, 1 << 16)
+    finally:
+        os.close(r)
+        os.close(w)
+    assert got == (tmp_path / "ref.siv1").read_bytes()
+
+
+class _TruncateFails(io.BufferedWriter):
+    def truncate(self, pos=None):
+        raise OSError("simulated failure after the payload")
+
+
+def test_siv1_interrupted_rewrite_reads_back_as_bad_magic(tmp_path, monkeypatch):
+    # a rewrite of a same-shape file that stops after the payload must not
+    # read back as a valid header over old and new data, and must close
+    # its descriptor
+    p = tmp_path / "v.siv1"
+    write_siv1(p, np.zeros((2, 3, 3, 2), FLOAT))
+    fds = len(os.listdir("/proc/self/fd"))
+    # the kept traceback holds the writer's frame, so only an explicit close
+    # frees the descriptor before the count
+    with monkeypatch.context() as m, pytest.raises(OSError, match="simulated failure") as failed:
+        m.setattr(grid, "open", lambda fd, mode: _TruncateFails(io.FileIO(fd, "w")),
+                  raising=False)
+        write_siv1(p, np.ones((2, 3, 3, 2), FLOAT))
+    assert len(os.listdir("/proc/self/fd")) == fds
+    with pytest.raises(ValueError) as e:
+        read_siv1(p)
+    msg = str(e.value)
+    assert msg.startswith(f"{p}: ") and "bad magic" in msg and "\n" not in msg
 
 
 def test_siv1_rejects_garbage(tmp_path):
