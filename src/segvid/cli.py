@@ -26,9 +26,9 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import metrics, mixer, scheduler, stage1, stage2, streamer, synth, transition
-from .codec import CodecConfig, decode, encode, latent_shape
+from .codec import CodecConfig, decode, encode, latent_shape, num_blocks
 from .conditioning import encode_reference
-from .grid import read_siv1, resize_spatial, write_siv1
+from .grid import read_siv1, write_siv1
 
 DEFAULTS = {
     "count": 6, "frames": 81, "height": 32, "width": 32,
@@ -41,9 +41,9 @@ DEFAULTS = {
 }
 
 MASKS = {"bi": "bidirectional", "causal": "causal"}
-# Keys that count things (clips, timed runs, seeds); a run over zero of them
-# has nothing to report.
-COUNTS = ("count", "repeats", "seeds", "clips")
+# Keys that count things (clips, timed runs, seeds, queue slots); a run over
+# zero of them has nothing to report.
+COUNTS = ("count", "repeats", "seeds", "clips", "capacity")
 SCALING_FRAMES = (17, 33, 49, 65, 81)
 # The scaling bench wants its max-token column constant across the sweep, so
 # its (M, N) default sits in the saturated regime: every plan in the sweep,
@@ -189,8 +189,7 @@ class _Cfg:
         return out
 
     def echo(self, out):
-        with open(os.path.join(out, "config.resolved.json"), "w") as f:
-            json.dump(self.resolved, f, indent=2, sort_keys=True)
+        _write_json(os.path.join(out, "config.resolved.json"), dict(sorted(self.resolved.items())))
 
 
 def _typed(name: str, v, want: type):
@@ -214,6 +213,16 @@ def _write_csv(path, header, rows):
         w.writerows(rows)
 
 
+def _write_json(path, doc):
+    """A JSON report; NaN and infinity, which strict parsers reject, are refused."""
+    try:
+        text = json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+    with open(path, "w") as f:
+        f.write(text)
+
+
 def _scene_video(cfg: _Cfg, T: int, seed_offset: int = 0) -> np.ndarray:
     spec = synth.SceneSpec(seed=cfg.get("seed") + seed_offset, T=T,
                            H=cfg.get("height"), W=cfg.get("width"),
@@ -223,7 +232,7 @@ def _scene_video(cfg: _Cfg, T: int, seed_offset: int = 0) -> np.ndarray:
 
 def _truth_input(truth: np.ndarray, ccfg: CodecConfig):
     """Conditioning built from the ground-truth downsampled reference."""
-    return encode_reference(resize_spatial(truth, "down_avg", ccfg.f_s), truth[0], ccfg)
+    return encode_reference(stage1.low_res(truth, ccfg), truth[0], ccfg)
 
 
 def _check_pipeline(s1, s2, image: np.ndarray, what: str = "image") -> None:
@@ -233,15 +242,15 @@ def _check_pipeline(s1, s2, image: np.ndarray, what: str = "image") -> None:
     diff = [f"{k}={a[k]} vs {k}={b[k]}" for k in a if a[k] != b[k]]
     if diff:
         raise ValueError(f"stage-1 and stage-2 codec configs differ: {', '.join(diff)}")
-    H, W = image.shape[:2]
-    f = b["f_s"]
-    _check_size(s1, 1, H, W, f * f, what)
-    _check_size(s2, 2, H, W, f, what)
+    _check_size(s1, 1, *image.shape[:2], what)
+    _check_size(s2, 2, *image.shape[:2], what)
 
 
-def _check_size(model, stage: int, H: int, W: int, scale: int, what: str) -> None:
-    """Reject H x W frames whose latents, `scale` times smaller per side, do
-    not fit the stage's checkpoint, before they reach its mixer."""
+def _check_size(model, stage: int, H: int, W: int, what: str) -> None:
+    """Reject H x W frames whose latents do not fit the stage's checkpoint,
+    before they reach its mixer. Stage 2 encodes the frames, pooling them by
+    f_s; stage 1 encodes their LR version, pooling them by f_s twice."""
+    scale = model.codec_cfg.f_s ** (3 - stage)
     per_px = 2 * model.codec_cfg.c  # w_in rows per latent pixel: [noisy c | reference c]
     d_in = per_px * (H // scale) * (W // scale)
     if d_in != model.params.d_in:
@@ -253,8 +262,7 @@ def _check_size(model, stage: int, H: int, W: int, scale: int, what: str) -> Non
 def _load_stage2_for(cfg: _Cfg, args) -> mixer.StageModel:
     """The --stage2 checkpoint, checked against the configured frame size."""
     s2 = stage2.load_stage2(args.stage2)
-    _check_size(s2, 2, cfg.get("height"), cfg.get("width"), s2.codec_cfg.f_s,
-                "height x width")
+    _check_size(s2, 2, cfg.get("height"), cfg.get("width"), "height x width")
     return s2
 
 
@@ -281,17 +289,17 @@ def _train(out: str, stage: int, model, train, evaluate, header) -> None:
     mixer.save_model(model, out, f"stage{stage}")
     _write_csv(os.path.join(out, "train_log.csv"), header,
                [(s, f"{l:.6f}", *rest) for s, l, *rest in log])
-    with open(os.path.join(out, "summary.json"), "w") as fo:
-        json.dump({"init_loss": init_loss, "final_loss": final_loss}, fo, indent=2)
+    _write_json(os.path.join(out, "summary.json"),
+                {"init_loss": init_loss, "final_loss": final_loss})
     print(f"stage{stage}: loss {init_loss:.4f} -> {final_loss:.4f} over {len(log)} steps")
 
 
 def _cmd_train_stage1(cfg: _Cfg, args, out: str) -> None:
-    f = cfg.get("f_s")
-    clips = [resize_spatial(v, "down_avg", f) for _, v in synth.load_corpus(args.corpus)]
+    ccfg = _codec(cfg)
+    clips = [stage1.low_res(v, ccfg) for _, v in synth.load_corpus(args.corpus)]
     seed, steps, lr = cfg.get("seed"), cfg.get("steps"), cfg.get_or("lr", 1e-2)
     _, H, W, _ = clips[0].shape
-    model = stage1.new_stage1(seed, lr_h=H, lr_w=W, codec_cfg=_codec(cfg), d=cfg.get("d"),
+    model = stage1.new_stage1(seed, lr_h=H, lr_w=W, codec_cfg=ccfg, d=cfg.get("d"),
                               K=cfg.get("K"))
     zs = [encode(v, model.codec_cfg) for v in clips]
     _train(out, 1, model, lambda: stage1.train(model, zs, steps, seed, lr),
@@ -301,7 +309,6 @@ def _cmd_train_stage1(cfg: _Cfg, args, out: str) -> None:
 def _cmd_train_stage2(cfg: _Cfg, args, out: str) -> None:
     s1 = stage1.load_stage1(args.stage1)
     clips_hr = [v for _, v in synth.load_corpus(args.corpus)]
-    f = cfg.get("f_s")
     seed, steps, lr = cfg.get("seed"), cfg.get("steps"), cfg.get_or("lr", 3e-4)
     _, H, W, _ = clips_hr[0].shape
     model = stage2.new_stage2(seed, hr_h=H, hr_w=W, codec_cfg=_codec(cfg), d=cfg.get("d"),
@@ -309,22 +316,26 @@ def _cmd_train_stage2(cfg: _Cfg, args, out: str) -> None:
     _check_pipeline(s1, model, clips_hr[0][0], "corpus frame")
     tcfg = transition.TransitionConfig(sigma=cfg.get("sigma"), steps=cfg.get("tsteps"),
                                        seed=seed)
+    pairs = [(stage1.low_res(v, model.codec_cfg), v) for v in clips_hr]
     trans = [stage2.encode_pair(model.codec_cfg, *pair)
-             for pair in transition.synthesize_corpus(clips_hr, s1, tcfg, factor=f)]
-    down = [stage2.encode_pair(model.codec_cfg, *stage2.downsampled_pair(v, f))
-            for v in clips_hr]
+             for pair in transition.synthesize_corpus(pairs, s1, tcfg)]
+    down = [stage2.encode_pair(model.codec_cfg, *pair) for pair in pairs]
     _train(out, 2, model, lambda: stage2.train(model, trans, down, steps, seed, lr),
            lambda: stage2.eval_loss(model, down, seed + 1),
            ["step", "loss", "M", "N", "source"])
 
 
-def _two_stage(cfg: _Cfg, args, image: np.ndarray):
-    """Both checkpoints, checked against the image; then the image's stage-2
-    inputs (stage-1 rollout included) and the segment plan."""
+def _two_stage(cfg: _Cfg, args, image: np.ndarray, min_segments: int = 1):
+    """Both checkpoints, checked against the image, and a segment plan of at
+    least min_segments; then the image's stage-2 inputs (stage-1 rollout included)."""
     s1, s2 = stage1.load_stage1(args.stage1), stage2.load_stage2(args.stage2)
     _check_pipeline(s1, s2, image)
-    inp = stage2.pipeline_inputs(s1, s2, image, cfg.get("frames"), cfg.get("seed"))
-    return s2, inp, scheduler.plan(inp.z_ref.shape[0], cfg.get("M"), cfg.get("N"))
+    T, M, N = cfg.get("frames"), cfg.get("M"), cfg.get("N")
+    p = scheduler.plan(num_blocks(T, s2.codec_cfg.f_t), M, N)
+    if p.S < min_segments:
+        raise ValueError(f"frames={T} at M={M}, N={N} plans {p.S} segment(s), "
+                         f"need at least {min_segments}")
+    return s2, stage2.pipeline_inputs(s1, s2, image, T, cfg.get("seed")), p
 
 
 def _cmd_generate(cfg: _Cfg, args, out: str) -> None:
@@ -337,8 +348,7 @@ def _cmd_generate(cfg: _Cfg, args, out: str) -> None:
         video, events, tm = streamer.run_streaming(s2, inp, p, seed,
                                                    queue_capacity=cfg.get("capacity"))
         streamer.write_events_csv(os.path.join(out, "events.csv"), events)
-        with open(os.path.join(out, "timing.json"), "w") as fo:
-            json.dump(streamer.predict_timing(tm), fo, indent=2)
+        _write_json(os.path.join(out, "timing.json"), streamer.predict_timing(tm))
     else:
         video = decode(stage2.infer_csg(s2, inp, p, seed), s2.codec_cfg)
     write_siv1(os.path.join(out, "video.siv1"), video)
@@ -382,15 +392,15 @@ def _cmd_bench_scaling(cfg: _Cfg, args, out: str) -> None:
                ["T", "t", "S", "max_tokens", "forward_count", "wall_ms"], rows)
     counts = metrics.trend_fit([(r[2], r[4]) for r in rows])
     walls = metrics.trend_fit([(r[2], float(r[5])) for r in rows])
-    with open(os.path.join(out, "scaling.json"), "w") as fo:
-        json.dump({"count_r2": counts.r2, "wall_r2": walls.r2,
-                   "count_slope": counts.slope, "wall_slope": walls.slope}, fo, indent=2)
+    _write_json(os.path.join(out, "scaling.json"),
+                {"count_r2": counts.r2, "wall_r2": walls.r2,
+                 "count_slope": counts.slope, "wall_slope": walls.slope})
     print(f"scaling: count r2={counts.r2:.6f} wall r2={walls.r2:.4f}")
 
 
 def _cmd_bench_boundary(cfg: _Cfg, args, out: str) -> None:
     truth = _scene_video(cfg, cfg.get("frames"), seed_offset=101)  # held-out scene
-    s2, inp, p = _two_stage(cfg, args, truth[0])
+    s2, inp, p = _two_stage(cfg, args, truth[0], min_segments=2)  # a seam needs two
     video = decode(stage2.infer_csg(s2, inp, p, cfg.get("seed")), s2.codec_cfg)
     report = {}
     for metric in ("pixel_diff", "one_minus_ssim"):
@@ -399,8 +409,7 @@ def _cmd_bench_boundary(cfg: _Cfg, args, out: str) -> None:
                           "nonboundary_mean": r.nonboundary_mean,
                           "gap_pct": r.gap_pct,
                           "pairs": [list(q) for q in r.pairs]}
-    with open(os.path.join(out, "boundary.json"), "w") as fo:
-        json.dump(report, fo, indent=2)
+    _write_json(os.path.join(out, "boundary.json"), report)
     print("boundary gap_pct: " +
           ", ".join(f"{m}={report[m]['gap_pct']:.2f}%" for m in report))
 
@@ -439,8 +448,7 @@ def _cmd_bench_accumulation(cfg: _Cfg, args, out: str) -> None:
                ["seed", "slope_bi", "slope_causal"],
                [(s, f"{b:.6f}", f"{c:.6f}") for s, b, c in rows])
     wins = sum(1 for _, b, c in rows if b >= c)
-    with open(os.path.join(out, "accumulation.json"), "w") as fo:
-        json.dump({"bi_ge_causal": wins, "runs": len(rows)}, fo, indent=2)
+    _write_json(os.path.join(out, "accumulation.json"), {"bi_ge_causal": wins, "runs": len(rows)})
     print(f"accumulation: bidirectional slope >= causal in {wins}/{len(rows)} seeds")
 
 
@@ -483,8 +491,7 @@ def _cmd_bench_streaming(cfg: _Cfg, args, out: str) -> None:
               "measured_decode_ms": list(tm.decode_s),
               "measured": runs,
               "matches_sequential": identical}
-    with open(os.path.join(out, "streaming.json"), "w") as fo:
-        json.dump(report, fo, indent=2)
+    _write_json(os.path.join(out, "streaming.json"), report)
     write_siv1(os.path.join(out, "video.siv1"), video)
     print(f"streaming: matches_sequential={identical} "
           f"first_output={report['predicted']['first_output']:.2f}ms (predicted) "
@@ -515,15 +522,16 @@ def _cmd_ablate_mn(cfg: _Cfg, args, out: str) -> None:
 def _cmd_transition(cfg: _Cfg, args, out: str) -> None:
     s1 = stage1.load_stage1(args.stage1)
     clips = [v for _, v in synth.load_corpus(args.corpus)]
-    f, seed = cfg.get("f_s"), cfg.get("seed")
-    _check_size(s1, 1, *clips[0].shape[1:3], f * s1.codec_cfg.f_s, "corpus frame")
-    # The sweep diagnostic denoises with the full schedule depth:a single
+    seed = cfg.get("seed")
+    _check_size(s1, 1, *clips[0].shape[1:3], "corpus frame")
+    down = [(stage1.low_res(v, s1.codec_cfg), v) for v in clips]
+    # The sweep diagnostic denoises with the full schedule depth: a single
     # Euler jump from a large sigma lands near the model mean and scrambles
     # the psnr-vs-sigma ordering that the sweep exists to show. Synthesis
     # below still uses the cheap tsteps operating point.
     sweep_steps = cfg.get("K")
-    per_clip = [transition.sigma_sweep(v, s1, SWEEP_SIGMAS, steps=sweep_steps,
-                                       seed=seed, factor=f) for v in clips]
+    per_clip = [transition.sigma_sweep(v_lr, s1, SWEEP_SIGMAS, steps=sweep_steps, seed=seed)
+                for v_lr, _ in down]
     scores = np.mean([[row[2:] for row in rows] for rows in per_clip], axis=0)
     _write_csv(os.path.join(out, "sigma_sweep.csv"),
                ["sigma", "steps", "snr_db", "psnr_db", "ssim"],
@@ -531,7 +539,7 @@ def _cmd_transition(cfg: _Cfg, args, out: str) -> None:
                 for sig, (a, b, c) in zip(SWEEP_SIGMAS, scores)])
     tcfg = transition.TransitionConfig(sigma=cfg.get("sigma"), steps=cfg.get("tsteps"),
                                        seed=seed)
-    pairs = transition.synthesize_corpus(clips, s1, tcfg, factor=f)
+    pairs = transition.synthesize_corpus(down, s1, tcfg)
     transition.save_pairs(os.path.join(out, "pairs"), pairs, tcfg)
     print(f"transition: {len(pairs)} pairs, sweep over {len(SWEEP_SIGMAS)} sigmas")
 

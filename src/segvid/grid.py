@@ -3,8 +3,8 @@
 Every array that crosses a module boundary in this package is a row-major
 float32 numpy array with finite entries. Pixel videos are (T, H, W, C) with
 values in [0, 1]; latent videos are (t, h, w, c). This module owns the three
-shared primitives: the deterministic RNG, spatial resizing (and the cell
-pooling that the codec shares), and file I/O.
+shared primitives: the deterministic RNG, spatial pooling (the cell means
+that the codec shares), and file I/O.
 
 Reproducibility contract: ``Rng`` wraps numpy's PCG64 bit generator seeded
 through ``SeedSequence``. The same 64-bit seed yields the same value stream
@@ -16,25 +16,12 @@ first draw, so a stream that is only split never builds one.
 
 The initial latent noise needs one sub-stream per latent block. Rather than
 a ``SeedSequence`` and a ``PCG64`` per block, ``noise_filler`` restates
-numpy's ``SeedSequence`` hashing and PCG64 seeding and sets the resulting
-state on a per-thread generator; the tests check it against the per-block
-``split`` streams. The shared key prefix is hashed once per request in Python
-integers, and the block indices of all t blocks in one batched numpy
-``uint64`` pass when the filler is built, so a block then costs its 128-bit
-state assembly, the state set and the draw. A filler draws any run of
-blocks on demand, so the segment-wise stage-2 loop draws each segment's
-noisy tail when it reaches that segment, and its Python work before the
-first segment does not grow with the video length; ``init_noise_blocks`` is
-the call that draws every block at once.
+numpy's ``SeedSequence`` hashing and PCG64 seeding and draws any run of
+blocks on demand; the tests check it against the per-block ``split``
+streams. ``init_noise_blocks`` draws every block at once.
 
 ``write_siv1`` rewrites an existing file in place rather than truncating it
-first: it writes a zeroed header, the payload, cuts the file to the new
-length and writes the real header last. On ext4 mounted with ``discard``,
-freeing and reallocating every block of the old file took several times as
-long as the write itself (about 5 ms against 1 ms for a T=641 video). A
-write interrupted before its last step leaves a file that ``read_siv1``
-rejects for its magic, never a valid header over a mix of old and new
-payload.
+first, and writes the header last.
 """
 
 from __future__ import annotations
@@ -304,13 +291,11 @@ def cell_means(taps: np.ndarray) -> np.ndarray:
     return out
 
 
-def resize_spatial(video: np.ndarray, mode: str, factor: int) -> np.ndarray:
-    """Spatial resize of a (T, H, W, C) pixel video.
-
-    ``down_avg`` takes non-overlapping factor×factor block means (H and W must
-    be divisible by factor) with ``cell_means``, which for C >= 2 equals
-    numpy's float32 mean of each cell bit for bit; ``up_nearest`` replicates
-    each pixel factor×factor. Values stay in [0, 1] for inputs in [0, 1].
+def resize_spatial(video: np.ndarray, factor: int) -> np.ndarray:
+    """Spatial pooling of a (T, H, W, C) pixel video: non-overlapping
+    factor×factor block means (H and W must be divisible by factor) with
+    ``cell_means``, which for C >= 2 equals numpy's float32 mean of each cell
+    bit for bit. Values stay in [0, 1] for inputs in [0, 1].
     """
     v = as_f32(video, "video")
     if v.ndim != 4:
@@ -321,13 +306,9 @@ def resize_spatial(video: np.ndarray, mode: str, factor: int) -> np.ndarray:
     if factor == 1:
         return v.copy()
     t, h, w, c = v.shape
-    if mode == "down_avg":
-        if h % factor or w % factor:
-            raise ValueError(f"extents {h}x{w} not divisible by factor {factor}")
-        return cell_means(v.reshape(t, h // factor, factor, w // factor, factor, c))
-    if mode == "up_nearest":
-        return np.repeat(np.repeat(v, factor, axis=1), factor, axis=2)
-    raise ValueError(f"unknown resize mode {mode!r}")
+    if h % factor or w % factor:
+        raise ValueError(f"extents {h}x{w} not divisible by factor {factor}")
+    return cell_means(v.reshape(t, h // factor, factor, w // factor, factor, c))
 
 
 def write_siv1(path, arr: np.ndarray) -> None:
@@ -339,7 +320,9 @@ def write_siv1(path, arr: np.ndarray) -> None:
 
     An existing regular file is rewritten in place, without truncating it
     first: a zeroed header, the payload, a truncate to the new length, then
-    the real header at offset 0. The bytes on disk are those of a fresh
+    the real header at offset 0. (On ext4 mounted with ``discard``, freeing
+    and reallocating every block of the old file took several times as long
+    as the write itself: about 5 ms against 1 ms for a T=641 video.) The bytes on disk are those of a fresh
     write, and a new file gets the mode open(path, "wb") gives it. A write
     that stops before the header (an exception, a killed process) leaves a
     file that read_siv1 rejects for its magic, never a valid header over a

@@ -279,6 +279,8 @@ class SigmaSchedule:
 
     def __post_init__(self):
         s = self.sigmas
+        if not all(type(x) in (int, float) and math.isfinite(x) for x in s):
+            raise ValueError(f"sigmas must be finite numbers, got {s}")
         if len(s) < 2 or s[0] != 1.0 or s[-1] != 0.0:
             raise ValueError(f"schedule must run 1.0 -> 0.0, got {s}")
         if any(b >= a for a, b in zip(s, s[1:])):
@@ -361,14 +363,28 @@ def save_params(p: MixerParams, out_dir: str) -> None:
         json.dump(side, f, indent=2)
 
 
+def _read_doc(path: str, types: dict) -> dict:
+    """The JSON object at path, whose keys hold values of the given types (a
+    bool is no int); an error names the file and the key."""
+    with open(path) as f:
+        doc = json.load(f)
+    for key, want in types.items():
+        v = doc.get(key) if isinstance(doc, dict) else None
+        if type(v) is not want:
+            raise ValueError(f"{path}: key {key!r} expects {want.__name__}, got {json.dumps(v)}")
+    return doc
+
+
 def load_params(in_dir: str) -> MixerParams:
-    with open(os.path.join(in_dir, "mixer.json")) as f:
-        side = json.load(f)
+    side = _read_doc(os.path.join(in_dir, "mixer.json"), {"d": int, "mask_mode": str})
     mats = {}
     for name in _MATS:
-        arr = read_siv1(os.path.join(in_dir, f"{name}.siv1"))
+        path = os.path.join(in_dir, f"{name}.siv1")
+        arr = read_siv1(path)
+        if arr.shape[0] != 1 or arr.shape[3] != 1:
+            raise ValueError(f"{path}: a matrix is stored as (1, rows, cols, 1), got {arr.shape}")
         mats[name] = arr[0, :, :, 0].copy()
-    p = MixerParams(d=int(side["d"]), mask_mode=str(side["mask_mode"]), **mats)
+    p = MixerParams(d=side["d"], mask_mode=side["mask_mode"], **mats)
     p.check()
     return p
 
@@ -473,8 +489,11 @@ def save_model(model: StageModel, out_dir: str, name: str) -> None:
 
 
 def load_model(in_dir: str, name: str) -> StageModel:
-    with open(os.path.join(in_dir, f"{name}.json")) as f:
-        doc = json.load(f)
-    cfg = CodecConfig(f_s=doc["f_s"], f_t=doc["f_t"], c=doc["c"], lift_seed=doc["lift_seed"])
-    return StageModel(params=load_params(in_dir), codec_cfg=cfg,
-                      schedule=SigmaSchedule(tuple(doc["sigmas"])))
+    path = os.path.join(in_dir, f"{name}.json")
+    doc = _read_doc(path, {"f_s": int, "f_t": int, "c": int, "lift_seed": int, "sigmas": list})
+    try:
+        cfg = CodecConfig(f_s=doc["f_s"], f_t=doc["f_t"], c=doc["c"], lift_seed=doc["lift_seed"])
+        schedule = SigmaSchedule(tuple(doc["sigmas"]))
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+    return StageModel(params=load_params(in_dir), codec_cfg=cfg, schedule=schedule)

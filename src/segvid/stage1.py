@@ -1,6 +1,7 @@
 """Low-resolution motion generator: the one-window case of the windowed
 denoiser.
 
+Its LR video is the HR video pooled once by the codec's f_s (``low_res``).
 Stage 1 is the segment plan with M = t-1 and N = 0: a single window that
 holds every block, conditioned by channel-concatenating the broadcast anchor
 latent (the encoded first frame) to every block. Block 1 holds the anchor
@@ -18,9 +19,14 @@ import numpy as np
 
 from . import mixer, scheduler
 from .codec import CodecConfig, decode, encode, latent_shape
-from .grid import as_f32
+from .grid import as_f32, resize_spatial
 
 NOISE_KEY = 1  # initial-noise key of this stage; stage 2 uses 2
+
+
+def low_res(video: np.ndarray, cfg: CodecConfig) -> np.ndarray:
+    """The LR video of a (T, H, W, 3) HR video: every frame pooled by f_s."""
+    return resize_spatial(video, cfg.f_s)
 
 
 def new_stage1(seed: int, lr_h: int = 8, lr_w: int = 8,

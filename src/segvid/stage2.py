@@ -15,8 +15,8 @@ stage's own is its policy: (M, N) drawn from MN_CHOICES, a seeded segment of
 that plan as the training window, the hybrid reference, reference input rows
 that start zero-initialized (a fresh model ignores reference content until
 training moves those weights), and a 7:3 mix of transition and plain
-downsampled pairs. Training and evaluation take encoded pairs
-(`encode_pair`), so a caller encodes each pair once.
+downsampled pairs (`stage1.low_res(v, cfg)`, v). Training and evaluation take
+encoded pairs (`encode_pair`), so a caller encodes each pair once.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 from . import mixer, scheduler, stage1 as stage1_mod
 from .codec import CodecConfig, encode
 from .conditioning import StageTwoInput, encode_reference
-from .grid import FLOAT, Rng, as_f32, noise_filler, resize_spatial
+from .grid import FLOAT, Rng, as_f32, noise_filler
 
 MN_CHOICES = ((2, 1), (2, 2), (3, 1), (3, 2))
 TRANSITION_SHARE = 0.7  # transition pairs vs plain downsampled pairs
@@ -135,15 +135,8 @@ def train(model: mixer.StageModel, transition_latents, down_latents, steps: int,
     return mixer.train_windows(model.params, window, steps, seed, lr, stage=2)
 
 
-def downsampled_pair(v_hr: np.ndarray, factor: int):
-    """Plain training pair: (Down(v_hr), v_hr)."""
-    return resize_spatial(as_f32(v_hr, "v_hr"), "down_avg", factor), v_hr
-
-
 def pipeline_inputs(s1, model: mixer.StageModel, x_hr: np.ndarray, T: int, seed: int):
     """Stage I rollout plus conditioning assembly for one input image."""
     x = as_f32(x_hr, "x_hr")
-    factor = model.codec_cfg.f_s  # LR is one spatial pooling factor below HR
-    x_lr = resize_spatial(x[None], "down_avg", factor)[0]
-    v_lr = stage1_mod.generate_lr(s1, x_lr, T, seed)
+    v_lr = stage1_mod.generate_lr(s1, stage1_mod.low_res(x[None], model.codec_cfg)[0], T, seed)
     return encode_reference(v_lr, x, model.codec_cfg)

@@ -1,12 +1,12 @@
-"""Stage-transition training data: corrupt a downsampled clip along the flow
-path in latent space, partially denoise it with the LR model, and pair the
-decoded result with the original HR clip. Stage II trained on such pairs sees
-LR-stage artifacts during training instead of meeting them cold at inference.
+"""Stage-transition training data: corrupt an LR clip (``stage1.low_res``)
+along the flow path in latent space, partially denoise it with the LR model,
+and pair the decoded result with the original HR clip. Stage II trained on
+such pairs sees LR-stage artifacts instead of meeting them cold at inference.
 
 Corruption happens in latent space ((1-sigma)*z + sigma*eps) rather than as
 raw pixel noise so the LR denoiser sees exactly its training-time noise
 model. sigma=0 skips denoising entirely and yields the plain codec
-projection of the downsampled clip.
+projection of the LR clip.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import metrics, stage1
 from .codec import decode, encode
-from .grid import Rng, SUB_TRANSITION, as_f32, resize_spatial, write_siv1
+from .grid import Rng, SUB_TRANSITION, write_siv1
 from .mixer import StageModel
 
 
@@ -36,22 +36,19 @@ class TransitionConfig:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
 
 
-def synthesize_pair(v_hr: np.ndarray, s1: StageModel, cfg: TransitionConfig,
-                    factor: int = 4, key: int = 0):
-    """Build one (corrupted-and-redenoised LR video, clean HR video) pair.
+def synthesize_lr(v_lr: np.ndarray, s1: StageModel, cfg: TransitionConfig, key: int = 0):
+    """The corrupted-and-redenoised version of a clean LR video.
 
     `key` separates corruption sub-streams when synthesizing many pairs from
     one config seed. Deterministic per (cfg.seed, key).
     """
-    v_hr = as_f32(v_hr, "v_hr")
-    v_lr = resize_spatial(v_hr, "down_avg", factor)
     z0 = encode(v_lr, s1.codec_cfg)
     if cfg.sigma == 0.0:
-        return decode(z0, s1.codec_cfg), v_hr
+        return decode(z0, s1.codec_cfg)
     eps = Rng(cfg.seed).split(SUB_TRANSITION, key).normal(z0.shape)
     z_noisy = (1.0 - cfg.sigma) * z0 + cfg.sigma * eps
     z_tilde = stage1.denoise_from(s1, z_noisy, v_lr[0], cfg.sigma, cfg.steps)
-    return decode(z_tilde, s1.codec_cfg), v_hr
+    return decode(z_tilde, s1.codec_cfg)
 
 
 def diagnostics(v_lr_tilde: np.ndarray, v_lr_clean: np.ndarray):
@@ -62,23 +59,21 @@ def diagnostics(v_lr_tilde: np.ndarray, v_lr_clean: np.ndarray):
     return snr, ps, ss
 
 
-def sigma_sweep(v_hr: np.ndarray, s1: StageModel, sigmas, steps: int = 1,
-                seed: int = 0, factor: int = 4):
-    """Diagnostics rows (sigma, steps, snr, psnr, ssim) at a fixed seed/model."""
-    v_lr = resize_spatial(as_f32(v_hr, "v_hr"), "down_avg", factor)
+def sigma_sweep(v_lr: np.ndarray, s1: StageModel, sigmas, steps: int = 1, seed: int = 0):
+    """Diagnostics rows (sigma, steps, snr, psnr, ssim) of an LR video, fixed seed/model."""
     rows = []
     for sg in sigmas:
         cfg = TransitionConfig(sigma=float(sg), steps=steps, seed=seed)
-        v_tilde, _ = synthesize_pair(v_hr, s1, cfg, factor=factor)
-        snr, ps, ss = diagnostics(v_tilde, v_lr)
+        snr, ps, ss = diagnostics(synthesize_lr(v_lr, s1, cfg), v_lr)
         rows.append((float(sg), steps, snr, ps, ss))
     return rows
 
 
-def synthesize_corpus(v_hrs, s1: StageModel, cfg: TransitionConfig,
-                      factor: int = 4):
-    """Pairs for a whole clip list, one corruption sub-stream per clip."""
-    return [synthesize_pair(v, s1, cfg, factor=factor, key=i) for i, v in enumerate(v_hrs)]
+def synthesize_corpus(down_pairs, s1: StageModel, cfg: TransitionConfig):
+    """Transition pairs (synthesized LR video, HR video) from plain (LR, HR)
+    pairs, one corruption sub-stream per pair."""
+    return [(synthesize_lr(v_lr, s1, cfg, key=i), v_hr)
+            for i, (v_lr, v_hr) in enumerate(down_pairs)]
 
 
 def save_pairs(out_dir: str, pairs, cfg: TransitionConfig) -> None:

@@ -27,7 +27,7 @@ import numpy as np
 from segvid import mixer, stage2
 from segvid.codec import CodecConfig, channel_lift, encode
 from segvid.conditioning import StageTwoInput
-from segvid.grid import FLOAT, SUB_INIT_NOISE, _check_dims, as_f32, read_siv1, resize_spatial
+from segvid.grid import FLOAT, SUB_INIT_NOISE, _check_dims, as_f32, read_siv1
 
 
 def plan_bruteforce(t, M, N):
@@ -255,7 +255,7 @@ def build_hybrid_reference(v_lr, x, factor):
     xf = as_f32(x, "x")
     if v.ndim != 4 or xf.ndim != 3:
         raise ValueError("v_lr must be (T,H,W,C), x a single (H,W,C) frame")
-    up = resize_spatial(v, "up_nearest", factor)
+    up = np.repeat(np.repeat(v, factor, axis=1), factor, axis=2)
     if up.shape[1:] != xf.shape:
         raise ValueError(f"upsampled frames {up.shape[1:]} do not match input frame {xf.shape}")
     out = up.copy()

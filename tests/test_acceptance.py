@@ -22,7 +22,7 @@ def scene_input(seed, T, H=32, mask_mode="bidirectional"):
     """Random-parameter model plus conditioning built from one synthetic clip."""
     v = synth.render_scene(synth.SceneSpec(seed=seed, T=T, H=H, W=H))
     model = stage2.new_stage2(seed, hr_h=H, hr_w=H, mask_mode=mask_mode)
-    v_lr = resize_spatial(v, "down_avg", 4)
+    v_lr = resize_spatial(v, 4)
     return model, encode_reference(v_lr, v[0], model.codec_cfg)
 
 

@@ -9,10 +9,12 @@ the (1 + N + M)·h·w token budget. These tests count the same calls the same
 way, so a refactor that would break those checks fails here first.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
-from segvid import codec, mixer, scheduler, stage1, stage2, streamer, synth
+from segvid import cli, codec, grid, mixer, scheduler, stage1, stage2, streamer, synth
 
 
 class Counter:
@@ -100,3 +102,20 @@ def test_run_streaming_decodes_each_block_once(monkeypatch, request_parts, count
     assert len(counters["forward"]) - before[1] == s2.schedule.K * p.S
     ref = codec.decode(stage2.infer_csg(s2, inp, p, seed=6), s2.codec_cfg)
     assert np.array_equal(video, ref)
+
+
+def test_commands_pool_each_clip_to_lr_once(monkeypatch, pipeline, tmp_path):
+    # at the default 6-clip corpus each command pools each HR clip to LR
+    # once, shared by all its uses, and resizes nothing else
+    real = grid.resize_spatial
+    sites = [m for n, m in sorted(sys.modules.items())
+             if n.startswith("segvid") and getattr(m, "resize_spatial", None) is real]
+    resize = Counter(monkeypatch, sites, "resize_spatial")
+    corpus, s1 = pipeline["corpus"], pipeline["s1"]
+    for argv in (["train-stage1", "--corpus", corpus, "--steps", "2"],
+                 ["train-stage2", "--corpus", corpus, "--stage1", s1, "--steps", "2"],
+                 ["transition", "--corpus", corpus, "--stage1", s1]):
+        resize.calls.clear()
+        assert cli.main(argv + ["--out", str(tmp_path / argv[0])]) == 0
+        inputs = [args[0].shape for args, _ in resize.calls]
+        assert inputs == [(81, 32, 32, 3)] * 6, argv[0]

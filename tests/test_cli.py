@@ -4,6 +4,7 @@ config layering, deterministic generation, streaming parity, ablation."""
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import segvid
-from segvid import cli, synth
+from segvid import cli, stage2, synth
 from segvid.grid import read_siv1, write_siv1
 
 
@@ -85,7 +86,7 @@ def test_empty_corpus_exits_2(tmp_path, capsys):
     assert "\n" not in err and "holds no clips" in err
 
 
-@pytest.mark.parametrize("key", ["count", "repeats", "seeds", "clips"])
+@pytest.mark.parametrize("key", ["count", "repeats", "seeds", "clips", "capacity"])
 def test_count_below_one_exits_2_before_any_output(pipeline, tmp_path, capsys, key):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"repeats": 0}))
@@ -93,7 +94,9 @@ def test_count_below_one_exits_2_before_any_output(pipeline, tmp_path, capsys, k
     argv = {"count": ["synth", "--count", "0"],
             "repeats": ["bench", "scaling", "--config", str(cfg)],
             "seeds": accumulation + ["--seeds", "0"],
-            "clips": accumulation + ["--clips", "0"]}[key]
+            "clips": accumulation + ["--clips", "0"],
+            "capacity": ["generate", "--stage1", pipeline["s1"], "--stage2", pipeline["s2"],
+                         "--image", pipeline["image"], "--stream", "--capacity", "0"]}[key]
     out = tmp_path / "o"
     assert cli.main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err.strip()
@@ -416,3 +419,61 @@ def test_stage2_commands_reject_frame_size_mismatch(pipeline, tmp_path, capsys, 
     assert "\n" not in err and "height x width is 64x64" in err
     assert "stage-2 checkpoint has d_in 512 (1024 pixels per frame)" in err
     assert "window blocks" not in err
+
+
+def _set_key(name, key, value):
+    def corrupt(ckpt):
+        doc = json.loads((ckpt / name).read_text())
+        doc[key] = value
+        (ckpt / name).write_text(json.dumps(doc))
+    return corrupt
+
+
+def _two_w_q_slices(ckpt):
+    w = read_siv1(ckpt / "w_q.siv1")
+    write_siv1(ckpt / "w_q.siv1", np.concatenate([w, w]))
+
+
+@pytest.mark.parametrize("corrupt, want", [
+    (_set_key("stage1.json", "f_s", "4"), "stage1.json: key 'f_s' expects int, got \"4\""),
+    (_set_key("mixer.json", "d", None), "mixer.json: key 'd' expects int, got null"),
+    (_set_key("stage1.json", "sigmas", [1.0, "x", 0.0]),
+     "stage1.json: sigmas must be finite numbers, got (1.0, 'x', 0.0)"),
+    (_two_w_q_slices, "w_q.siv1: a matrix is stored as (1, rows, cols, 1), got (2, 32, 32, 1)"),
+], ids=["f_s-string", "d-null", "sigmas-string", "w_q-two-slices"])
+def test_corrupt_checkpoint_exits_2_naming_file(pipeline, tmp_path, capsys, corrupt, want):
+    s1 = tmp_path / "s1"
+    shutil.copytree(pipeline["s1"], s1)
+    corrupt(s1)
+    rc = cli.main(["generate", "--stage1", str(s1), "--stage2", pipeline["s2"],
+                   "--image", pipeline["image"], "--out", str(tmp_path / "o"), "--frames", "17"])
+    assert rc == 2
+    err = capsys.readouterr().err.strip()
+    assert "\n" not in err and f"{s1}{os.sep}{want}" in err, err
+
+
+def test_bench_boundary_rejects_plan_without_seams(pipeline, tmp_path, capsys, monkeypatch):
+    # M=40 at T=81 (t=21) is one segment: no seam to score, so the command
+    # stops before the stage-1 rollout, and writes no boundary.json
+    def rollout(*args):
+        raise AssertionError("the stage-1 rollout ran")
+
+    monkeypatch.setattr(stage2, "pipeline_inputs", rollout)
+    out = tmp_path / "b"
+    rc = cli.main(["bench", "boundary", "--stage1", pipeline["s1"], "--stage2", pipeline["s2"],
+                   "--M", "40", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err.strip()
+    assert "\n" not in err and "frames=81 at M=40, N=1 plans 1 segment(s)" in err, err
+    assert not (out / "boundary.json").exists()
+
+
+def test_write_json_refuses_nan_and_infinity(tmp_path):
+    ok = tmp_path / "ok.json"
+    cli._write_json(ok, {"a": [1.5, 2], "b": "x"})
+    assert json.loads(ok.read_text(), parse_constant=pytest.fail) == {"a": [1.5, 2], "b": "x"}
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        path = tmp_path / "bad.json"
+        with pytest.raises(ValueError, match="bad.json: Out of range float values"):
+            cli._write_json(path, {"report": {"gap_pct": bad}})
+        assert not path.exists()

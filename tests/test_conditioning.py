@@ -21,7 +21,7 @@ CFG = CodecConfig()
 def test_hybrid_reference_swaps_first_frame():
     rng = np.random.default_rng(0)
     v_hr = rng.random((9, 32, 32, 3)).astype(FLOAT)
-    v_lr = resize_spatial(v_hr, "down_avg", 4)
+    v_lr = resize_spatial(v_hr, 4)
     out = build_hybrid_reference(v_lr, v_hr[0], 4)
     npt.assert_array_equal(out[0], v_hr[0])
     # later frames are the cell-mean broadcast of the HR frames
@@ -32,7 +32,7 @@ def test_hybrid_reference_swaps_first_frame():
 def test_hybrid_reference_single_frame():
     rng = np.random.default_rng(1)
     x = rng.random((32, 32, 3)).astype(FLOAT)
-    out = build_hybrid_reference(resize_spatial(x[None], "down_avg", 4), x, 4)
+    out = build_hybrid_reference(resize_spatial(x[None], 4), x, 4)
     npt.assert_array_equal(out, x[None])
 
 
@@ -85,28 +85,27 @@ def test_build_stage2_input_consistency():
 @settings(deadline=None, max_examples=150)
 @given(f_s=st.sampled_from((2, 3, 4, 5, 8)), f_t=st.sampled_from((1, 2, 4)),
        c=st.sampled_from((3, 4)), groups=st.integers(0, 6), h=st.integers(1, 3),
-       w=st.integers(1, 3), scale=st.sampled_from((1, 2)), seed=st.integers(0, 2**32 - 1))
-def test_encode_reference_equals_hybrid_oracle(f_s, f_t, c, groups, h, w, scale, seed):
+       w=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_encode_reference_equals_hybrid_oracle(f_s, f_t, c, groups, h, w, seed):
     # LR group means pooled through a stride-0 tap view give the bits of
     # encoding the HR hybrid video with numpy's mean; T = 1 + groups * f_t
     # goes down to a lone frame
     cfg = CodecConfig(f_s=f_s, f_t=f_t, c=c)
-    factor = f_s * scale
     rng = np.random.default_rng(seed)
     v_lr = rng.random((1 + groups * f_t, h * f_s, w * f_s, 3)).astype(FLOAT)
-    x = rng.random((h * f_s * factor, w * f_s * factor, 3)).astype(FLOAT)
+    x = rng.random((h * f_s * f_s, w * f_s * f_s, 3)).astype(FLOAT)
     got = encode_reference(v_lr, x, cfg)
-    want = build_stage2_input(build_hybrid_reference(v_lr, x, factor), x, cfg)
-    assert got.z_ref.shape == want.z_ref.shape == (1 + groups, h * scale * f_s, w * scale * f_s, c)
+    want = build_stage2_input(build_hybrid_reference(v_lr, x, f_s), x, cfg)
+    assert got.z_ref.shape == want.z_ref.shape == (1 + groups, h * f_s, w * f_s, c)
     npt.assert_array_equal(got.z_ref, want.z_ref)
     npt.assert_array_equal(got.z_x, want.z_x)
 
 
 def test_encode_reference_validation():
     x = np.zeros((32, 32, 3), FLOAT)
-    with pytest.raises(ValueError, match="do not upsample"):
+    with pytest.raises(ValueError, match="pooled by f_s=4"):
         encode_reference(np.zeros((5, 8, 16, 3), FLOAT), x, CFG)
-    with pytest.raises(ValueError, match="do not upsample"):
+    with pytest.raises(ValueError, match="pooled by f_s=4"):
         encode_reference(np.zeros((5, 5, 5, 3), FLOAT), x, CFG)
     with pytest.raises(ValueError):
         encode_reference(np.zeros((6, 8, 8, 3), FLOAT), x, CFG)  # T - 1 not a multiple of f_t
@@ -114,8 +113,8 @@ def test_encode_reference_validation():
         encode_reference(np.zeros((5, 8, 8, 3), FLOAT), x[None], CFG)
 
 
-def test_encode_reference_rejects_factor_not_multiple_of_f_s():
-    # 16x16 LR frames upsample to 32x32 by 2, which f_s=4 does not divide
+def test_encode_reference_rejects_lr_not_pooled_by_f_s():
+    # 16x16 LR frames are 32x32 frames pooled by 2, not by f_s=4
     with pytest.raises(ValueError) as e:
         encode_reference(np.zeros((5, 16, 16, 3), FLOAT), np.zeros((32, 32, 3), FLOAT), CFG)
     msg = str(e.value)

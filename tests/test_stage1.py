@@ -17,7 +17,7 @@ import oracles
 
 def lr_clips(n=4, T=17):
     specs = synth.default_specs(n, 40, T=T)
-    return [resize_spatial(synth.render_scene(s), "down_avg", 4) for s in specs]
+    return [resize_spatial(synth.render_scene(s), 4) for s in specs]
 
 
 def latents(clips, model):

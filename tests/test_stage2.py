@@ -4,12 +4,17 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from segvid import cli, mixer, scheduler, stage2, synth
-from segvid.codec import encode
+from segvid import cli, mixer, scheduler, stage1, stage2, synth
+from segvid.codec import CodecConfig, encode
 from segvid.conditioning import StageTwoInput, encode_reference
-from segvid.grid import FLOAT, SUB_TRAIN, Rng, resize_spatial
+from segvid.grid import FLOAT, SUB_TRAIN, Rng
 
 import oracles
+
+
+def down_pair(v):
+    """A plain training pair: (LR clip, HR clip)."""
+    return stage1.low_res(v, CodecConfig()), v
 
 
 def encoded(model, pairs):
@@ -19,7 +24,7 @@ def encoded(model, pairs):
 def truth_and_input(seed=0, T=33, cfg=None):
     truth = synth.render_scene(synth.SceneSpec(seed=seed, T=T))
     cfg = cfg or stage2.new_stage2(0).codec_cfg
-    v_lr = resize_spatial(truth, "down_avg", cfg.f_s)
+    v_lr = stage1.low_res(truth, cfg)
     return truth, encode_reference(v_lr, truth[0], cfg)
 
 
@@ -93,7 +98,7 @@ def test_zero_init_reference_invariance():
 def test_trained_model_uses_reference():
     model = stage2.new_stage2(4)
     truth, inp = truth_and_input(seed=3)
-    pairs = encoded(model, [stage2.downsampled_pair(truth, 4)])
+    pairs = encoded(model, [down_pair(truth)])
     stage2.train(model, [], pairs, steps=50, seed=0, lr=3e-4)
     other = StageTwoInput(z_ref=inp.z_ref + 1.5, z_x=inp.z_x)
     p = scheduler.plan(inp.z_ref.shape[0], 3, 1)
@@ -111,7 +116,7 @@ def test_plan_mismatch_rejected():
 def test_train_step_draws_mn_from_choices():
     model = stage2.new_stage2(6)
     truth, _ = truth_and_input(seed=4, T=17)
-    pair = encoded(model, [stage2.downsampled_pair(truth, 4)])
+    pair = encoded(model, [down_pair(truth)])
     log = stage2.train(model, [], pair, steps=60, seed=0, lr=1e-4)
     assert {(M, N) for _, _, M, N, _ in log} == set(stage2.MN_CHOICES)
     # a given (M, N) is the one used: eval_loss at (3, 2) is the retired
@@ -125,7 +130,7 @@ def test_train_step_draws_mn_from_choices():
 def test_train_mix_ratio_and_log():
     model = stage2.new_stage2(7)
     truth, _ = truth_and_input(seed=5, T=17)
-    pair = encoded(model, [stage2.downsampled_pair(truth, 4)])[0]
+    pair = encoded(model, [down_pair(truth)])[0]
     log = stage2.train(model, [pair], [pair], steps=200, seed=3, lr=1e-4)
     srcs = [row[4] for row in log]
     share = srcs.count("transition") / len(srcs)
@@ -139,7 +144,7 @@ def test_train_mix_ratio_and_log():
 def test_training_improves_heldout_loss():
     clips = [synth.render_scene(s) for s in synth.default_specs(4, 60, T=17)]
     model = stage2.new_stage2(0)
-    pairs = encoded(model, [stage2.downsampled_pair(v, 4) for v in clips])
+    pairs = encoded(model, [down_pair(v) for v in clips])
     before = stage2.eval_loss(model, pairs, seed=42)
     stage2.train(model, [], pairs, steps=500, seed=0, lr=3e-4)
     after = stage2.eval_loss(model, pairs, seed=42)
@@ -169,7 +174,6 @@ def test_save_load_roundtrip(tmp_path):
 
 
 def test_pipeline_inputs_shapes():
-    from segvid import stage1
     s1 = stage1.new_stage1(0)
     s2 = stage2.new_stage2(0)
     x = synth.render_scene(synth.SceneSpec(seed=8, T=17))[0]
@@ -180,7 +184,7 @@ def test_pipeline_inputs_shapes():
 
 def _pairs(seed, n=2, T=17):
     clips = [synth.render_scene(s) for s in synth.default_specs(n, seed, T=T)]
-    return [stage2.downsampled_pair(v, 4) for v in clips]
+    return [down_pair(v) for v in clips]
 
 
 def _same_params(a, b):

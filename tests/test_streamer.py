@@ -22,7 +22,7 @@ from segvid.streamer import StreamError, StreamEvent, TimingModel
 def make_setup(seed, T, M=3, N=1):
     v_hr = synth.render_scene(synth.SceneSpec(seed=seed, T=T, H=16, W=16))
     model = stage2.new_stage2(seed, hr_h=16, hr_w=16)
-    inp = encode_reference(resize_spatial(v_hr, "down_avg", 4), v_hr[0], model.codec_cfg)
+    inp = encode_reference(resize_spatial(v_hr, 4), v_hr[0], model.codec_cfg)
     p = scheduler.plan(inp.z_ref.shape[0], M, N)
     return model, inp, p
 

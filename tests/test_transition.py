@@ -8,64 +8,63 @@ import numpy.testing as npt
 import pytest
 
 from segvid import stage1, synth, transition
-from segvid.codec import decode, encode
-from segvid.grid import resize_spatial
+from segvid.codec import CodecConfig, decode, encode
 
 import oracles
 
 
 @pytest.fixture(scope="module")
 def hi_res():
-    """Corpus at H=W=64 plus a stage 1 trained at 16x16 LR. The larger frame
-    gives the LR shift-correlation oracle a 4x4 latent grid to lock onto; at
-    32x32 the 2x2 latent torus leaves no usable correlation margin."""
+    """The 16x16 LR clips of an H=W=64 corpus plus a stage 1 trained on them.
+    The larger frame gives the LR shift-correlation oracle a 4x4 latent grid
+    to lock onto; at 32x32 the 2x2 latent torus leaves no usable correlation
+    margin."""
     specs = synth.default_specs(6, 0, T=81, H=64, W=64)
     clips = [synth.render_scene(s) for s in specs]
-    lr_clips = [resize_spatial(v, "down_avg", 4) for v in clips]
+    lr_clips = [stage1.low_res(v, CodecConfig()) for v in clips]
     model = stage1.new_stage1(0, lr_h=16, lr_w=16)
     stage1.train(model, [encode(v, model.codec_cfg) for v in lr_clips], steps=600, seed=0,
                  lr=3e-3)
-    return specs, clips, model
+    return specs, lr_clips, model
+
+
+def lr_scene(seed):
+    return stage1.low_res(synth.render_scene(synth.SceneSpec(seed=seed, T=17)), CodecConfig())
 
 
 def test_sigma_zero_is_codec_projection():
-    v = synth.render_scene(synth.SceneSpec(seed=1, T=17))
+    v_lr = lr_scene(1)
     s1 = oracles.null_stage1()
-    cfg = transition.TransitionConfig(sigma=0.0)
-    v_tilde, v_back = transition.synthesize_pair(v, s1, cfg)
-    npt.assert_array_equal(v_back, v)
-    v_lr = resize_spatial(v, "down_avg", 4)
+    v_tilde = transition.synthesize_lr(v_lr, s1, transition.TransitionConfig(sigma=0.0))
     npt.assert_array_equal(v_tilde, decode(encode(v_lr, s1.codec_cfg), s1.codec_cfg))
 
 
 def test_synthesis_deterministic():
-    v = synth.render_scene(synth.SceneSpec(seed=2, T=17))
+    v_lr = lr_scene(2)
     s1 = stage1.new_stage1(1)
     cfg = transition.TransitionConfig(sigma=0.1, steps=1, seed=9)
-    a, _ = transition.synthesize_pair(v, s1, cfg)
-    b, _ = transition.synthesize_pair(v, s1, cfg)
+    a = transition.synthesize_lr(v_lr, s1, cfg)
+    b = transition.synthesize_lr(v_lr, s1, cfg)
     assert np.array_equal(a, b)
-    c, _ = transition.synthesize_pair(v, s1, cfg, key=1)
+    c = transition.synthesize_lr(v_lr, s1, cfg, key=1)
     assert not np.array_equal(a, c)
 
 
 def test_psnr_drops_with_sigma():
     # with the identity (null) denoiser the corruption is the whole error
-    v = synth.render_scene(synth.SceneSpec(seed=3, T=17))
     s1 = oracles.null_stage1()
-    rows = transition.sigma_sweep(v, s1, (0.01, 0.1, 0.3, 0.5, 0.7), steps=1, seed=0)
+    rows = transition.sigma_sweep(lr_scene(3), s1, (0.01, 0.1, 0.3, 0.5, 0.7), steps=1, seed=0)
     psnrs = [r[3] for r in rows]
     assert all(a >= b for a, b in zip(psnrs, psnrs[1:]))
     assert psnrs[0] > psnrs[-1] + 1.0
 
 
 def test_step_count_changes_output():
-    v = synth.render_scene(synth.SceneSpec(seed=4, T=17))
+    v_lr = lr_scene(4)
     s1 = stage1.new_stage1(3)
-    one, _ = transition.synthesize_pair(v, s1, transition.TransitionConfig(sigma=0.1, steps=1))
-    four, _ = transition.synthesize_pair(v, s1, transition.TransitionConfig(sigma=0.1, steps=4))
+    one = transition.synthesize_lr(v_lr, s1, transition.TransitionConfig(sigma=0.1, steps=1))
+    four = transition.synthesize_lr(v_lr, s1, transition.TransitionConfig(sigma=0.1, steps=4))
     assert not np.array_equal(one, four)
-    v_lr = resize_spatial(v, "down_avg", 4)
     assert np.isfinite(transition.diagnostics(one, v_lr)[1])
     assert np.isfinite(transition.diagnostics(four, v_lr)[1])
 
@@ -90,11 +89,11 @@ def test_config_validation():
 
 
 def test_motion_preserved_at_small_sigma(hi_res):
-    specs, clips, model = hi_res
+    specs, lr_clips, model = hi_res
     cfg = transition.TransitionConfig(sigma=0.1, steps=1, seed=0)
     hits = total = 0
-    for key, (spec, v_hr) in enumerate(zip(specs, clips)):
-        v_tilde, _ = transition.synthesize_pair(v_hr, model, cfg, key=key)
+    for key, (spec, v_lr) in enumerate(zip(specs, lr_clips)):
+        v_tilde = transition.synthesize_lr(v_lr, model, cfg, key=key)
         n = v_tilde.shape[1]
         vy, vx = int(spec.velocity[0]), int(spec.velocity[1])
         for tau in range(v_tilde.shape[0] - 1):
@@ -112,7 +111,7 @@ def test_pairs_roundtrip(tmp_path):
     v = synth.render_scene(synth.SceneSpec(seed=5, T=17))
     s1 = stage1.new_stage1(4)
     cfg = transition.TransitionConfig(sigma=0.1, steps=1, seed=2)
-    pairs = transition.synthesize_corpus([v, v], s1, cfg)
+    pairs = transition.synthesize_corpus([(stage1.low_res(v, s1.codec_cfg), v)] * 2, s1, cfg)
     transition.save_pairs(str(tmp_path), pairs, cfg)
     rows = [json.loads(line) for line in (tmp_path / "pairs.jsonl").read_text().splitlines()]
     assert len(rows) == 2
