@@ -26,7 +26,7 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import metrics, mixer, scheduler, stage1, stage2, streamer, synth, transition
-from .codec import CodecConfig, decode, encode, latent_shape, num_blocks
+from .codec import CodecConfig, decode, encode, group_means, latent_shape, lift, num_blocks
 from .conditioning import encode_reference
 from .grid import read_siv1, write_siv1
 
@@ -231,8 +231,10 @@ def _scene_video(cfg: _Cfg, T: int, seed_offset: int = 0) -> np.ndarray:
 
 
 def _truth_input(truth: np.ndarray, ccfg: CodecConfig):
-    """Conditioning built from the ground-truth downsampled reference."""
-    return encode_reference(stage1.low_res(truth, ccfg), truth[0], ccfg)
+    """Conditioning built from the ground-truth downsampled reference: its
+    block means, and its first frame lifted as the anchor latent."""
+    v_lr = stage1.low_res(truth, ccfg)
+    return encode_reference(group_means(v_lr, ccfg.f_t), lift(v_lr[:1], ccfg)[0], ccfg)
 
 
 def _check_pipeline(s1, s2, image: np.ndarray, what: str = "image") -> None:

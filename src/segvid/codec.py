@@ -80,6 +80,11 @@ def group_means(video: np.ndarray, f_t: int) -> np.ndarray:
     return video[1:].reshape(t - 1, f_t, H, W, C).mean(axis=1, dtype=FLOAT)
 
 
+def lift(pixels: np.ndarray, cfg: CodecConfig) -> np.ndarray:
+    """(..., 3) pooled pixels to (..., c) latent channels: the channel lift."""
+    return pixels @ channel_lift(cfg).T
+
+
 def pool_and_lift(frames: np.ndarray, cfg: CodecConfig) -> np.ndarray:
     """(n, H, W, 3) frames, one per block, to (n, h, w, c) latents: f_s x f_s
     spatial mean pooling, then the channel lift.
@@ -89,7 +94,7 @@ def pool_and_lift(frames: np.ndarray, cfg: CodecConfig) -> np.ndarray:
     float32 mean over the two tap axes adds in, so the bits equal that mean."""
     n, H, W, _ = frames.shape
     f = cfg.f_s
-    return cell_means(frames.reshape(n, H // f, f, W // f, f, 3)) @ channel_lift(cfg).T
+    return lift(cell_means(frames.reshape(n, H // f, f, W // f, f, 3)), cfg)
 
 
 def encode(video: np.ndarray, cfg: CodecConfig) -> np.ndarray:
@@ -150,3 +155,24 @@ def decode(latent: np.ndarray, cfg: CodecConfig) -> np.ndarray:
         lo, hi = frames_for_block(i, cfg.f_t)
         decode_block(z[i - 1], cfg, first=False, out=video[lo - 1:hi])
     return video
+
+
+def decode_group_means(latent: np.ndarray, cfg: CodecConfig) -> np.ndarray:
+    """``group_means(decode(latent, cfg), cfg.f_t)`` bit for bit, without the
+    video: (t-1, h·f_s, w·f_s, 3), one mean frame per block 2..t.
+
+    A block decodes to f_t copies of one clamped frame, so its mean is that
+    frame added f_t times into a float32 sum that starts at +0.0 (the order
+    and the signed zeros of numpy's mean over the copies) and divided by f_t,
+    all at latent resolution, then repeated f_s times along H and W."""
+    z = as_f32(latent, "latent")
+    if z.ndim != 4 or z.shape[3] != cfg.c:
+        raise ValueError(f"expected (t,h,w,{cfg.c}) latent, got shape {z.shape}")
+    rgb = z[1:] @ channel_lift(cfg)  # per block, the product decode_block takes
+    rgb.clip(0.0, 1.0, out=rgb)
+    total = rgb + FLOAT(0)
+    for _ in range(cfg.f_t - 1):
+        total += rgb
+    total /= FLOAT(cfg.f_t)
+    f = cfg.f_s
+    return total.repeat(f, axis=1).repeat(f, axis=2)

@@ -2,14 +2,18 @@
 
 Stage II is conditioned on the hybrid reference: the LR video (the HR video
 pooled by f_s) upsampled back to HR, with frame 1 swapped for the true input
-image. ``encode_reference`` computes its latents, and the anchor latent of
-the input image, without building the HR hybrid video or its group frames:
-block 1 is the encoded input image, and blocks 2..t pool the f_t-frame
-temporal means at LR through a stride-0 view that repeats each LR pixel
-f_s×f_s times (averaging commutes with nearest upsampling bit for bit).
-``grid.cell_means`` adds the copies one by one as the pooling of the HR
-frames does (skipping the pooling would change bits), so this equals
-encoding the HR hybrid video (the tests check it against that construction).
+image. ``encode_reference`` computes its latents without building the HR
+hybrid video, its group frames, or the LR video itself. It takes the anchor
+latent of the input image, which is block 1, and the LR video's f_t-frame
+block means, one per block 2..t. At inference those means come straight
+from the stage-1 latents (``codec.decode_group_means``), so stage 1 hands
+over latents, not an LR video; training and the ground-truth runs pass
+``codec.group_means`` of their LR videos. Blocks 2..t pool the means through
+a stride-0 view that repeats each LR pixel f_s×f_s times (averaging commutes
+with nearest upsampling bit for bit). ``grid.cell_means`` adds the copies
+one by one as the pooling of the HR frames does (skipping the pooling would
+change bits), so this equals encoding the HR hybrid video (the tests check
+it against that construction).
 
 The denoiser (mixer) installs the anchor as block 1 and concatenates the
 reference to the noisy latents along channels, one window at a time.
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import CodecConfig, channel_lift, encode, group_means, num_blocks
+from .codec import CodecConfig, lift
 from .grid import FLOAT, as_f32, cell_means
 
 
@@ -37,24 +41,24 @@ class StageTwoInput:
             raise ValueError(f"block shape mismatch {self.z_ref.shape[1:]} vs {self.z_x.shape}")
 
 
-def encode_reference(v_lr: np.ndarray, x: np.ndarray, cfg: CodecConfig) -> StageTwoInput:
-    """Latents of the hybrid reference of a (T, H/f_s, W/f_s, 3) LR video and
-    a (H, W, 3) input image, and the anchor latent of the image."""
-    v = as_f32(v_lr, "v_lr")
-    xf = as_f32(x, "x")
-    if v.ndim != 4 or xf.ndim != 3:
-        raise ValueError("v_lr must be (T,H,W,C), x a single (H,W,C) frame")
-    f = cfg.f_s
-    if (v.shape[1] * f, v.shape[2] * f, v.shape[3]) != xf.shape:
-        raise ValueError(f"LR frames {v.shape[1:]} are not input frame {xf.shape} "
-                         f"pooled by f_s={f}")
-    t = num_blocks(v.shape[0], cfg.f_t)
-    z_x = encode(xf[None], cfg)[0]
-    z_ref = np.empty((t, *z_x.shape), FLOAT)
-    z_ref[0] = z_x
-    if t > 1:
-        means = group_means(v, cfg.f_t)
-        n, h, w, _ = means.shape
-        taps = np.broadcast_to(means[:, :, None, :, None], (n, h, f, w, f, 3))
-        z_ref[1:] = cell_means(taps) @ channel_lift(cfg).T
-    return StageTwoInput(z_ref=z_ref, z_x=z_x)
+def encode_reference(means: np.ndarray, z_x: np.ndarray, cfg: CodecConfig) -> StageTwoInput:
+    """Latents of the hybrid reference from the (t-1, h, w, 3) block means of
+    an LR video and the (h, w, c) anchor latent z_x of the input image. The
+    LR frames and the anchor's latent grid are both the HR frame pooled by
+    f_s, so they share h x w."""
+    m = as_f32(means, "means")
+    zx = as_f32(z_x, "z_x")
+    if m.ndim != 4 or zx.ndim != 3 or zx.shape[2] != cfg.c:
+        raise ValueError(f"means must be (n,h,w,3) and z_x (h,w,{cfg.c}), "
+                         f"got {m.shape} and {zx.shape}")
+    n, h, w, _ = m.shape
+    if (h, w, m.shape[3]) != (*zx.shape[:2], 3):
+        raise ValueError(f"LR frames {m.shape[1:]} do not match anchor latent {zx.shape}: "
+                         f"both are the HR frame pooled by f_s={cfg.f_s}")
+    z_ref = np.empty((1 + n, *zx.shape), FLOAT)
+    z_ref[0] = zx
+    if n:
+        f = cfg.f_s
+        taps = np.broadcast_to(m[:, :, None, :, None], (n, h, f, w, f, 3))
+        z_ref[1:] = lift(cell_means(taps), cfg)
+    return StageTwoInput(z_ref=z_ref, z_x=zx)

@@ -72,7 +72,8 @@ class MixerParams:
             raise ValueError(f"mask_mode must be one of {MASK_MODES}, got {self.mask_mode!r}")
         d = self.d
         if self.w_in.shape[1] != d or self.w_out.shape[0] != d:
-            raise ValueError("embedding/readout width disagrees with d")
+            raise ValueError(f"embedding/readout width {self.w_in.shape[1]}/"
+                             f"{self.w_out.shape[0]} disagrees with d={d}")
         for name in ("w_q", "w_k", "w_v"):
             if getattr(self, name).shape != (d, d):
                 raise ValueError(f"{name} must be ({d},{d})")
@@ -376,7 +377,8 @@ def _read_doc(path: str, types: dict) -> dict:
 
 
 def load_params(in_dir: str) -> MixerParams:
-    side = _read_doc(os.path.join(in_dir, "mixer.json"), {"d": int, "mask_mode": str})
+    doc = os.path.join(in_dir, "mixer.json")
+    side = _read_doc(doc, {"d": int, "mask_mode": str})
     mats = {}
     for name in _MATS:
         path = os.path.join(in_dir, f"{name}.siv1")
@@ -385,7 +387,10 @@ def load_params(in_dir: str) -> MixerParams:
             raise ValueError(f"{path}: a matrix is stored as (1, rows, cols, 1), got {arr.shape}")
         mats[name] = arr[0, :, :, 0].copy()
     p = MixerParams(d=side["d"], mask_mode=side["mask_mode"], **mats)
-    p.check()
+    try:
+        p.check()
+    except ValueError as e:
+        raise ValueError(f"{doc}: {e}") from None
     return p
 
 

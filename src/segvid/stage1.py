@@ -9,6 +9,10 @@ content and is never updated by the sampler. Also exposes partial denoising
 from an intermediate noise level, which the stage-transition synthesizer
 drives.
 
+Stage 1 hands its rollout to stage 2 as latents (``generate_lr``), not as a
+decoded LR video: stage 2 only needs each block's mean frame, which
+``codec.decode_group_means`` reads off the latents.
+
 Training and evaluation take latents, so a caller encodes each clip once and
 every step works on those latents.
 """
@@ -18,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import mixer, scheduler
-from .codec import CodecConfig, decode, encode, latent_shape
+from .codec import CodecConfig, encode, latent_shape
 from .grid import as_f32, resize_spatial
 
 NOISE_KEY = 1  # initial-noise key of this stage; stage 2 uses 2
@@ -40,7 +44,8 @@ def load_stage1(in_dir: str) -> mixer.StageModel:
 
 
 def generate_lr(model: mixer.StageModel, x_lr: np.ndarray, T: int, seed: int) -> np.ndarray:
-    """Generate a T-frame LR video whose first frame reconstructs x_lr."""
+    """Latents (t, h, w, c) of a T-frame LR video whose first frame
+    reconstructs x_lr; ``codec.decode`` turns them into the video."""
     x = as_f32(x_lr, "x_lr")
     if x.ndim != 3 or x.shape[2] != 3:
         raise ValueError(f"x_lr must be (H,W,3), got {x.shape}")
@@ -49,7 +54,7 @@ def generate_lr(model: mixer.StageModel, x_lr: np.ndarray, T: int, seed: int) ->
     z_x = encode(x[None], cfg)[0]
     z = mixer.init_latents(z_x, t, seed, NOISE_KEY)
     ref = np.broadcast_to(z_x, z.shape)
-    return decode(mixer.denoise_full(model.params, model.schedule.sigmas, z, ref), cfg)
+    return mixer.denoise_full(model.params, model.schedule.sigmas, z, ref)
 
 
 def denoise_from(model: mixer.StageModel, z_noisy: np.ndarray, x_lr: np.ndarray,

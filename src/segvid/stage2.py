@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import mixer, scheduler, stage1 as stage1_mod
-from .codec import CodecConfig, encode
+from .codec import CodecConfig, decode_group_means, encode, group_means, lift
 from .conditioning import StageTwoInput, encode_reference
 from .grid import FLOAT, Rng, as_f32, noise_filler
 
@@ -97,9 +97,11 @@ def infer_full(model: mixer.StageModel, inp: StageTwoInput, seed: int) -> np.nda
 
 def encode_pair(cfg: CodecConfig, v_ref_lr: np.ndarray, v_hr: np.ndarray):
     """(z_ref, z0): latents of the hybrid reference built from a (reference
-    LR video, ground-truth HR video) pair, and of the HR clip."""
-    v_hr = as_f32(v_hr, "v_hr")
-    return encode_reference(v_ref_lr, v_hr[0], cfg).z_ref, encode(v_hr, cfg)
+    LR video, ground-truth HR video) pair, and of the HR clip. The HR clip's
+    block 1 is the reference's anchor."""
+    z0 = encode(v_hr, cfg)
+    means = group_means(as_f32(v_ref_lr, "v_ref_lr"), cfg.f_t)
+    return encode_reference(means, z0[0], cfg).z_ref, z0
 
 
 def _segment_window(z_ref: np.ndarray, z0: np.ndarray, rng, M: int, N: int):
@@ -136,7 +138,14 @@ def train(model: mixer.StageModel, transition_latents, down_latents, steps: int,
 
 
 def pipeline_inputs(s1, model: mixer.StageModel, x_hr: np.ndarray, T: int, seed: int):
-    """Stage I rollout plus conditioning assembly for one input image."""
-    x = as_f32(x_hr, "x_hr")
-    v_lr = stage1_mod.generate_lr(s1, stage1_mod.low_res(x[None], model.codec_cfg)[0], T, seed)
-    return encode_reference(v_lr, x, model.codec_cfg)
+    """Stage I rollout plus conditioning assembly for one input image.
+
+    The image is pooled once: its LR frame conditions stage 1, and lifted it
+    is the stage-2 anchor latent. The stage-1 latents give the LR block means
+    directly; the LR video is never decoded."""
+    cfg = model.codec_cfg
+    if s1.codec_cfg.f_t != cfg.f_t:
+        raise ValueError(f"stage-1 f_t={s1.codec_cfg.f_t} differs from stage-2 f_t={cfg.f_t}")
+    x_lr = stage1_mod.low_res(as_f32(x_hr, "x_hr")[None], cfg)
+    z_lr = stage1_mod.generate_lr(s1, x_lr[0], T, seed)
+    return encode_reference(decode_group_means(z_lr, s1.codec_cfg), lift(x_lr, cfg)[0], cfg)

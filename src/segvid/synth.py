@@ -132,7 +132,17 @@ def render_scene(spec: SceneSpec, spatial_factor: int = 4, temporal_factor: int 
 
 def write_corpus(out_dir, specs: list[SceneSpec],
                  spatial_factor: int = 4, temporal_factor: int = 4) -> Path:
-    """Render every spec into out_dir and write the manifest; returns its path."""
+    """Render every spec into out_dir and write the manifest; returns its path.
+
+    A corpus trains both stages, and stage 1 encodes its frames pooled by
+    spatial_factor twice (to LR, then to latents), so H and W must divide by
+    its square. Nothing is written otherwise."""
+    f = spatial_factor
+    for spec in specs:
+        if spec.H % (f * f) or spec.W % (f * f):
+            raise ValueError(f"corpus frames {spec.H}x{spec.W} not divisible by "
+                             f"f_s*f_s={f * f}: stage 1 pools them by f_s={f} to LR, "
+                             f"then again to latents")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     records = []

@@ -14,8 +14,10 @@ the stage-2 conditioning built the obvious way, by encoding the HR hybrid
 video with `encode_loop` (numpy's mean, not the package's pooling), and the
 initial block noise drawn from one `Rng.split` stream per block: the
 references for `conditioning.encode_reference` and `grid.init_noise_blocks`,
-and the SIV1 writer that truncates its target first, the byte reference for
-the in-place `grid.write_siv1`.
+the stage-2 inputs built from the decoded LR video (the reference for
+`stage2.pipeline_inputs`, which never decodes it), and the SIV1 writer that
+truncates its target first, the byte reference for the in-place
+`grid.write_siv1`.
 """
 
 import json
@@ -24,8 +26,8 @@ import struct
 
 import numpy as np
 
-from segvid import mixer, stage2
-from segvid.codec import CodecConfig, channel_lift, encode
+from segvid import mixer, stage1, stage2
+from segvid.codec import CodecConfig, channel_lift, decode, encode
 from segvid.conditioning import StageTwoInput
 from segvid.grid import FLOAT, SUB_INIT_NOISE, _check_dims, as_f32, read_siv1
 
@@ -270,6 +272,16 @@ def build_stage2_input(v_ref, x, cfg):
     z_ref = encode_loop(v_ref, cfg.f_s, cfg.f_t, lift)
     z_x = encode_loop(as_f32(x, "x")[None], cfg.f_s, cfg.f_t, lift)[0]
     return StageTwoInput(z_ref=z_ref, z_x=z_x)
+
+
+def pipeline_inputs_via_lr_video(s1, s2, x_hr, T, seed):
+    """Stage-2 inputs of one image as built when stage 1 returned its LR
+    video: decode the rollout, nearest-upsample it, swap in the image, and
+    encode that HR hybrid video with `encode_loop`."""
+    x_lr = stage1.low_res(x_hr[None], s2.codec_cfg)[0]
+    v_lr = decode(stage1.generate_lr(s1, x_lr, T, seed), s1.codec_cfg)
+    return build_stage2_input(build_hybrid_reference(v_lr, x_hr, s2.codec_cfg.f_s), x_hr,
+                              s2.codec_cfg)
 
 
 def init_noise_blocks_loop(rng, t, h, w, c):

@@ -11,8 +11,8 @@ import numpy as np
 import oracles
 from segvid import cli, mixer, scheduler, stage2, streamer, synth
 from segvid.codec import CodecConfig, decode, encode, num_blocks
-from segvid.conditioning import StageTwoInput, encode_reference
-from segvid.grid import Rng, read_siv1, resize_spatial, write_siv1
+from segvid.conditioning import StageTwoInput
+from segvid.grid import Rng, read_siv1, write_siv1
 from segvid.streamer import TimingModel
 
 MATS = ("w_in", "w_q", "w_k", "w_v", "w_out")
@@ -22,8 +22,7 @@ def scene_input(seed, T, H=32, mask_mode="bidirectional"):
     """Random-parameter model plus conditioning built from one synthetic clip."""
     v = synth.render_scene(synth.SceneSpec(seed=seed, T=T, H=H, W=H))
     model = stage2.new_stage2(seed, hr_h=H, hr_w=H, mask_mode=mask_mode)
-    v_lr = resize_spatial(v, 4)
-    return model, encode_reference(v_lr, v[0], model.codec_cfg)
+    return model, cli._truth_input(v, model.codec_cfg)
 
 
 def test_01_segment_plan_matches_enumeration(criterion):

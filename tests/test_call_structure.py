@@ -6,7 +6,10 @@ request makes K1 + K2·S `mixer.forward` calls, that each `codec.decode` and
 each `streamer.run_streaming` decodes through t direct `decode_block` calls,
 and that every stage-2 window is gathered by `scheduler.window_gather` within
 the (1 + N + M)·h·w token budget. These tests count the same calls the same
-way, so a refactor that would break those checks fails here first.
+way, so a refactor that would break those checks fails here first. They also
+pin that stage 1 hands stage 2 its latents: the LR video is never decoded,
+so a generate request's one `codec.decode` is the HR video's, and a streamed
+request makes none.
 """
 
 import sys
@@ -65,8 +68,10 @@ def _decodes_per_call(monkeypatch, counters):
         per_call.append(len(counters["decode_block"]) - before)
         return video
 
-    for mod in (codec, stage1):
-        assert mod.decode is real
+    sites = [m for n, m in sorted(sys.modules.items())
+             if n.startswith("segvid") and getattr(m, "decode", None) is real]
+    assert codec in sites
+    for mod in sites:
         monkeypatch.setattr(mod, "decode", decode)
     return per_call
 
@@ -80,7 +85,7 @@ def test_generate_request_call_counts(monkeypatch, request_parts, counters, T, M
     assert len(counters["forward"]) == s1.schedule.K  # stage 1: one window
     codec.decode(stage2.infer_csg(s2, inp, p, seed=5), s2.codec_cfg)
     assert len(counters["forward"]) == s1.schedule.K + s2.schedule.K * p.S
-    assert decodes == [p.t, p.t]  # the LR rollout's decode, then the HR video's
+    assert decodes == [p.t]  # the HR video's; stage 1 hands over latents
     h, w = inp.z_x.shape[:2]
     gathered = [args[2] for args, _ in counters["window_gather"].calls]
     assert sorted(set(gathered)) == list(range(1, p.S + 1))
@@ -98,7 +103,7 @@ def test_run_streaming_decodes_each_block_once(monkeypatch, request_parts, count
     before = len(counters["decode_block"]), len(counters["forward"])
     video, _, _ = streamer.run_streaming(s2, inp, p, seed=6, mode=mode)
     assert len(counters["decode_block"]) - before[0] == p.t
-    assert decodes == [p.t]  # only the LR rollout: the stream decodes block by block
+    assert decodes == []  # no LR video, and the stream decodes block by block
     assert len(counters["forward"]) - before[1] == s2.schedule.K * p.S
     ref = codec.decode(stage2.infer_csg(s2, inp, p, seed=6), s2.codec_cfg)
     assert np.array_equal(video, ref)

@@ -86,6 +86,22 @@ def test_empty_corpus_exits_2(tmp_path, capsys):
     assert "\n" not in err and "holds no clips" in err
 
 
+@pytest.mark.parametrize("extents", [(36, 36), (32, 40)])
+def test_synth_rejects_frames_stage1_cannot_encode(tmp_path, capsys, extents):
+    # 36 and 40 divide by f_s=4 but not by 16: the LR frames (9 or 10 pixels)
+    # would not pool by f_s again, and train-stage1 would fail on the corpus
+    H, W = extents
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"height": H, "width": W}))
+    out = tmp_path / "corpus"
+    assert cli.main(["synth", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert "\n" not in err, err
+    assert f"corpus frames {H}x{W} not divisible by f_s*f_s=16" in err, err
+    assert "pools them by f_s=4 to LR" in err, err
+    assert not any(out.iterdir())  # no clip and no manifest
+
+
 @pytest.mark.parametrize("key", ["count", "repeats", "seeds", "clips", "capacity"])
 def test_count_below_one_exits_2_before_any_output(pipeline, tmp_path, capsys, key):
     cfg = tmp_path / "cfg.json"
@@ -440,7 +456,9 @@ def _two_w_q_slices(ckpt):
     (_set_key("stage1.json", "sigmas", [1.0, "x", 0.0]),
      "stage1.json: sigmas must be finite numbers, got (1.0, 'x', 0.0)"),
     (_two_w_q_slices, "w_q.siv1: a matrix is stored as (1, rows, cols, 1), got (2, 32, 32, 1)"),
-], ids=["f_s-string", "d-null", "sigmas-string", "w_q-two-slices"])
+    (_set_key("mixer.json", "d", 16),
+     "mixer.json: embedding/readout width 32/32 disagrees with d=16"),
+], ids=["f_s-string", "d-null", "sigmas-string", "w_q-two-slices", "d-not-matrix-width"])
 def test_corrupt_checkpoint_exits_2_naming_file(pipeline, tmp_path, capsys, corrupt, want):
     s1 = tmp_path / "s1"
     shutil.copytree(pipeline["s1"], s1)

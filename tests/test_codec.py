@@ -3,9 +3,11 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from segvid.codec import (CodecConfig, channel_lift, decode, decode_block,
-                          encode, frames_for_block, latent_shape, num_blocks, video_shape)
+from segvid.codec import (CodecConfig, channel_lift, decode, decode_block, decode_group_means,
+                          encode, frames_for_block, group_means, latent_shape, num_blocks,
+                          video_shape)
 from segvid.grid import FLOAT
 
 import oracles
@@ -145,3 +147,33 @@ def _check_decode_block_equals_repeat_then_clip(cfg):
         decode_block(z, cfg, first=False, out=np.empty((2, H, W, 3), FLOAT))  # too few frames
     with pytest.raises(ValueError, match="decode target"):
         decode_block(z, cfg, first=True, out=np.empty((1, H, 2 * W, 3), FLOAT)[:, :, ::2])
+
+
+@settings(deadline=None, max_examples=200)
+@given(f_s=st.sampled_from((1, 2, 4)), f_t=st.integers(1, 8), c=st.sampled_from((3, 4, 6)),
+       t=st.integers(1, 6), h=st.integers(1, 3), w=st.integers(1, 3),
+       scale=st.floats(1e-3, 3.0), zeros=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_decode_group_means_equals_means_of_decoded_video(f_s, f_t, c, t, h, w, scale,
+                                                          zeros, seed):
+    # the block means read off the latents are those of the decoded video,
+    # bit for bit and sign of zero included: scale 3 clamps at both ends,
+    # and latents of all -0.0 check the sign of the zeros they decode to.
+    # Up to f_t = 5 the f_t-fold float32 sum equals f_t times the frame; f_t
+    # of 6..8 also pins the order of the additions.
+    cfg = CodecConfig(f_s=f_s, f_t=f_t, c=c)
+    z = (np.random.default_rng(seed).standard_normal((t, h, w, c)) * scale).astype(FLOAT)
+    if zeros:
+        z[...] = -0.0
+    want = group_means(decode(z, cfg), f_t)
+    got = decode_group_means(z, cfg)
+    assert got.shape == want.shape == (t - 1, h * f_s, w * f_s, 3)
+    assert got.dtype == FLOAT
+    npt.assert_array_equal(got, want)
+    npt.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_decode_group_means_validation():
+    with pytest.raises(ValueError, match="latent"):
+        decode_group_means(np.zeros((3, 2, 2), FLOAT), CFG)
+    with pytest.raises(ValueError, match="latent"):
+        decode_group_means(np.zeros((3, 2, 2, 3), FLOAT), CFG)  # c=3, config c=4

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from segvid import mixer
-from segvid.codec import CodecConfig, encode
+from segvid.codec import CodecConfig, encode, group_means
 from segvid.conditioning import StageTwoInput, encode_reference
 from segvid.grid import FLOAT, resize_spatial
 
@@ -94,7 +94,7 @@ def test_encode_reference_equals_hybrid_oracle(f_s, f_t, c, groups, h, w, seed):
     rng = np.random.default_rng(seed)
     v_lr = rng.random((1 + groups * f_t, h * f_s, w * f_s, 3)).astype(FLOAT)
     x = rng.random((h * f_s * f_s, w * f_s * f_s, 3)).astype(FLOAT)
-    got = encode_reference(v_lr, x, cfg)
+    got = encode_reference(group_means(v_lr, f_t), encode(x[None], cfg)[0], cfg)
     want = build_stage2_input(build_hybrid_reference(v_lr, x, f_s), x, cfg)
     assert got.z_ref.shape == want.z_ref.shape == (1 + groups, h * f_s, w * f_s, c)
     npt.assert_array_equal(got.z_ref, want.z_ref)
@@ -102,23 +102,31 @@ def test_encode_reference_equals_hybrid_oracle(f_s, f_t, c, groups, h, w, seed):
 
 
 def test_encode_reference_validation():
-    x = np.zeros((32, 32, 3), FLOAT)
+    z_x = np.zeros((8, 8, 4), FLOAT)
     with pytest.raises(ValueError, match="pooled by f_s=4"):
-        encode_reference(np.zeros((5, 8, 16, 3), FLOAT), x, CFG)
+        encode_reference(np.zeros((4, 8, 16, 3), FLOAT), z_x, CFG)
     with pytest.raises(ValueError, match="pooled by f_s=4"):
-        encode_reference(np.zeros((5, 5, 5, 3), FLOAT), x, CFG)
+        encode_reference(np.zeros((4, 5, 5, 3), FLOAT), z_x, CFG)
+    with pytest.raises(ValueError, match="pooled by f_s=4"):
+        encode_reference(np.zeros((4, 8, 8, 4), FLOAT), z_x, CFG)  # means are pixels
     with pytest.raises(ValueError):
-        encode_reference(np.zeros((6, 8, 8, 3), FLOAT), x, CFG)  # T - 1 not a multiple of f_t
+        encode_reference(np.zeros((8, 8, 3), FLOAT), z_x, CFG)  # one frame, not block means
     with pytest.raises(ValueError):
-        encode_reference(np.zeros((5, 8, 8, 3), FLOAT), x[None], CFG)
+        encode_reference(np.zeros((4, 8, 8, 3), FLOAT), z_x[None], CFG)
+    with pytest.raises(ValueError):
+        encode_reference(np.zeros((4, 8, 8, 3), FLOAT), z_x[..., :3], CFG)  # c=3, config c=4
+    with pytest.raises(ValueError):
+        group_means(np.zeros((6, 8, 8, 3), FLOAT), CFG.f_t)  # T - 1 not a multiple of f_t
 
 
 def test_encode_reference_rejects_lr_not_pooled_by_f_s():
-    # 16x16 LR frames are 32x32 frames pooled by 2, not by f_s=4
+    # 16x16 LR frames are 32x32 frames pooled by 2, not by f_s=4, so they
+    # miss the 8x8 grid of a 32x32 image's anchor latent
+    z_x = encode(np.zeros((1, 32, 32, 3), FLOAT), CFG)[0]
     with pytest.raises(ValueError) as e:
-        encode_reference(np.zeros((5, 16, 16, 3), FLOAT), np.zeros((32, 32, 3), FLOAT), CFG)
+        encode_reference(np.zeros((4, 16, 16, 3), FLOAT), z_x, CFG)
     msg = str(e.value)
-    assert "(16, 16, 3)" in msg and "(32, 32, 3)" in msg and "f_s=4" in msg
+    assert "(16, 16, 3)" in msg and "(8, 8, 4)" in msg and "f_s=4" in msg
     assert "\n" not in msg
 
 
@@ -126,13 +134,13 @@ def test_encode_reference_builds_no_hr_group_frames():
     # a T=641, 32x32 request: the (160, 32, 32, 3) float32 HR group frames
     # would take 1.97 MB; the stride-0 tap view keeps the peak at LR size
     rng = np.random.default_rng(4)
-    v_lr = rng.random((641, 8, 8, 3), dtype=np.float32)
-    x = rng.random((32, 32, 3), dtype=np.float32)
+    means = group_means(rng.random((641, 8, 8, 3), dtype=np.float32), CFG.f_t)
+    z_x = encode(rng.random((1, 32, 32, 3), dtype=np.float32), CFG)[0]
     hr_groups = 160 * 32 * 32 * 3 * 4
-    encode_reference(v_lr, x, CFG)  # warm the lift cache outside the trace
+    encode_reference(means, z_x, CFG)  # warm the lift cache outside the trace
     tracemalloc.start()
     try:
-        encode_reference(v_lr, x, CFG)
+        encode_reference(means, z_x, CFG)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

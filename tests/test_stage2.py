@@ -24,8 +24,7 @@ def encoded(model, pairs):
 def truth_and_input(seed=0, T=33, cfg=None):
     truth = synth.render_scene(synth.SceneSpec(seed=seed, T=T))
     cfg = cfg or stage2.new_stage2(0).codec_cfg
-    v_lr = stage1.low_res(truth, cfg)
-    return truth, encode_reference(v_lr, truth[0], cfg)
+    return truth, cli._truth_input(truth, cfg)
 
 
 def test_infer_deterministic():
@@ -180,6 +179,26 @@ def test_pipeline_inputs_shapes():
     inp = stage2.pipeline_inputs(s1, s2, x, 17, seed=0)
     assert inp.z_ref.shape == (5, 8, 8, 4)
     npt.assert_array_equal(inp.z_x, inp.z_ref[0])
+
+
+@pytest.mark.parametrize("T", [17, 81])
+def test_pipeline_inputs_equal_decoded_lr_video_oracle(T):
+    # the block means read off the stage-1 latents give the bits of decoding
+    # the LR video and encoding its HR hybrid reference
+    for seed in range(3):
+        s1, s2 = stage1.new_stage1(seed), stage2.new_stage2(seed)
+        x = synth.render_scene(synth.SceneSpec(seed=20 + seed, T=1))[0]
+        got = stage2.pipeline_inputs(s1, s2, x, T, seed)
+        want = oracles.pipeline_inputs_via_lr_video(s1, s2, x, T, seed)
+        npt.assert_array_equal(got.z_ref, want.z_ref)
+        npt.assert_array_equal(got.z_x, want.z_x)
+
+
+def test_pipeline_inputs_rejects_stage_f_t_mismatch():
+    s1 = stage1.new_stage1(0, codec_cfg=CodecConfig(f_t=2))
+    x = synth.render_scene(synth.SceneSpec(seed=8, T=1))[0]
+    with pytest.raises(ValueError, match="stage-1 f_t=2 differs from stage-2 f_t=4"):
+        stage2.pipeline_inputs(s1, stage2.new_stage2(0), x, 17, seed=0)
 
 
 def _pairs(seed, n=2, T=17):

@@ -12,17 +12,16 @@ import numpy as np
 import pytest
 
 import oracles
-from segvid import scheduler, stage2, streamer, synth
+from segvid import cli, scheduler, stage2, streamer, synth
 from segvid.codec import decode
-from segvid.conditioning import StageTwoInput, encode_reference
-from segvid.grid import resize_spatial
+from segvid.conditioning import StageTwoInput
 from segvid.streamer import StreamError, StreamEvent, TimingModel
 
 
 def make_setup(seed, T, M=3, N=1):
     v_hr = synth.render_scene(synth.SceneSpec(seed=seed, T=T, H=16, W=16))
     model = stage2.new_stage2(seed, hr_h=16, hr_w=16)
-    inp = encode_reference(resize_spatial(v_hr, 4), v_hr[0], model.codec_cfg)
+    inp = cli._truth_input(v_hr, model.codec_cfg)
     p = scheduler.plan(inp.z_ref.shape[0], M, N)
     return model, inp, p
 
