@@ -14,11 +14,10 @@ derived with ``split``, which feeds a tuple of integer keys into
 of the format of any seeded artifact. A stream seeds its generator on its
 first draw, so a stream that is only split never builds one.
 
-The initial latent noise needs one sub-stream per latent block. Rather than
-a ``SeedSequence`` and a ``PCG64`` per block, ``noise_filler`` restates
-numpy's ``SeedSequence`` hashing and PCG64 seeding and draws any run of
-blocks on demand; the tests check it against the per-block ``split``
-streams. ``init_noise_blocks`` draws every block at once.
+The initial latent noise of a request's stage is one stream, drawn in block
+order: ``noise_filler`` hands out consecutive runs of blocks, which is how
+every denoising path visits them, and ``init_noise_blocks`` draws every block
+at once with the same bits.
 
 ``write_siv1`` rewrites an existing file in place rather than truncating it
 first, and writes the header last.
@@ -29,7 +28,6 @@ from __future__ import annotations
 import os
 import stat
 import struct
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -40,8 +38,8 @@ SIV1_MAGIC = b"SIV1"
 _HEADER = struct.Struct("<4sIIIII")  # magic, T, H, W, C, reserved
 
 # Named sub-stream keys (first element of every split key tuple).
-SUB_INIT_NOISE = 0xA1  # per-block initial latent noise, key (SUB_INIT_NOISE, block)
-SUB_TRAIN = 0xB2       # training-step draws, key (SUB_TRAIN, step)
+SUB_INIT_NOISE = 0xA1  # initial latent noise, one stream drawn in block order
+SUB_TRAIN = 0xB2       # one stream for every draw of a training or evaluation run
 SUB_TRANSITION = 0xC3  # transition-pair corruption, key (SUB_TRANSITION, pair)
 SUB_PARAMS = 0xD4      # parameter initialization
 SUB_SCENE = 0xE5       # synthetic scene content
@@ -119,45 +117,30 @@ def as_f32(arr, name: str = "tensor") -> np.ndarray:
     return out
 
 
-class _ScratchGenerator(threading.local):
-    """One PCG64 and its Generator per thread. Every filled block sets the
-    full state before it draws, so the generator carries nothing from one
-    block, filler or request to the next; per thread, so fillers drawing on
-    different threads at once never share one."""
-
-    def __init__(self):
-        self.bits = np.random.PCG64(0)
-        self.gen = np.random.Generator(self.bits)
-
-
-_SCRATCH = _ScratchGenerator()
-
-
 def noise_filler(rng: Rng, t: int):
-    """The initial-noise filler of stream rng over blocks 1..t: fill(out,
-    first_block) writes the noise of blocks first_block, first_block + 1, ...
-    (1-based, at most t) into the rows of out, one row per block.
+    """The initial-noise filler of stream rng over blocks 2..t (block 1 is
+    the anchor): fill(out, first_block) writes the noise of blocks
+    first_block, first_block + 1, ... (1-based) into the rows of out, one row
+    per block.
 
-    A block's noise is the bits of rng.split(SUB_INIT_NOISE, block).normal
-    over the row's shape, whichever call draws it. Keying by block index
-    means any windowed traversal of the same stream sees identical noise per
-    block, which is what makes the windowed, full-sequence, and streaming
-    denoise paths comparable bit for bit. The key prefix is hashed once, and
-    the block indices in one numpy pass, here; each block then costs its
-    128-bit state assembly, one state set and one draw, on the calling
-    thread's generator.
+    The noise is one float32 standard-normal stream,
+    rng.split(SUB_INIT_NOISE), drawn in block order. Any chunking of it into
+    consecutive draws has the bits of one draw, so the windowed,
+    full-sequence and streaming paths see the same noise per block. A gap, a
+    repeat or a block past t raises ValueError, so a traversal that skipped
+    ahead fails instead of shifting the noise.
     """
-    seeds = _pcg64_seed_words(rng.seed, rng.key + (SUB_INIT_NOISE,),
-                              np.arange(1, t + 1, dtype=np.uint64)).tolist()
+    gen = rng.split(SUB_INIT_NOISE)._generator()
+    next_block = 2
 
     def fill(out: np.ndarray, first_block: int) -> None:
+        nonlocal next_block
         last = first_block + len(out) - 1
-        if len(out) and not 1 <= first_block <= last <= t:
-            raise ValueError(f"blocks {first_block}..{last} outside 1..{t}")
-        bits, gen = _SCRATCH.bits, _SCRATCH.gen
-        for row, words in zip(out, seeds[first_block - 1:]):
-            bits.state = _pcg64_state(*words)
-            gen.standard_normal(dtype=FLOAT, out=row)
+        if first_block != next_block or last > t:
+            raise ValueError(f"blocks {first_block}..{last} requested; the next block is "
+                             f"{next_block} and the last is {t}")
+        gen.standard_normal(dtype=FLOAT, out=out)
+        next_block = last + 1
 
     return fill
 
@@ -168,105 +151,6 @@ def init_noise_blocks(rng: Rng, t: int, h: int, w: int, c: int) -> np.ndarray:
     z = np.zeros(_check_dims((t, h, w, c)), FLOAT)
     noise_filler(rng, t)(z[1:], 2)
     return z
-
-
-# numpy's SeedSequence (a pool of four u32 words) and PCG64 seeding, in
-# Python integers and, per block, in numpy uint64. Part of the stream format,
-# like the keys above.
-_M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _u32_words(x: int) -> list[int]:
-    """SeedSequence's coercion of a nonnegative int: little-endian u32 words."""
-    words = [x & _M32]
-    while x := x >> 32:
-        words.append(x & _M32)
-    return words
-
-
-def _hashmix(value: int, hc: int) -> tuple[int, int]:
-    """(hashed value, next hash constant)."""
-    value ^= hc
-    hc = hc * _MULT_A & _M32
-    value = value * hc & _M32
-    return value ^ value >> 16, hc
-
-
-def _mix(x: int, y: int) -> int:
-    r = (_MIX_L * x - _MIX_R * y) & _M32
-    return r ^ r >> 16
-
-
-def _hash_constants(hc: int, mult: int, n: int) -> list[tuple[int, int]]:
-    """The (xor, multiplier) pairs that n successive hashes starting from
-    hash constant hc apply; they do not depend on the hashed data."""
-    out = []
-    for _ in range(n):
-        out.append((hc, hc * mult & _M32))
-        hc = out[-1][1]
-    return out
-
-
-# The same constants as uint64 arrays and scalars, for the batched hash.
-_U_M32, _U_SHIFT16, _U_SHIFT32, _U_MIX_R = (np.uint64(v) for v in (_M32, 16, 32, _MIX_R))
-_GEN_XOR, _GEN_MULT = np.array(_hash_constants(_INIT_B, _MULT_B, 8), np.uint64).T
-
-
-def _pcg64_seed_words(seed: int, prefix: tuple[int, ...], words: np.ndarray) -> np.ndarray:
-    """(n, 4) uint64: for each u32 word of words, the seed of
-    PCG64(SeedSequence(seed, spawn_key=prefix + (word,))) as the u64 pairs
-    (initstate high, low, initseq high, low), bit for bit.
-
-    The pool after every entropy word but the last is computed once, in
-    Python integers; the last word then costs four hash-and-mix steps and
-    the eight state words of generate_state(4, uint64), done for all words
-    at once in uint64 arithmetic (everything is reduced mod 2**32, which
-    wrapping mod 2**64 preserves).
-    """
-    run = _u32_words(seed)
-    run += [0] * (4 - len(run))  # numpy pads the seed to the pool size under a spawn key
-    entropy = run + [w for k in prefix for w in _u32_words(k)]
-    hc = _INIT_A
-    pool = []
-    for w in entropy[:4]:
-        v, hc = _hashmix(w, hc)
-        pool.append(v)
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                v, hc = _hashmix(pool[src], hc)
-                pool[dst] = _mix(pool[dst], v)
-    for w in entropy[4:]:
-        for dst in range(4):
-            v, hc = _hashmix(w, hc)
-            pool[dst] = _mix(pool[dst], v)
-
-    # Column j ends as generate_state's word j, which hashes pool word j % 4;
-    # each pool word (the last word hashed, then mixed into it) is computed
-    # in two columns.
-    xor, mult = np.array(_hash_constants(hc, _MULT_A, 4) * 2, np.uint64).T
-    st = (words[:, None] ^ xor) * mult & _U_M32
-    st ^= st >> _U_SHIFT16
-    st = (np.array([_MIX_L * p & _M32 for p in pool] * 2, np.uint64) - _U_MIX_R * st) & _U_M32
-    st ^= st >> _U_SHIFT16
-    st ^= _GEN_XOR
-    st *= _GEN_MULT
-    st &= _U_M32
-    st ^= st >> _U_SHIFT16
-    # u64 words are little-endian u32 pairs
-    return st[:, 1::2] << _U_SHIFT32 | st[:, 0::2]
-
-
-def _pcg64_state(init_hi: int, init_lo: int, seq_hi: int, seq_lo: int) -> dict:
-    """PCG64's set-seed of a 128-bit initstate and initseq, as a state dict."""
-    init = init_hi << 64 | init_lo
-    inc = (seq_hi << 65 | seq_lo << 1 | 1) & _M128
-    return {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-            "state": {"state": ((inc + init) * _PCG_MULT + inc) & _M128, "inc": inc}}
 
 
 def cell_means(taps: np.ndarray) -> np.ndarray:

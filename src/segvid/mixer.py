@@ -436,13 +436,13 @@ def window_loss(p: MixerParams, z_ref: np.ndarray, z0: np.ndarray, indices, n_no
 
     z_ref, z0: (t, h, w, c) reference and clean latents. The window's noisy
     tail, its last n_noisy blocks, moves to a drawn sigma on the path to a
-    drawn eps; the conditioning prefix keeps its clean latents. Returns
-    (loss, grads).
+    drawn eps; the conditioning prefix keeps its clean latents. Draws sigma,
+    then eps, from rng. Returns (loss, grads).
     """
     n = len(indices)
     mask = np.arange(n) >= n - n_noisy
-    sigma = 1.0 - rng.split(1).uniform01()   # U(0, 1]
-    eps = rng.split(2).normal((n,) + z0.shape[1:])
+    sigma = 1.0 - rng.uniform01()   # U(0, 1]
+    eps = rng.normal((n,) + z0.shape[1:])
     rows = np.asarray(indices) - 1
     clean = z0[rows]
     z_win = np.where(mask[:, None, None, None], (1.0 - sigma) * clean + sigma * eps, clean)
@@ -454,12 +454,13 @@ def window_loss(p: MixerParams, z_ref: np.ndarray, z0: np.ndarray, indices, n_no
 def train_windows(p: MixerParams, windows, steps: int, seed: int, lr: float, stage: int):
     """SGD, one window per step. windows(step, rng) gives the step's
     (z_ref, z0, indices, n_noisy, extra); the log row is (step, loss, *extra).
-    Raises FloatingPointError, naming the stage and step, if training
-    diverges."""
-    g = Rng(seed).split(SUB_TRAIN)
+    The run draws from one stream, Rng(seed).split(SUB_TRAIN): per step, the
+    stage's window choices (in windows), then sigma, then eps (in
+    window_loss). Raises FloatingPointError, naming the stage and step, if
+    training diverges."""
+    rng = Rng(seed).split(SUB_TRAIN)
     log = []
     for step in range(steps):
-        rng = g.split(step)
         *window, extra = windows(step, rng)
         loss, grads = window_loss(p, *window, rng)
         sgd_update(p, grads, lr)
@@ -473,11 +474,11 @@ def train_windows(p: MixerParams, windows, steps: int, seed: int, lr: float, sta
 
 
 def eval_windows(p: MixerParams, windows, seed: int, draws: int) -> float:
-    """Mean window loss over seeded draws of windows(draw, rng); no update."""
-    g = Rng(seed).split(SUB_TRAIN)
+    """Mean window loss over seeded draws of windows(draw, rng), all from one
+    stream in train_windows' order; no update."""
+    rng = Rng(seed).split(SUB_TRAIN)
     tot = 0.0
     for j in range(draws):
-        rng = g.split(j)
         *window, _ = windows(j, rng)
         tot += window_loss(p, *window, rng)[0]
     return tot / draws

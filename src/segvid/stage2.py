@@ -66,10 +66,10 @@ def infer_csg(model: mixer.StageModel, inp: StageTwoInput, p: scheduler.SegmentP
               seed: int, on_step=None, on_segment=None) -> np.ndarray:
     """Sequential segment-wise inference. Deterministic per seed.
 
-    Each segment's noisy tail is drawn when the loop reaches it, with the
-    same bits as init_latents, so the per-block work before segment 1 is one
-    batched seed hash (see grid.noise_filler). Blocks no segment has reached
-    yet hold zeros.
+    Each segment's noisy tail is drawn from the request's one noise stream
+    when the loop reaches it, with the same bits as init_latents (see
+    grid.noise_filler), so no per-block work precedes segment 1. Blocks no
+    segment has reached yet hold zeros.
 
     on_step(s, k, window, idx) observes each denoise step; on_segment(s, z)
     observes the global latents after each segment.
@@ -107,7 +107,7 @@ def encode_pair(cfg: CodecConfig, v_ref_lr: np.ndarray, v_hr: np.ndarray):
 def _segment_window(z_ref: np.ndarray, z0: np.ndarray, rng, M: int, N: int):
     """A seeded segment of the (M, N) plan over the pair's latents."""
     p = scheduler.plan(z0.shape[0], M, N)
-    s = rng.split(4).integers(0, p.S)
+    s = rng.integers(0, p.S)
     return z_ref, z0, p.W[s], len(p.I[s])
 
 
@@ -122,15 +122,17 @@ def eval_loss(model: mixer.StageModel, latents, seed: int, draws: int = 8,
 def train(model: mixer.StageModel, transition_latents, down_latents, steps: int, seed: int,
           lr: float = 1e-2):
     """SGD over a 7:3 seeded mix of encoded transition and plain downsampled
-    pairs, with (M, N) drawn per step from MN_CHOICES.
+    pairs, with (M, N) drawn per step from MN_CHOICES. Each step draws, from
+    the run's one stream: the source (only when there are transition pairs),
+    (M, N), the segment, then sigma and eps.
 
     Returns log rows (step, loss, M, N, source). Raises FloatingPointError,
     naming the step, if training diverges.
     """
     def window(step, rng):
-        use_trans = bool(transition_latents) and rng.split(5).uniform01() < TRANSITION_SHARE
+        use_trans = bool(transition_latents) and rng.uniform01() < TRANSITION_SHARE
         pool = transition_latents if use_trans else down_latents
-        M, N = MN_CHOICES[rng.split(3).integers(0, len(MN_CHOICES))]
+        M, N = MN_CHOICES[rng.integers(0, len(MN_CHOICES))]
         return (*_segment_window(*pool[step % len(pool)], rng, M, N),
                 (M, N, "transition" if use_trans else "downsampled"))
 

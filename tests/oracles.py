@@ -11,13 +11,13 @@ denoiser (the bit-for-bit references for that fold), the per-step
 `train_step`s of both stages, the zero-parameter null models, the stage-2
 input layout as one tensor, and the transition-pair reader. It also keeps
 the stage-2 conditioning built the obvious way, by encoding the HR hybrid
-video with `encode_loop` (numpy's mean, not the package's pooling), and the
-initial block noise drawn from one `Rng.split` stream per block: the
-references for `conditioning.encode_reference` and `grid.init_noise_blocks`,
-the stage-2 inputs built from the decoded LR video (the reference for
-`stage2.pipeline_inputs`, which never decodes it), and the SIV1 writer that
-truncates its target first, the byte reference for the in-place
-`grid.write_siv1`.
+video with `encode_loop` (numpy's mean, not the package's pooling), the
+reference for `conditioning.encode_reference`; the stage-2 inputs built from
+the decoded LR video (the reference for `stage2.pipeline_inputs`, which
+never decodes it); and the SIV1 writer that truncates its target first, the
+byte reference for the in-place `grid.write_siv1`. The retired losses and
+train steps draw from the stream they are given in the package's order:
+(M, N), the segment, sigma, then eps.
 """
 
 import json
@@ -29,7 +29,7 @@ import numpy as np
 from segvid import mixer, stage1, stage2
 from segvid.codec import CodecConfig, channel_lift, decode, encode
 from segvid.conditioning import StageTwoInput
-from segvid.grid import FLOAT, SUB_INIT_NOISE, _check_dims, as_f32, read_siv1
+from segvid.grid import FLOAT, _check_dims, as_f32, read_siv1
 
 
 def plan_bruteforce(t, M, N):
@@ -284,14 +284,6 @@ def pipeline_inputs_via_lr_video(s1, s2, x_hr, T, seed):
                               s2.codec_cfg)
 
 
-def init_noise_blocks_loop(rng, t, h, w, c):
-    """Initial latents with one `Rng.split` stream per block, block 1 zero."""
-    z = np.zeros((t, h, w, c), FLOAT)
-    for i in range(2, t + 1):
-        z[i - 1] = rng.split(SUB_INIT_NOISE, i).normal((h, w, c))
-    return z
-
-
 def assemble_input(z_noisy, z_ref, z_x):
     """Anchor the noisy stream and concatenate the reference along channels.
 
@@ -313,8 +305,8 @@ def stage1_loss_terms(params, z0, rng):
     t = z0.shape[0]
     if t < 2:
         raise ValueError("clip too short: need at least one block beyond the anchor")
-    sigma = 1.0 - rng.split(1).uniform01()
-    eps = rng.split(2).normal(z0.shape)
+    sigma = 1.0 - rng.uniform01()
+    eps = rng.normal(z0.shape)
     z = (1.0 - sigma) * z0 + sigma * eps
     x = assemble_input(z, np.broadcast_to(z0[0], z0.shape), z0[0]).reshape(t, -1)
     mask = np.ones(t, bool)
@@ -342,12 +334,12 @@ def stage2_loss_terms(params, z_ref, z0, rng, M, N):
     """The stage-2 loss before the window loss: a seeded segment of the
     (M, N) plan, built here from the brute-force enumerator."""
     segs = plan_bruteforce(z0.shape[0], M, N)
-    seg = segs[rng.split(4).integers(0, len(segs))]
+    seg = segs[rng.integers(0, len(segs))]
     idx = seg["W"]
     mask = np.array([i in seg["I"] for i in idx], bool)
-    sigma = 1.0 - rng.split(1).uniform01()
+    sigma = 1.0 - rng.uniform01()
     n = len(idx)
-    eps = rng.split(2).normal((n,) + z0.shape[1:])
+    eps = rng.normal((n,) + z0.shape[1:])
     rows = np.asarray(idx) - 1
     z_win = z0[rows]
     z_win[mask] = (1.0 - sigma) * z_win[mask] + sigma * eps[mask]
@@ -360,7 +352,7 @@ def stage2_train_step(model, v_ref_lr, v_hr, rng, M=None, N=None, lr=1e-2):
     """One stage-2 step on a (reference LR, HR) video pair; (M, N) default to
     a seeded draw from MN_CHOICES. Returns (loss, M, N)."""
     if M is None or N is None:
-        M, N = stage2.MN_CHOICES[rng.split(3).integers(0, len(stage2.MN_CHOICES))]
+        M, N = stage2.MN_CHOICES[rng.integers(0, len(stage2.MN_CHOICES))]
     z_ref, z0 = stage2.encode_pair(model.codec_cfg, v_ref_lr, v_hr)
     loss, grads = stage2_loss_terms(model.params, z_ref, z0, rng, M, N)
     mixer.sgd_update(model.params, grads, lr)

@@ -308,6 +308,44 @@ def test_trained_checkpoints_record_losses(pipeline):
         assert len(log) == 600
 
 
+def _seed_sequences_built(monkeypatch, argv) -> int:
+    """How many np.random.SeedSequence objects one CLI command builds."""
+    made = 0
+    real = np.random.SeedSequence
+
+    def counted(*args, **kwargs):
+        nonlocal made
+        made += 1
+        return real(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(np.random, "SeedSequence", counted)
+        assert cli.main(argv) == 0
+    return made
+
+
+def test_train_commands_seed_as_many_generators_at_any_step_count(pipeline, tmp_path,
+                                                                  monkeypatch):
+    # a training run draws every step from one stream, so the generators a
+    # train command builds do not grow with --steps (the session pipeline
+    # already built the codec's lift, which is cached per process)
+    for cmd, extra in (("train-stage1", []), ("train-stage2", ["--stage1", pipeline["s1"]])):
+        built = [_seed_sequences_built(monkeypatch, [
+            cmd, "--corpus", pipeline["corpus"], "--out", str(tmp_path / f"{cmd}-{steps}"),
+            "--steps", str(steps), *extra]) for steps in (5, 600)]
+        assert built[0] == built[1], f"{cmd}: {built}"
+
+
+@pytest.mark.parametrize("frames", [81, 641])
+def test_stream_request_seeds_one_generator_per_stage(pipeline, tmp_path, monkeypatch, frames):
+    # one noise stream per stage, whatever the video length (the codec's
+    # lift is built once per process, by the first request)
+    argv = ["generate", "--stage1", pipeline["s1"], "--stage2", pipeline["s2"],
+            "--image", pipeline["image"], "--frames", str(frames), "--stream", "--out"]
+    assert cli.main(argv + [str(tmp_path / "warm")]) == 0
+    assert _seed_sequences_built(monkeypatch, argv + [str(tmp_path / "out")]) == 2
+
+
 def test_diverging_training_exits_3_without_checkpoint(tmp_path, capsys):
     # 64x64 stage 1 at the default lr: the step losses stay finite, the last
     # updates blow the evaluation loss up to inf

@@ -19,10 +19,10 @@ from segvid import cli
 
 NUMPY = "2.4"
 GOLDEN = {
-    "stage1_train_log": "37eec42bc9930aeec397ec25c851feebf3a956b16d83e0f8cf2d97435b2f02b9",
-    "stage2_train_log": "e17ec9206d0909b492efbfc9b2b5ca2bfbd4f4012e2e98659e69e9a21e7210a8",
-    "generate_T81": "550f122c9580c6dd5899fb2f051a8a6b8f2834038a0a04196e31a1611ce8c7b2",
-    "generate_stream_T641": "2725c07618b28a6237111d5411f28df1087066c401037015dde87020bbc986b7",
+    "stage1_train_log": "fc944afe662cd9ad5ca9c473b13ff2b7ec258a55a9352b0632be0f4e2a54fe27",
+    "stage2_train_log": "bb6bac3da534b085dc7a7da684cd378aca15413f6960715233feeed7fff09bec",
+    "generate_T81": "8a550c12c7a3613bd764f97da9b58db75afc0a38c46836c64e488b822b8eb3b6",
+    "generate_stream_T641": "4346676992d3d55888c6a4a07b82166c9bea2098757a2d4c9b5e2ec14d63b3ac",
 }
 
 

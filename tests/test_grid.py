@@ -73,74 +73,74 @@ def test_init_noise_blocks_keyed_per_block():
     npt.assert_array_equal(z9[:5], z)
 
 
-@settings(deadline=None, max_examples=60)
-@given(seed=st.one_of(st.integers(0, 2**64 - 1),
-                     st.sampled_from((0, 2**32 - 1, 2**32, 2**64 - 1))),
-       key=st.lists(st.one_of(st.integers(0, 2**64 - 1), st.integers(0, 300)), max_size=3),
-       t=st.sampled_from((1, 2, 161)), block=st.sampled_from(((2, 2, 4), (8, 8, 4))),
-       data=st.data())
-def test_init_noise_blocks_equals_per_block_streams(seed, key, t, block, data):
-    # the Python-integer SeedSequence/PCG64 seeding gives each block the bits
-    # of its own Rng.split(SUB_INIT_NOISE, i) stream, for one- and multi-word
-    # seeds and keys, whether all blocks are drawn at once or any run of
-    # them through one filler
-    rng = Rng(seed).split(*key)
-    want = oracles.init_noise_blocks_loop(rng, t, *block)
-    npt.assert_array_equal(init_noise_blocks(rng, t, *block), want)
-    fill = noise_filler(rng, t)
-    for _ in range(3):
-        first = data.draw(st.integers(2, max(2, t)), label="first_block")
-        count = data.draw(st.integers(0, t + 1 - first), label="count")
-        out = np.full((count,) + block, np.nan, FLOAT)
-        fill(out, first)
-        assert out.tobytes() == want[first - 1:first - 1 + count].tobytes()
-
-
 EDGE_SEEDS = (0, 2**32 - 1, 2**32, 2**64 - 1)
 
 
-@settings(deadline=None, max_examples=40)
+@settings(deadline=None, max_examples=60)
 @given(seed=st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**64 - 1)),
-       key=st.lists(st.integers(0, 2**64 - 1), max_size=2),
-       run=st.sampled_from((1, 3, 160)), first=st.integers(1, 400),
-       spare=st.integers(0, 5))
-def test_noise_filler_runs_equal_per_block_streams(seed, key, run, first, spare):
-    # the batched seed hash: a run of blocks at any first_block has the bits
-    # of each block's own Rng(seed).split(*key, SUB_INIT_NOISE, i) stream
+       key=st.lists(st.integers(0, 2**64 - 1), max_size=3),
+       t=st.sampled_from((1, 2, 3, 161)), block=st.sampled_from(((2, 2, 4), (8, 8, 4))),
+       data=st.data())
+def test_noise_filler_chunkings_equal_init_noise_blocks(seed, key, t, block, data):
+    # any chunking of blocks 2..t into consecutive fills draws the bits of
+    # init_noise_blocks, which draws them all at once from the one stream
+    # rng.split(SUB_INIT_NOISE)
     rng = Rng(seed).split(*key)
-    t = first + run - 1 + spare
-    out = np.full((run, 2, 2, 4), np.nan, FLOAT)
-    noise_filler(rng, t)(out, first)
-    for i, row in enumerate(out, first):
-        want = Rng(seed).split(*key, SUB_INIT_NOISE, i).normal((2, 2, 4))
-        assert row.tobytes() == want.tobytes(), f"block {i}"
+    want = init_noise_blocks(rng, t, *block)
+    assert want[1:].tobytes() == rng.split(SUB_INIT_NOISE).normal((t - 1,) + block).tobytes()
+    fill = noise_filler(rng, t)
+    got = np.full((t,) + block, np.nan, FLOAT)
+    first = 2
+    while first <= t:
+        count = data.draw(st.integers(1, t + 1 - first), label="count")
+        fill(got[first - 1:first - 1 + count], first)
+        first += count
+    assert got[1:].tobytes() == want[1:].tobytes()
 
 
 def test_noise_filler_rejects_blocks_outside_its_range():
+    # blocks come consecutively from block 2: a gap, a repeat, or a block
+    # past t fails without drawing, and the filler goes on where it was
+    blk = (2, 2, 3)
     fill = noise_filler(Rng(1), 6)
-    fill(np.empty((0, 2), FLOAT), 9)  # an empty run draws nothing
-    for first, count in ((6, 2), (0, 1), (7, 1)):
-        with pytest.raises(ValueError, match="outside 1..6"):
-            fill(np.empty((count, 2), FLOAT), first)
+    out = np.full((6,) + blk, np.nan, FLOAT)
+
+    def rejects(first, count, reason):
+        with pytest.raises(ValueError, match=reason):
+            fill(np.empty((count,) + blk, FLOAT), first)
+
+    rejects(3, 1, "blocks 3..3 requested; the next block is 2 and the last is 6")  # gap
+    rejects(1, 1, "next block is 2")  # the anchor
+    rejects(0, 2, "next block is 2")
+    rejects(2, 6, "blocks 2..7 requested.* the last is 6")  # past t
+    fill(out[1:3], 2)
+    rejects(2, 1, "next block is 4")  # repeats
+    rejects(3, 2, "next block is 4")
+    rejects(5, 3, "blocks 5..7")  # a gap and past t
+    fill(out[3:6], 4)
+    fill(out[6:], 7)  # an empty run at the next block draws nothing
+    rejects(7, 1, "blocks 7..7")
+    assert out[1:].tobytes() == init_noise_blocks(Rng(1), 6, *blk)[1:].tobytes()
 
 
 def test_noise_filler_threads_draw_on_their_own_generators():
-    # fillers share one generator per thread, not per filler: threads
-    # filling at once, switching every few bytecodes, still draw each
-    # block's own split stream bit for bit
-    t, block = 24, (2, 2, 4)
-    rngs = [Rng(seed).split(9) for seed in range(4)]  # more threads than cores
-    want = [oracles.init_noise_blocks_loop(r, t, *block)[1:].tobytes() for r in rngs]
+    # each filler draws on its own generator: two fillers filling at once on
+    # two threads, switching every few bytecodes, each give the bits they
+    # give alone on one thread
+    t, block, runs = 161, (2, 2, 4), 30
+    rngs = [Rng(seed).split(9) for seed in range(2)]
+    want = [init_noise_blocks(r, t, *block)[1:].tobytes() for r in rngs]
     got = [[] for _ in rngs]
     start = threading.Barrier(len(rngs))
 
     def work(i):
-        fill = noise_filler(rngs[i], t)
+        fills = [noise_filler(rngs[i], t) for _ in range(runs)]
         start.wait(timeout=30)
-        for _ in range(30):
-            out = np.empty((t - 1,) + block, FLOAT)
-            fill(out, 2)
-            got[i].append(out.tobytes())
+        for fill in fills:
+            out = np.empty((t,) + block, FLOAT)
+            for first in range(2, t + 1, 3):
+                fill(out[first - 1:first + 2], first)
+            got[i].append(out[1:].tobytes())
 
     threads = [threading.Thread(target=work, args=(i,)) for i in range(len(rngs))]
     interval = sys.getswitchinterval()
@@ -153,22 +153,8 @@ def test_noise_filler_threads_draw_on_their_own_generators():
     finally:
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
-    for i, runs in enumerate(got):
-        assert len(runs) == 30 and all(r == want[i] for r in runs), f"thread {i}"
-
-
-@settings(deadline=None, max_examples=60)
-@given(seed=st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**64 - 1)),
-       prefix=st.lists(st.integers(0, 2**64 - 1), max_size=3),
-       words=st.lists(st.one_of(st.sampled_from((0, 1, 2**31 - 1, 2**31, 2**32 - 1)),
-                                st.integers(0, 2**32 - 1)), min_size=1, max_size=8))
-def test_seed_hash_equals_numpy_seeding_per_word(seed, prefix, words):
-    # every u32 last key word, including those no video reaches (up to
-    # 2**32 - 1), seeds PCG64 as numpy's SeedSequence does
-    seeds = grid._pcg64_seed_words(seed, tuple(prefix), np.array(words, np.uint64))
-    for w, row in zip(words, seeds.tolist()):
-        want = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(*prefix, w))).state
-        assert grid._pcg64_state(*row) == want, f"word {w}"
+    for i, runs_i in enumerate(got):
+        assert len(runs_i) == runs and all(r == want[i] for r in runs_i), f"thread {i}"
 
 
 def test_rng_seeds_its_generator_on_first_draw(monkeypatch):
@@ -182,8 +168,10 @@ def test_rng_seeds_its_generator_on_first_draw(monkeypatch):
     monkeypatch.setattr(np.random, "SeedSequence", counted)
     g = Rng(5)
     child = g.split(1).split(2, 3)
+    assert made == []  # split-only streams seed no SeedSequence
     init_noise_blocks(g.split(7), 9, 2, 2, 3)
-    assert made == []  # split-only streams and block noise seed no SeedSequence
+    assert made == [{"entropy": 5, "spawn_key": (7, SUB_INIT_NOISE)}]  # one for all blocks
+    made.clear()
     a = child.normal((4,))
     assert made == [{"entropy": 5, "spawn_key": (1, 2, 3)}]
     b = child.normal((4,))

@@ -134,13 +134,13 @@ def _same_params(a, b):
 def test_train_matches_hand_loop_of_train_step():
     # train() steps through the shared window loss on latents encoded once;
     # the retired train_step re-encodes and runs the retired stage-1 loss.
-    # Same Rng splits, so the log and the final parameters agree bit for bit.
+    # Same stream, drawn in the same order, so the log and the final
+    # parameters agree bit for bit.
     clips = lr_clips(3)
     a, b = stage1.new_stage1(7), stage1.new_stage1(7)
     log = stage1.train(a, latents(clips, a), steps=10, seed=5, lr=1e-2)
     g = Rng(5).split(SUB_TRAIN)
-    hand = [(s, oracles.stage1_train_step(b, clips[s % 3], g.split(s), 1e-2))
-            for s in range(10)]
+    hand = [(s, oracles.stage1_train_step(b, clips[s % 3], g, 1e-2)) for s in range(10)]
     assert log == hand
     assert _same_params(a.params, b.params)
 
@@ -188,11 +188,11 @@ def test_window_loss_equals_retired_stage1_loss(T):
         model = stage1.new_stage1(seed)
         clip = np.random.default_rng(seed).random((T, 8, 8, 3), dtype=np.float32)
         z0 = encode(clip, model.codec_cfg)
-        rng = Rng(seed).split(SUB_TRAIN).split(0)
-        want_loss, want_grads = oracles.stage1_loss_terms(model.params, z0, rng)
+        want_loss, want_grads = oracles.stage1_loss_terms(model.params, z0,
+                                                          Rng(seed).split(SUB_TRAIN))
         p = scheduler.plan(z0.shape[0], z0.shape[0] - 1, 0)
         loss, grads = mixer.window_loss(model.params, np.broadcast_to(z0[0], z0.shape), z0,
-                                        p.W[0], len(p.I[0]), rng)
+                                        p.W[0], len(p.I[0]), Rng(seed).split(SUB_TRAIN))
         assert loss == want_loss
         assert _same_grads(grads, want_grads)
         if seed < 5:

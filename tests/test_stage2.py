@@ -121,8 +121,8 @@ def test_train_step_draws_mn_from_choices():
     # a given (M, N) is the one used: eval_loss at (3, 2) is the retired
     # stage-2 loss at (3, 2) over the same draws
     g = Rng(1).split(SUB_TRAIN)
-    want = sum(oracles.stage2_loss_terms(model.params, *pair[0], g.split(j), 3, 2)[0]
-               for j in range(4)) / 4
+    want = sum(oracles.stage2_loss_terms(model.params, *pair[0], g, 3, 2)[0]
+               for _ in range(4)) / 4
     assert stage2.eval_loss(model, pair, seed=1, draws=4, M=3, N=2) == want
 
 
@@ -215,7 +215,8 @@ def _same_params(a, b):
 def test_train_matches_hand_loop_of_train_step(with_transition):
     # train() steps through the shared window loss on pairs encoded once; the
     # retired train_step re-encodes and runs the retired stage-2 loss. Same
-    # Rng splits, so the log and the final parameters agree bit for bit.
+    # stream, drawn in the same order (source, (M, N), segment, sigma, eps),
+    # so the log and the final parameters agree bit for bit.
     down = _pairs(70)
     trans = [(0.5 * v_lr + 0.25, v_hr) for v_lr, v_hr in _pairs(80, n=3)]
     trans = trans if with_transition else []
@@ -224,10 +225,9 @@ def test_train_matches_hand_loop_of_train_step(with_transition):
     g = Rng(9).split(SUB_TRAIN)
     hand = []
     for step in range(20):
-        rs = g.split(step)
-        use = bool(trans) and rs.split(5).uniform01() < stage2.TRANSITION_SHARE
+        use = bool(trans) and g.uniform01() < stage2.TRANSITION_SHARE
         pool = trans if use else down
-        loss, M, N = oracles.stage2_train_step(b, *pool[step % len(pool)], rs, lr=3e-4)
+        loss, M, N = oracles.stage2_train_step(b, *pool[step % len(pool)], g, lr=3e-4)
         hand.append((step, loss, M, N, "transition" if use else "downsampled"))
     assert log == hand
     assert _same_params(a.params, b.params)
