@@ -65,7 +65,10 @@ SCALING_BATCH_S = 0.025
 _QUIET_FP = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then reused: a build
+    costs about 2 ms, and parsing, even a failed parse, leaves it unchanged."""
     ap = argparse.ArgumentParser(prog="segvid", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="cmd", required=True)
 
@@ -318,10 +321,12 @@ def _cmd_train_stage2(cfg: _Cfg, args, out: str) -> None:
     _check_pipeline(s1, model, clips_hr[0][0], "corpus frame")
     tcfg = transition.TransitionConfig(sigma=cfg.get("sigma"), steps=cfg.get("tsteps"),
                                        seed=seed)
-    pairs = [(stage1.low_res(v, model.codec_cfg), v) for v in clips_hr]
-    trans = [stage2.encode_pair(model.codec_cfg, *pair)
-             for pair in transition.synthesize_corpus(pairs, s1, tcfg)]
-    down = [stage2.encode_pair(model.codec_cfg, *pair) for pair in pairs]
+    ccfg = model.codec_cfg
+    pairs = [(stage1.low_res(v, ccfg), v) for v in clips_hr]
+    zs = [encode(v, ccfg) for v in clips_hr]  # each HR clip once, shared by its two pairs
+    trans = [stage2.pair_latents(ccfg, v_tilde, z0)
+             for (v_tilde, _), z0 in zip(transition.synthesize_corpus(pairs, s1, tcfg), zs)]
+    down = [stage2.pair_latents(ccfg, v_lr, z0) for (v_lr, _), z0 in zip(pairs, zs)]
     _train(out, 2, model, lambda: stage2.train(model, trans, down, steps, seed, lr),
            lambda: stage2.eval_loss(model, down, seed + 1),
            ["step", "loss", "M", "N", "source"])
@@ -561,9 +566,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    ap = _build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 1
     name = f"bench {args.bench_cmd}" if args.cmd == "bench" else args.cmd

@@ -19,6 +19,15 @@ and noise-level codes sit in another such cache, so the bits equal
 `sin_code`'s. The attention scale is cached per (d, dtype) and the causal
 mask per window length, and the embedding and softmax work in place.
 
+The five matrices are views of one contiguous buffer (MixerParams.flat, in
+_MATS order), and w_qkv views w_q|w_k|w_v as one (3, d, d) stack. So the
+forward pass projects once, h @ w_qkv; the backward pass writes d_q|d_k|d_v
+into one (3, n, d) buffer, takes the three d_h terms in one stacked product
+and writes all five gradients, with out=, into one buffer laid out like the
+parameters; and an SGD step is one pass over that buffer. Each gives the
+bits of the separate per-matrix products, which a test checks for the BLAS
+in use.
+
 Inference runs each window in its own [z | ref] input buffer, built once per
 window: a step writes only the noisy channels of the window's tail back into
 it, and the conditioning prefix and the reference half stay as built.
@@ -37,7 +46,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -49,8 +58,25 @@ from .grid import (FLOAT, SUB_TRAIN, Rng, init_noise_blocks, read_siv1, require_
 MASK_MODES = ("bidirectional", "causal")
 
 
-@dataclass
+_MATS = ("w_in", "w_q", "w_k", "w_v", "w_out")
+
+
+def _views(flat: np.ndarray, d_in: int, d: int):
+    """The five matrices, in _MATS order, and the (3, d, d) w_q|w_k|w_v
+    block, as views of a buffer packed in that order."""
+    a, b = d_in * d, (d_in + 3 * d) * d
+    qkv = flat[a:b].reshape(3, d, d)
+    return (flat[:a].reshape(d_in, d), *qkv, flat[b:].reshape(d, -1)), qkv
+
+
+@dataclass(frozen=True)
 class MixerParams:
+    """The mixer's matrices, packed: construction copies them, in _MATS
+    order, into one contiguous buffer `flat`, and each matrix attribute is a
+    view of it; `w_qkv` views w_q|w_k|w_v as one (3, d, d) stack. Frozen, so
+    no matrix can be rebound away from the buffer. Every copy (astype,
+    dataclasses.replace, copy.deepcopy, load_params) is a new construction,
+    so it owns its own buffer with the views linked."""
     w_in: np.ndarray    # (d_in, d)
     w_q: np.ndarray     # (d, d)
     w_k: np.ndarray     # (d, d)
@@ -58,6 +84,32 @@ class MixerParams:
     w_out: np.ndarray   # (d, d_out)
     d: int
     mask_mode: str
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+    w_qkv: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.mask_mode not in MASK_MODES:
+            raise ValueError(f"mask_mode must be one of {MASK_MODES}, got {self.mask_mode!r}")
+        d = self.d
+        mats = [np.asarray(getattr(self, name)) for name in _MATS]
+        if mats[0].shape[1] != d or mats[4].shape[0] != d:
+            raise ValueError(f"embedding/readout width {mats[0].shape[1]}/"
+                             f"{mats[4].shape[0]} disagrees with d={d}")
+        for name, m in zip(_MATS[1:4], mats[1:4]):
+            if m.shape != (d, d):
+                raise ValueError(f"{name} must be ({d},{d})")
+        flat = np.empty(sum(m.size for m in mats), np.result_type(*mats))
+        views, qkv = _views(flat, mats[0].shape[0], d)
+        for name, view, m in zip(_MATS, views, mats):
+            view[...] = m
+            object.__setattr__(self, name, view)
+        object.__setattr__(self, "flat", flat)
+        object.__setattr__(self, "w_qkv", qkv)
+
+    def __reduce__(self):
+        # copy.deepcopy and pickle rebuild through the constructor; copying
+        # the attributes one by one would unlink the views from the buffer.
+        return type(self), (*(getattr(self, name) for name in _MATS), self.d, self.mask_mode)
 
     @property
     def d_in(self) -> int:
@@ -68,28 +120,21 @@ class MixerParams:
         return self.w_out.shape[1]
 
     def check(self):
-        if self.mask_mode not in MASK_MODES:
-            raise ValueError(f"mask_mode must be one of {MASK_MODES}, got {self.mask_mode!r}")
-        d = self.d
-        if self.w_in.shape[1] != d or self.w_out.shape[0] != d:
-            raise ValueError(f"embedding/readout width {self.w_in.shape[1]}/"
-                             f"{self.w_out.shape[0]} disagrees with d={d}")
-        for name in ("w_q", "w_k", "w_v"):
-            if getattr(self, name).shape != (d, d):
-                raise ValueError(f"{name} must be ({d},{d})")
-        for name in ("w_in", "w_q", "w_k", "w_v", "w_out"):
+        """Construction checks the shapes; this checks the values."""
+        for name in _MATS:
             require_finite(getattr(self, name), name)
 
     def finite(self) -> bool:
-        return all(np.isfinite(getattr(self, name)).all() for name in _MATS)
+        return bool(np.isfinite(self.flat).all())
 
     def astype(self, dtype) -> "MixerParams":
-        return replace(self, w_in=self.w_in.astype(dtype), w_q=self.w_q.astype(dtype),
-                       w_k=self.w_k.astype(dtype), w_v=self.w_v.astype(dtype),
-                       w_out=self.w_out.astype(dtype))
+        return replace(self, **{name: getattr(self, name).astype(dtype) for name in _MATS})
 
 
-_MATS = ("w_in", "w_q", "w_k", "w_v", "w_out")
+class Grads(dict):
+    """Name-keyed gradients whose values are views of one buffer `flat`,
+    laid out like MixerParams.flat."""
+    __slots__ = ("flat",)
 
 
 def init_mixer(rng: Rng, d_in: int, d_out: int, d: int = 32,
@@ -118,11 +163,16 @@ def ref_rows(h: int, w: int, c: int) -> np.ndarray:
     return (base[:, None] + np.arange(c, 2 * c)[None, :]).ravel()
 
 
+@lru_cache(maxsize=None)
+def _freqs(half: int) -> np.ndarray:
+    freqs = 10000.0 ** (-np.arange(half, dtype=np.float64) / half)
+    freqs.flags.writeable = False
+    return freqs
+
+
 def sin_code(x: float, d: int, dtype=FLOAT) -> np.ndarray:
     """Fixed sinusoidal code of a scalar, standard geometric frequency ladder."""
-    half = d // 2
-    freqs = 10000.0 ** (-np.arange(half, dtype=np.float64) / half)
-    ang = float(x) * freqs
+    ang = float(x) * _freqs(d // 2)
     return np.concatenate([np.sin(ang), np.cos(ang)]).astype(dtype)
 
 
@@ -187,8 +237,10 @@ def _future_mask(n: int) -> np.ndarray:
 
 
 def _attend(p: MixerParams, h: np.ndarray):
+    """Attention weights and the stacked (3, n, d) projections q|k|v."""
     dt = h.dtype
-    q, k, v = h @ p.w_q, h @ p.w_k, h @ p.w_v
+    qkv = h @ p.w_qkv
+    q, k, _ = qkv
     scale = _attn_scale(p.d, dt)
     logits = q @ k.T
     logits *= scale
@@ -197,7 +249,7 @@ def _attend(p: MixerParams, h: np.ndarray):
     logits -= np.maximum.reduce(logits, axis=1, keepdims=True)
     attn = np.exp(logits, out=logits)
     attn /= np.add.reduce(attn, axis=1, keepdims=True)
-    return q, k, v, attn, scale
+    return qkv, attn, scale
 
 
 def _forward_cache(p: MixerParams, window_blocks: np.ndarray, sigma: float, indices):
@@ -209,11 +261,11 @@ def _forward_cache(p: MixerParams, window_blocks: np.ndarray, sigma: float, indi
     if not 0.0 <= sigma <= 1.0:
         raise ValueError(f"sigma must lie in [0,1], got {sigma}")
     h = _embed(p, x, sigma, indices)
-    q, k, v, attn, scale = _attend(p, h)
-    r = attn @ v
+    qkv, attn, scale = _attend(p, h)
+    r = attn @ qkv[2]
     r += h
     y = r @ p.w_out
-    return y, (x, h, q, k, v, attn, scale, r)
+    return y, (x, h, qkv, attn, scale, r)
 
 
 def forward(p: MixerParams, window_blocks: np.ndarray, sigma: float,
@@ -234,44 +286,52 @@ def loss_and_grad(p: MixerParams, window_blocks: np.ndarray, clean_targets: np.n
 
     loss = mean over noisy blocks of ||v_hat - (eps - x0)||^2. Blocks with
     noisy_mask False are teacher-forced conditioning; their loss rows are
-    dropped, so their terms contribute exactly zero gradient.
+    zeroed, so their terms contribute exactly zero gradient. The gradients
+    come back as Grads: views of one buffer laid out like p.flat.
     """
     mask = np.asarray(noisy_mask, dtype=bool)
-    if not mask.any():
+    n_noisy = np.count_nonzero(mask)
+    if not n_noisy:
         raise ValueError("noisy_mask selects no blocks; loss undefined")
-    y, (x, h, q, k, v, attn, scale, r) = _forward_cache(p, window_blocks, sigma, indices)
+    y, (x, h, qkv, attn, scale, r) = _forward_cache(p, window_blocks, sigma, indices)
     dt = y.dtype
-    tgt = np.asarray(eps, dt) - np.asarray(clean_targets, dt)
-    n_noisy = int(mask.sum())
 
-    resid = np.where(mask[:, None], y - tgt, dt.type(0.0))
-    loss = float((resid * resid).sum()) / n_noisy
+    resid = y   # the forward output is this call's own: reuse it in place
+    resid -= np.asarray(eps, dt) - np.asarray(clean_targets, dt)
+    resid[~mask] = 0.0
+    loss = float(np.add.reduce(resid * resid, axis=None)) / n_noisy
 
-    d_y = (dt.type(2.0) / dt.type(n_noisy)) * resid
-    g_out = r.T @ d_y
+    g_flat = np.empty_like(p.flat)
+    g_mats, g_qkv = _views(g_flat, p.d_in, p.d)
+    d_y = resid
+    d_y *= dt.type(2.0) / dt.type(n_noisy)
+    np.matmul(r.T, d_y, out=g_mats[4])
     d_r = d_y @ p.w_out.T
-    d_h = d_r.copy()                      # residual branch
-    d_attn = d_r @ v.T
-    g_v_in = attn.T @ d_r                 # grad wrt v rows
-    d_logits = attn * (d_attn - (d_attn * attn).sum(axis=1, keepdims=True))
-    d_q = (d_logits @ k) * scale
-    d_k = (d_logits.T @ q) * scale
-    d_h += d_q @ p.w_q.T + d_k @ p.w_k.T + g_v_in @ p.w_v.T
-    grads = {
-        "w_out": g_out,
-        "w_q": h.T @ d_q,
-        "w_k": h.T @ d_k,
-        "w_v": h.T @ g_v_in,
-        "w_in": x.T @ d_h,
-    }
+    q, k, v = qkv
+    d_logits = d_r @ v.T                  # d_attn, then in place the softmax gradient
+    d_logits -= np.add.reduce(d_logits * attn, axis=1, keepdims=True)
+    d_logits *= attn
+    d_qkv = np.empty_like(qkv)
+    d_q, d_k, d_v = d_qkv                 # d_v: the gradient wrt v rows
+    np.matmul(d_logits, k, out=d_q)
+    np.matmul(d_logits.T, q, out=d_k)
+    d_qkv[:2] *= scale
+    np.matmul(attn.T, d_r, out=d_v)
+    np.matmul(h.T, d_qkv, out=g_qkv)
+    # sum over q|k|v runs in order along the outer axis: (d_hq + d_hk) + d_hv
+    d_h = np.add.reduce(d_qkv @ p.w_qkv.transpose(0, 2, 1), axis=0)
+    d_h += d_r                            # residual branch
+    np.matmul(x.T, d_h, out=g_mats[0])
+    grads = Grads(zip(_MATS, g_mats))
+    grads.flat = g_flat
     return loss, grads
 
 
-def sgd_update(p: MixerParams, grads: dict, lr: float = 1e-2) -> None:
-    """Plain gradient descent, in place."""
-    for name in _MATS:
-        m = getattr(p, name)
-        m -= m.dtype.type(lr) * grads[name].astype(m.dtype)
+def sgd_update(p: MixerParams, grads: Grads, lr: float = 1e-2) -> None:
+    """Plain gradient descent, in place, in one pass over the packed buffer;
+    grads as loss_and_grad returns them."""
+    flat = p.flat
+    flat -= flat.dtype.type(lr) * grads.flat
 
 
 @dataclass(frozen=True)
@@ -385,9 +445,9 @@ def load_params(in_dir: str) -> MixerParams:
         arr = read_siv1(path)
         if arr.shape[0] != 1 or arr.shape[3] != 1:
             raise ValueError(f"{path}: a matrix is stored as (1, rows, cols, 1), got {arr.shape}")
-        mats[name] = arr[0, :, :, 0].copy()
-    p = MixerParams(d=side["d"], mask_mode=side["mask_mode"], **mats)
+        mats[name] = arr[0, :, :, 0]
     try:
+        p = MixerParams(d=side["d"], mask_mode=side["mask_mode"], **mats)
         p.check()
     except ValueError as e:
         raise ValueError(f"{doc}: {e}") from None
@@ -439,16 +499,34 @@ def window_loss(p: MixerParams, z_ref: np.ndarray, z0: np.ndarray, indices, n_no
     drawn eps; the conditioning prefix keeps its clean latents. Draws sigma,
     then eps, from rng. Returns (loss, grads).
     """
-    n = len(indices)
-    mask = np.arange(n) >= n - n_noisy
+    idx = indices if type(indices) is tuple else tuple(indices)
+    rows, mask = _window_rows(idx, n_noisy)
+    n, prefix = len(idx), len(idx) - n_noisy
     sigma = 1.0 - rng.uniform01()   # U(0, 1]
     eps = rng.normal((n,) + z0.shape[1:])
-    rows = np.asarray(indices) - 1
     clean = z0[rows]
-    z_win = np.where(mask[:, None, None, None], (1.0 - sigma) * clean + sigma * eps, clean)
-    x = np.concatenate([z_win, z_ref[rows]], axis=-1).reshape(n, -1)
-    return loss_and_grad(p, x, clean.reshape(n, -1), mask, sigma, eps.reshape(n, -1),
-                         indices=indices)
+    noisy = clean[prefix:] * (1.0 - sigma)
+    noisy += sigma * eps[prefix:]
+    # [z | ref] per pixel, built by moving each pixel's c channels as one
+    # record; the tail's z half is then overwritten with its noisy latents.
+    pixel = f"V{clean.shape[-1] * clean.itemsize}"
+    zr = np.concatenate([clean.view(pixel), z_ref[rows].view(pixel)], axis=-1)
+    zr[prefix:, ..., :1] = noisy.view(pixel)
+    return loss_and_grad(p, zr.view(clean.dtype).reshape(n, -1), clean.reshape(n, -1), mask,
+                         sigma, eps.reshape(n, -1), indices=idx)
+
+
+@lru_cache(maxsize=256)
+def _window_rows(indices: tuple, n_noisy: int):
+    # A window's 0-based rows and its noisy-tail mask, read-only. Bounded:
+    # training visits one window per step, from a few plans.
+    n = len(indices)
+    if not 0 <= n_noisy <= n:
+        raise ValueError(f"n_noisy must lie in [0, {n}], got {n_noisy}")
+    rows = np.asarray(indices) - 1
+    mask = np.arange(n) >= n - n_noisy
+    rows.flags.writeable = mask.flags.writeable = False
+    return rows, mask
 
 
 def train_windows(p: MixerParams, windows, steps: int, seed: int, lr: float, stage: int):

@@ -16,7 +16,8 @@ that plan as the training window, the hybrid reference, reference input rows
 that start zero-initialized (a fresh model ignores reference content until
 training moves those weights), and a 7:3 mix of transition and plain
 downsampled pairs (`stage1.low_res(v, cfg)`, v). Training and evaluation take
-encoded pairs (`encode_pair`), so a caller encodes each pair once.
+encoded pairs (`pair_latents`), so a caller encodes each HR clip once and
+shares its latents between the clip's transition and plain pairs.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import mixer, scheduler, stage1 as stage1_mod
-from .codec import CodecConfig, decode_group_means, encode, group_means, lift
+from .codec import CodecConfig, decode_group_means, group_means, lift
 from .conditioning import StageTwoInput, encode_reference
 from .grid import FLOAT, Rng, as_f32, noise_filler
 
@@ -95,11 +96,11 @@ def infer_full(model: mixer.StageModel, inp: StageTwoInput, seed: int) -> np.nda
     return mixer.denoise_full(model.params, model.schedule.sigmas, z, inp.z_ref)
 
 
-def encode_pair(cfg: CodecConfig, v_ref_lr: np.ndarray, v_hr: np.ndarray):
-    """(z_ref, z0): latents of the hybrid reference built from a (reference
-    LR video, ground-truth HR video) pair, and of the HR clip. The HR clip's
-    block 1 is the reference's anchor."""
-    z0 = encode(v_hr, cfg)
+def pair_latents(cfg: CodecConfig, v_ref_lr: np.ndarray, z0: np.ndarray):
+    """(z_ref, z0) of a (reference LR video, HR clip) training pair: the
+    latents of the hybrid reference, whose anchor is block 1 of the HR
+    clip's latents z0, and z0 itself. The caller encodes the HR clip, once
+    for all the pairs it is in."""
     means = group_means(as_f32(v_ref_lr, "v_ref_lr"), cfg.f_t)
     return encode_reference(means, z0[0], cfg).z_ref, z0
 

@@ -5,15 +5,18 @@ loops, brute force, closed forms) and use nothing from the package, so a bug
 in the implementation cannot hide in its own oracle.
 
 The section at the end keeps code the package has retired and helpers that
-only tests use; it imports the package. It holds the stage-1 loss and LR
-rollout as they were before stage 1 became the one-window case of the shared
-denoiser (the bit-for-bit references for that fold), the per-step
-`train_step`s of both stages, the zero-parameter null models, the stage-2
-input layout as one tensor, and the transition-pair reader. It also keeps
-the stage-2 conditioning built the obvious way, by encoding the HR hybrid
-video with `encode_loop` (numpy's mean, not the package's pooling), the
-reference for `conditioning.encode_reference`; the stage-2 inputs built from
-the decoded LR video (the reference for `stage2.pipeline_inputs`, which
+only tests use; it imports the package. It holds the loss, gradients, SGD
+step and window loss as they were before the mixer packed its matrices into
+one buffer (one array per matrix, separate projections, np.where and
+concatenation: the bit-for-bit references for the packed forms), the stage-1
+loss and LR rollout as they were before stage 1 became the one-window case
+of the shared denoiser (the bit-for-bit references for that fold), the
+per-step `train_step`s of both stages, the zero-parameter null models, the
+stage-2 input layout as one tensor, and the transition-pair reader. It also
+keeps the stage-2 conditioning built the obvious way, by encoding the HR
+hybrid video with `encode_loop` (numpy's mean, not the package's pooling),
+the reference for `conditioning.encode_reference`; the stage-2 inputs built
+from the decoded LR video (the reference for `stage2.pipeline_inputs`, which
 never decodes it); and the SIV1 writer that truncates its target first, the
 byte reference for the in-place `grid.write_siv1`. The retired losses and
 train steps draw from the stream they are given in the package's order:
@@ -232,8 +235,9 @@ def denoise_window_concat(forward, sigmas, z_window, ref_window, update_mask):
 
 
 def attend_uncached(p, h):
-    """mixer._attend as it was before its in-place form: a fresh causal
-    keep-mask per call, np.where, and out-of-place softmax steps."""
+    """mixer._attend as it was before its in-place form: three separate
+    projections (stacked only to return them as _attend does), a fresh
+    causal keep-mask per call, np.where, and out-of-place softmax steps."""
     n = h.shape[0]
     dt = h.dtype
     q, k, v = h @ p.w_q, h @ p.w_k, h @ p.w_v
@@ -245,10 +249,73 @@ def attend_uncached(p, h):
     m = logits.max(axis=1, keepdims=True)
     e = np.exp(logits - m)
     attn = e / e.sum(axis=1, keepdims=True)
-    return q, k, v, attn, scale
+    return np.stack([q, k, v]), attn, scale
 
 
 # ---- retired package code and test-only helpers ---------------------------
+
+
+def loss_and_grad_unpacked(p, window_blocks, clean_targets, noisy_mask, sigma, eps,
+                           indices=None):
+    """mixer.loss_and_grad as it was before the packed parameter buffer:
+    three separate projections, np.where for the masked residual, a fresh
+    array per step of the backward pass, and one gradient array per matrix."""
+    mask = np.asarray(noisy_mask, dtype=bool)
+    if not mask.any():
+        raise ValueError("noisy_mask selects no blocks; loss undefined")
+    x = np.asarray(window_blocks, dtype=p.w_in.dtype)
+    h = mixer._embed(p, x, sigma, indices)
+    (q, k, v), attn, scale = attend_uncached(p, h)
+    r = attn @ v + h
+    y = r @ p.w_out
+    dt = y.dtype
+    tgt = np.asarray(eps, dt) - np.asarray(clean_targets, dt)
+    n_noisy = int(mask.sum())
+
+    resid = np.where(mask[:, None], y - tgt, dt.type(0.0))
+    loss = float((resid * resid).sum()) / n_noisy
+
+    d_y = (dt.type(2.0) / dt.type(n_noisy)) * resid
+    g_out = r.T @ d_y
+    d_r = d_y @ p.w_out.T
+    d_h = d_r.copy()                      # residual branch
+    d_attn = d_r @ v.T
+    g_v_in = attn.T @ d_r                 # grad wrt v rows
+    d_logits = attn * (d_attn - (d_attn * attn).sum(axis=1, keepdims=True))
+    d_q = (d_logits @ k) * scale
+    d_k = (d_logits.T @ q) * scale
+    d_h += d_q @ p.w_q.T + d_k @ p.w_k.T + g_v_in @ p.w_v.T
+    grads = {
+        "w_out": g_out,
+        "w_q": h.T @ d_q,
+        "w_k": h.T @ d_k,
+        "w_v": h.T @ g_v_in,
+        "w_in": x.T @ d_h,
+    }
+    return loss, grads
+
+
+def sgd_update_unpacked(p, grads, lr=1e-2):
+    """mixer.sgd_update as it was before the packed buffer: one update per
+    matrix, each gradient cast to the matrix's dtype first."""
+    for name in ("w_in", "w_q", "w_k", "w_v", "w_out"):
+        m = getattr(p, name)
+        m -= m.dtype.type(lr) * grads[name].astype(m.dtype)
+
+
+def window_loss_concat(p, z_ref, z0, indices, n_noisy, rng, loss_and_grad):
+    """mixer.window_loss as it was before its slice writes: every block
+    noised, np.where keeps the prefix clean, [z | ref] by concatenation."""
+    n = len(indices)
+    mask = np.arange(n) >= n - n_noisy
+    sigma = 1.0 - rng.uniform01()
+    eps = rng.normal((n,) + z0.shape[1:])
+    rows = np.asarray(indices) - 1
+    clean = z0[rows]
+    z_win = np.where(mask[:, None, None, None], (1.0 - sigma) * clean + sigma * eps, clean)
+    x = np.concatenate([z_win, z_ref[rows]], axis=-1).reshape(n, -1)
+    return loss_and_grad(p, x, clean.reshape(n, -1), mask, sigma, eps.reshape(n, -1),
+                         indices=indices)
 
 
 def build_hybrid_reference(v_lr, x, factor):
@@ -353,7 +420,7 @@ def stage2_train_step(model, v_ref_lr, v_hr, rng, M=None, N=None, lr=1e-2):
     a seeded draw from MN_CHOICES. Returns (loss, M, N)."""
     if M is None or N is None:
         M, N = stage2.MN_CHOICES[rng.integers(0, len(stage2.MN_CHOICES))]
-    z_ref, z0 = stage2.encode_pair(model.codec_cfg, v_ref_lr, v_hr)
+    z_ref, z0 = stage2.pair_latents(model.codec_cfg, v_ref_lr, encode(v_hr, model.codec_cfg))
     loss, grads = stage2_loss_terms(model.params, z_ref, z0, rng, M, N)
     mixer.sgd_update(model.params, grads, lr)
     return loss, M, N

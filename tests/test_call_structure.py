@@ -124,3 +124,18 @@ def test_commands_pool_each_clip_to_lr_once(monkeypatch, pipeline, tmp_path):
         assert cli.main(argv + ["--out", str(tmp_path / argv[0])]) == 0
         inputs = [args[0].shape for args, _ in resize.calls]
         assert inputs == [(81, 32, 32, 3)] * 6, argv[0]
+
+
+def test_train_stage2_encodes_each_hr_clip_once(monkeypatch, pipeline, tmp_path):
+    # at the default 6-clip corpus, train-stage2 encodes each HR clip once,
+    # shared by its transition and plain pair (12 HR encodes before); the
+    # LR encodes are the transition synthesis': each LR clip and its first
+    # frame, the anchor of the partial denoise
+    real = codec.encode
+    sites = [m for n, m in sorted(sys.modules.items())
+             if n.startswith("segvid") and getattr(m, "encode", None) is real]
+    encode = Counter(monkeypatch, sites, "encode")
+    assert cli.main(["train-stage2", "--corpus", pipeline["corpus"], "--stage1", pipeline["s1"],
+                     "--steps", "2", "--out", str(tmp_path / "s2")]) == 0
+    inputs = sorted(args[0].shape for args, _ in encode.calls)
+    assert inputs == sorted([(81, 32, 32, 3)] * 6 + [(81, 8, 8, 3)] * 6 + [(1, 8, 8, 3)] * 6)

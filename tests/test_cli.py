@@ -1,6 +1,7 @@
 """End-to-end CLI tests against the trained session pipeline: exit codes,
 config layering, deterministic generation, streaming parity, ablation."""
 
+import argparse
 import csv
 import json
 import os
@@ -27,6 +28,27 @@ def test_usage_errors_exit_1(tmp_path):
 def test_help_exits_0():
     assert cli.main(["--help"]) == 0
     assert cli.main(["synth", "--help"]) == 0
+
+
+def test_main_parses_with_one_parser_per_process(monkeypatch, tmp_path, capsys):
+    # the parser is built once and reused, also after a parse that failed;
+    # a failed parse leaves nothing behind for the next one
+    parsers = []
+    real = argparse.ArgumentParser.parse_args
+
+    def spy(self, *args, **kwargs):
+        parsers.append(self)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+    out = tmp_path / "c"
+    assert cli.main(["synth", "--out", str(out), "--count", "two"]) == 1
+    assert cli.main(["bogus"]) == 1
+    assert cli.main(["synth", "--out", str(out), "--frames", "5"]) == 0
+    assert cli.main(["synth", "--help"]) == 0
+    assert len(parsers) == 4 and all(ap is cli._build_parser() for ap in parsers)
+    resolved = json.loads((out / "config.resolved.json").read_text())
+    assert resolved["count"] == cli.DEFAULTS["count"] and resolved["frames"] == 5
 
 
 def test_missing_out_is_validation_error():

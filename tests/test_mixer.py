@@ -1,11 +1,17 @@
-"""Mixer tests: forward masking, loss/gradients, sampler, schedules, I/O."""
+"""Mixer tests: forward masking, loss/gradients, sampler, schedules, I/O,
+the packed parameter buffer, and the BLAS bit assumptions it rests on."""
+
+import copy
+import dataclasses
+import pickle
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from segvid import mixer
-from segvid.grid import FLOAT, Rng
+from segvid import mixer, scheduler
+from segvid.grid import FLOAT, SUB_TRAIN, Rng
 
 import oracles
 
@@ -115,6 +121,12 @@ def test_masked_targets_are_inert():
     assert loss == loss2
     for name in MATS:
         npt.assert_array_equal(grads[name], grads2[name])
+    # even a non-finite target of a conditioning block is dropped, not scaled
+    clean2[~mask] = np.nan
+    loss3, grads3 = mixer.loss_and_grad(p, x, clean2, mask, sigma, eps2)
+    assert loss == loss3
+    for name in MATS:
+        npt.assert_array_equal(grads[name], grads3[name])
 
 
 def test_gradients_match_finite_differences():
@@ -332,3 +344,194 @@ def test_denoise_window_never_writes_its_inputs_or_returns_its_buffer(broadcast_
     assert a.tobytes() == a_bytes == b.tobytes()  # a later call leaves it alone
     b[:] = 0.0  # and writing one result changes no other
     assert a.tobytes() == a_bytes
+
+
+def _address(a):
+    return a.__array_interface__["data"][0]
+
+
+def _assert_packed(p):
+    """Every matrix is a view of p.flat at its _MATS offset, and w_qkv[i] is
+    the same memory as w_q, w_k, w_v."""
+    flat = p.flat
+    assert flat.ndim == 1 and flat.flags.c_contiguous and flat.flags.owndata
+    off = 0
+    for name in MATS:
+        m = getattr(p, name)
+        assert m.base is flat and m.dtype == flat.dtype, name
+        assert _address(m) == _address(flat) + off * flat.itemsize, name
+        off += m.size
+    assert off == flat.size
+    assert p.w_qkv.shape == (3, p.d, p.d) and p.w_qkv.base is flat
+    for i, name in enumerate(("w_q", "w_k", "w_v")):
+        assert _address(p.w_qkv[i]) == _address(getattr(p, name)), name
+
+
+def _copies(p, tmp_path):
+    mixer.save_params(p, str(tmp_path))
+    return {"astype": p.astype(np.float64), "replace": dataclasses.replace(p, mask_mode="causal"),
+            "deepcopy": copy.deepcopy(p), "copy": copy.copy(p),
+            "pickle": pickle.loads(pickle.dumps(p)),
+            "load_params": mixer.load_params(str(tmp_path))}
+
+
+def test_params_are_views_of_one_buffer_in_every_copy(tmp_path):
+    p = small_params(40)
+    _assert_packed(p)
+    _assert_packed(oracles.zero_mixer(10, 4, d=6))
+    x, clean, eps, mask, sigma = random_instance(41)
+    before = p.flat.copy()
+    for how, q in _copies(p, tmp_path).items():
+        _assert_packed(q)
+        assert not np.shares_memory(q.flat, p.flat), how
+        for name in MATS:
+            npt.assert_array_equal(getattr(q, name), getattr(p, name), err_msg=how)
+        # an update of the copy moves every matrix of the copy, none of p
+        _, grads = mixer.loss_and_grad(q, x, clean, mask, sigma, eps)
+        mixer.sgd_update(q, grads, lr=0.1)
+        assert p.flat.tobytes() == before.tobytes(), how
+        assert all(not np.array_equal(getattr(q, name), getattr(p, name)) for name in MATS), how
+
+
+def test_params_cannot_rebind_a_matrix_and_writes_reach_every_view():
+    p = small_params(42)
+    for name, value in [(name, getattr(p, name).copy()) for name in (*MATS, "w_qkv", "flat")] + [
+            ("d", 6), ("mask_mode", "causal")]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(p, name, value)
+    p.w_k[1, 2] = 7.0
+    assert p.w_qkv[1, 1, 2] == 7.0
+    assert p.flat[p.w_in.size + p.d * p.d + p.d + 2] == 7.0
+    _assert_packed(p)
+
+
+def test_params_reject_mismatched_shapes():
+    p = small_params(43)
+    mats = {name: getattr(p, name) for name in MATS}
+    with pytest.raises(ValueError, match="w_k must be \\(6,6\\)"):
+        mixer.MixerParams(**{**mats, "w_k": np.zeros((6, 5), FLOAT)}, d=6,
+                          mask_mode="bidirectional")
+    with pytest.raises(ValueError, match="embedding/readout width 6/6 disagrees with d=8"):
+        mixer.MixerParams(**mats, d=8, mask_mode="bidirectional")
+    with pytest.raises(ValueError, match="mask_mode"):
+        mixer.MixerParams(**mats, d=6, mask_mode="sideways")
+
+
+# (d_in, d_out, d): the test model, a stage-1-like and a stage-2-like model
+_SHAPES = ((10, 4, 6), (32, 16, 32), (512, 256, 32))
+
+
+@settings(deadline=None, max_examples=150)
+@given(dtype=st.sampled_from((np.float32, np.float64)),
+       mask_mode=st.sampled_from(mixer.MASK_MODES), shape=st.sampled_from(_SHAPES),
+       n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1), sigma=st.floats(0.0, 1.0),
+       lr=st.floats(1e-4, 1.0), data=st.data())
+def test_packed_loss_and_update_equal_unpacked(dtype, mask_mode, shape, n, seed, sigma, lr,
+                                               data):
+    # the packed buffer, the stacked projections, the out= products and the
+    # in-place backward give the bits of one array per matrix and a fresh
+    # array per step, and so does the one-pass update
+    d_in, d_out, d = shape
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n).filter(any)))
+    indices = data.draw(st.one_of(st.none(), st.lists(st.integers(1, 300), min_size=n,
+                                                       max_size=n)))
+    p = mixer.init_mixer(Rng(seed), d_in, d_out, d=d, mask_mode=mask_mode).astype(dtype)
+    q = copy.deepcopy(p)
+    g = np.random.default_rng(seed)
+    x, clean, eps = (g.standard_normal((n, k)).astype(dtype) for k in (d_in, d_out, d_out))
+    loss, grads = mixer.loss_and_grad(p, x, clean, mask, sigma, eps, indices)
+    want_loss, want = oracles.loss_and_grad_unpacked(q, x, clean, mask, sigma, eps, indices)
+    assert loss == want_loss
+    for name in MATS:
+        assert grads[name].dtype == want[name].dtype == p.flat.dtype
+        assert grads[name].tobytes() == want[name].tobytes(), name
+        assert np.shares_memory(grads[name], grads.flat), name
+    mixer.sgd_update(p, grads, lr)
+    oracles.sgd_update_unpacked(q, want, lr)
+    for name in MATS:
+        assert getattr(p, name).tobytes() == getattr(q, name).tobytes(), name
+
+
+@settings(deadline=None, max_examples=100)
+@given(t=st.integers(2, 12), M=st.integers(1, 4), N=st.integers(0, 3),
+       c=st.sampled_from((1, 3, 4)), dtype=st.sampled_from((np.float32, np.float64)),
+       broadcast_ref=st.booleans(), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_window_loss_equals_where_and_concatenate_build(t, M, N, c, dtype, broadcast_ref, seed,
+                                                        data):
+    # slice writes into one [z | ref] buffer, noising only the tail, equal
+    # noising every block, np.where and concatenation, bit for bit; both
+    # leave the stream at the same place
+    plan = scheduler.plan(t, M, N)
+    s = data.draw(st.integers(0, plan.S - 1))
+    h, w = 2, 1
+    g = np.random.default_rng(seed)
+    z0 = g.standard_normal((t, h, w, c)).astype(dtype)
+    z_ref = (np.broadcast_to(z0[0], z0.shape) if broadcast_ref
+             else g.standard_normal((t, h, w, c)).astype(dtype))
+    p = mixer.init_mixer(Rng(seed), h * w * 2 * c, h * w * c, d=8)
+    window = (z_ref, z0, plan.W[s], len(plan.I[s]))
+    ra, rb = Rng(seed).split(SUB_TRAIN), Rng(seed).split(SUB_TRAIN)
+    loss, grads = mixer.window_loss(p, *window, ra)
+    want_loss, want = oracles.window_loss_concat(p, *window, rb, oracles.loss_and_grad_unpacked)
+    assert loss == want_loss
+    for name in MATS:
+        assert grads[name].tobytes() == want[name].tobytes(), name
+    assert ra.uniform01() == rb.uniform01()
+
+
+def test_window_loss_rejects_a_tail_longer_than_its_window():
+    p = mixer.init_mixer(Rng(0), 2 * 3, 3, d=8)
+    z = np.zeros((4, 1, 1, 3), FLOAT)
+    for bad in (-1, 4):
+        with pytest.raises(ValueError, match="n_noisy must lie in"):
+            mixer.window_loss(p, z, z, (1, 2, 3), bad, Rng(0))
+
+
+_BLAS = ("bit assumption of the packed mixer failed: {what} (n={n}, d={d}, d_in={d_in}, "
+         "{dtype}). The mixer computes stacked (3, ...) products and products into out= "
+         "buffers, and assumes this BLAS gives them the bits of separate, fresh 2-D products. "
+         "This host's OpenBLAS kernel evidently does not; see ROADMAP item 9 (each kernel "
+         "sums in its own order).")
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("d", [8, 32])
+@pytest.mark.parametrize("d_in", [10, 32, 512])
+def test_stacked_and_out_products_equal_separate_fresh_products(dtype, d, d_in):
+    d_out = max(1, d_in // 2)
+    g = np.random.default_rng(d * 1000 + d_in)
+    mats, w_qkv = mixer._views(g.standard_normal(d_in * d + 3 * d * d + d * d_out).astype(dtype),
+                               d_in, d)
+    w_q, w_k, w_v = w_qkv
+    for n in range(1, 162):
+        def check(ok, what):
+            assert ok, _BLAS.format(what=what, n=n, d=d, d_in=d_in, dtype=np.dtype(dtype).name)
+
+        h, d_r = (g.standard_normal((n, d)).astype(dtype) for _ in range(2))
+        x = g.standard_normal((n, d_in)).astype(dtype)
+        d_y = g.standard_normal((n, d_out)).astype(dtype)
+        attn, d_logits = (g.standard_normal((n, n)).astype(dtype) for _ in range(2))
+        qkv = h @ w_qkv                                      # the forward projections
+        for i, w in enumerate((w_q, w_k, w_v)):
+            check(qkv[i].tobytes() == (h @ w).tobytes(), f"h @ w_qkv, slice {i}")
+        g_flat = np.empty_like(mats[0].base)                 # a gradient buffer
+        (g_in, _, _, _, g_out), g_qkv = mixer._views(g_flat, d_in, d)
+        d_qkv = np.empty_like(qkv)
+        np.matmul(d_logits, qkv[1], out=d_qkv[0])
+        np.matmul(d_logits.T, qkv[0], out=d_qkv[1])
+        np.matmul(attn.T, d_r, out=d_qkv[2])
+        check(d_qkv[0].tobytes() == (d_logits @ qkv[1]).tobytes(), "d_logits @ k into out=")
+        check(d_qkv[1].tobytes() == (d_logits.T @ qkv[0]).tobytes(), "d_logits.T @ q into out=")
+        check(d_qkv[2].tobytes() == (attn.T @ d_r).tobytes(), "attn.T @ d_r into out=")
+        np.matmul(h.T, d_qkv, out=g_qkv)
+        d_h3 = d_qkv @ w_qkv.transpose(0, 2, 1)
+        for i, w in enumerate((w_q, w_k, w_v)):
+            check(g_qkv[i].tobytes() == (h.T @ d_qkv[i]).tobytes(), f"h.T @ d_qkv into out=, {i}")
+            check(d_h3[i].tobytes() == (d_qkv[i] @ w.T).tobytes(), f"d_qkv @ w_qkv^T, slice {i}")
+        d_h = np.add.reduce(d_h3, axis=0)
+        check(d_h.tobytes() == ((d_h3[0] + d_h3[1]) + d_h3[2]).tobytes(),
+              "np.add.reduce over q|k|v in order")
+        np.matmul(x.T, d_h, out=g_in)
+        np.matmul(h.T, d_y, out=g_out)
+        check(g_in.tobytes() == (x.T @ d_h).tobytes(), "x.T @ d_h into out=")
+        check(g_out.tobytes() == (h.T @ d_y).tobytes(), "r.T @ d_y into out=")

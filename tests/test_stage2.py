@@ -18,7 +18,8 @@ def down_pair(v):
 
 
 def encoded(model, pairs):
-    return [stage2.encode_pair(model.codec_cfg, *pair) for pair in pairs]
+    cfg = model.codec_cfg
+    return [stage2.pair_latents(cfg, v_lr, encode(v_hr, cfg)) for v_lr, v_hr in pairs]
 
 
 def truth_and_input(seed=0, T=33, cfg=None):
@@ -238,8 +239,8 @@ def test_train_matches_hand_loop_of_train_step(with_transition):
 @pytest.mark.parametrize("steps", [10, 50])
 def test_train_encodes_each_pair_once(monkeypatch, tmp_path, steps):
     # train and eval_loss take encoded pairs; the train-stage2 command
-    # encodes each transition and downsampled pair once (two encodes each:
-    # the reference latents and the HR clip)
+    # encodes each HR clip once, shared by its transition and downsampled
+    # pair, and each pair's reference latents once
     calls = []
 
     def counting(fn):
@@ -248,14 +249,14 @@ def test_train_encodes_each_pair_once(monkeypatch, tmp_path, steps):
             return fn(*args)
         return count
 
-    monkeypatch.setattr(stage2, "encode", counting(encode))
-    monkeypatch.setattr(stage2, "encode_reference", counting(encode_reference))
     corpus, s1 = str(tmp_path / "corpus"), str(tmp_path / "s1")
     assert cli.main(["synth", "--out", corpus, "--count", "3", "--frames", "17"]) == 0
     assert cli.main(["train-stage1", "--corpus", corpus, "--out", s1, "--steps", "5"]) == 0
+    monkeypatch.setattr(cli, "encode", counting(encode))
+    monkeypatch.setattr(stage2, "encode_reference", counting(encode_reference))
     assert cli.main(["train-stage2", "--corpus", corpus, "--stage1", s1,
                      "--out", str(tmp_path / "s2"), "--steps", str(steps)]) == 0
-    assert sorted(calls) == ["encode"] * (3 + 3) + ["encode_reference"] * (3 + 3)
+    assert sorted(calls) == ["encode"] * 3 + ["encode_reference"] * (3 + 3)
 
 
 def test_train_raises_on_divergence():
