@@ -33,7 +33,7 @@ from .grid import read_siv1, write_siv1
 DEFAULTS = {
     "count": 6, "frames": 81, "height": 32, "width": 32,
     "motif": "translating_checker",
-    "f_s": 4, "f_t": 4, "c": 4, "d": 32, "K": 4, "M": 3, "N": 1,
+    **{k: getattr(CodecConfig(), k) for k in ("f_s", "f_t", "c")}, "d": 32, "K": 4, "M": 3, "N": 1,
     "steps": 600, "seed": 0,
     "sigma": 0.1, "tsteps": 1,
     "capacity": 2, "repeats": 10, "seeds": 5, "clips": 3,
@@ -230,7 +230,7 @@ def _scene_video(cfg: _Cfg, T: int, seed_offset: int = 0) -> np.ndarray:
     spec = synth.SceneSpec(seed=cfg.get("seed") + seed_offset, T=T,
                            H=cfg.get("height"), W=cfg.get("width"),
                            motif=cfg.get("motif"))
-    return synth.render_scene(spec, cfg.get("f_s"), cfg.get("f_t"))
+    return synth.render_scene(spec, _codec(cfg))
 
 
 def _truth_input(truth: np.ndarray, ccfg: CodecConfig):
@@ -253,15 +253,15 @@ def _check_pipeline(s1, s2, image: np.ndarray, what: str = "image") -> None:
 
 def _check_size(model, stage: int, H: int, W: int, what: str) -> None:
     """Reject H x W frames whose latents do not fit the stage's checkpoint,
-    before they reach its mixer. Stage 2 encodes the frames, pooling them by
-    f_s; stage 1 encodes their LR version, pooling them by f_s twice."""
-    scale = model.codec_cfg.f_s ** (3 - stage)
-    per_px = 2 * model.codec_cfg.c  # w_in rows per latent pixel: [noisy c | reference c]
-    d_in = per_px * (H // scale) * (W // scale)
+    before they reach its mixer. Stage 2 encodes the frames; stage 1 encodes
+    their LR version (``stage1.lr_size``)."""
+    cfg = model.codec_cfg
+    _, h, w, c = latent_shape(1, *((H, W) if stage == 2 else stage1.lr_size(H, W, cfg)), cfg)
+    d_in = 2 * c * h * w  # w_in rows: [noisy c | reference c] per latent pixel
     if d_in != model.params.d_in:
         raise ValueError(f"{what} is {H}x{W} (d_in {d_in}), but the stage-{stage} checkpoint "
                          f"has d_in {model.params.d_in} "
-                         f"({model.params.d_in // per_px * scale * scale} pixels per frame)")
+                         f"({model.params.d_in * H * W // d_in} pixels per frame)")
 
 
 def _load_stage2_for(cfg: _Cfg, args) -> mixer.StageModel:
@@ -275,7 +275,7 @@ def _cmd_synth(cfg: _Cfg, args, out: str) -> None:
     specs = synth.default_specs(cfg.get("count"), cfg.get("seed"), T=cfg.get("frames"),
                                 H=cfg.get("height"), W=cfg.get("width"),
                                 motif=cfg.get("motif"))
-    synth.write_corpus(out, specs, cfg.get("f_s"), cfg.get("f_t"))
+    synth.write_corpus(out, specs, _codec(cfg))
     print(f"wrote {len(specs)} clips to {out}")
 
 

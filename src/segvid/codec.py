@@ -1,5 +1,6 @@
 """Toy 3D latent codec: first frame as its own block, temporal grouping,
-spatial mean pooling, and a fixed orthonormal channel lift.
+spatial mean pooling (``pool``, the package's one spatial pooling, by the
+config's f_s), and a fixed orthonormal channel lift.
 
 A (T, H, W, 3) video maps to (t, h, w, c) with t = 1 + (T−1)/f_t,
 h = H/f_s, w = W/f_s. Block 1 derives from frame 1 alone; block i (i ≥ 2)
@@ -85,16 +86,17 @@ def lift(pixels: np.ndarray, cfg: CodecConfig) -> np.ndarray:
     return pixels @ channel_lift(cfg).T
 
 
-def pool_and_lift(frames: np.ndarray, cfg: CodecConfig) -> np.ndarray:
-    """(n, H, W, 3) frames, one per block, to (n, h, w, c) latents: f_s x f_s
-    spatial mean pooling, then the channel lift.
-
-    The pooling is ``grid.cell_means``: each cell's taps are added in
-    row-major order, which for C-contiguous frames is the order numpy's
-    float32 mean over the two tap axes adds in, so the bits equal that mean."""
-    n, H, W, _ = frames.shape
+def pool(frames: np.ndarray, cfg: CodecConfig) -> np.ndarray:
+    """(n, H, W, C) float32 frames to their (n, H/f_s, W/f_s, C) f_s x f_s
+    cell means by ``grid.cell_means``: for C-contiguous frames with C >= 2,
+    the bits of numpy's float32 mean of each cell. Encoding and the LR video
+    (``stage1.low_res``) pool with it."""
+    if frames.ndim != 4:
+        raise ValueError(f"expected (n,H,W,C) frames, got shape {frames.shape}")
+    n, H, W, C = frames.shape
+    _, h, w, _ = latent_shape(1, H, W, cfg)  # checks that f_s divides H and W
     f = cfg.f_s
-    return lift(cell_means(frames.reshape(n, H // f, f, W // f, f, 3)), cfg)
+    return cell_means(frames.reshape(n, h, f, w, f, C))
 
 
 def encode(video: np.ndarray, cfg: CodecConfig) -> np.ndarray:
@@ -105,9 +107,9 @@ def encode(video: np.ndarray, cfg: CodecConfig) -> np.ndarray:
     T, H, W, _ = v.shape
     t, h, w, c = latent_shape(T, H, W, cfg)
     out = np.empty((t, h, w, c), dtype=FLOAT)
-    out[0] = pool_and_lift(v[:1], cfg)[0]
+    out[0] = lift(pool(v[:1], cfg), cfg)[0]
     if t > 1:
-        out[1:] = pool_and_lift(group_means(v, cfg.f_t), cfg)
+        out[1:] = lift(pool(group_means(v, cfg.f_t), cfg), cfg)
     return out
 
 

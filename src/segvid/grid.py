@@ -3,8 +3,8 @@
 Every array that crosses a module boundary in this package is a row-major
 float32 numpy array with finite entries. Pixel videos are (T, H, W, C) with
 values in [0, 1]; latent videos are (t, h, w, c). This module owns the three
-shared primitives: the deterministic RNG, spatial pooling (the cell means
-that the codec shares), and file I/O.
+shared primitives: the deterministic RNG, the cell means that all spatial
+pooling adds through (``codec.pool``, the stage-2 reference), and file I/O.
 
 Reproducibility contract: ``Rng`` wraps numpy's PCG64 bit generator seeded
 through ``SeedSequence``. The same 64-bit seed yields the same value stream
@@ -173,26 +173,6 @@ def cell_means(taps: np.ndarray) -> np.ndarray:
                 out += taps[:, :, i, :, j]
     out /= FLOAT(f * g)
     return out
-
-
-def resize_spatial(video: np.ndarray, factor: int) -> np.ndarray:
-    """Spatial pooling of a (T, H, W, C) pixel video: non-overlapping
-    factor×factor block means (H and W must be divisible by factor) with
-    ``cell_means``, which for C >= 2 equals numpy's float32 mean of each cell
-    bit for bit. Values stay in [0, 1] for inputs in [0, 1].
-    """
-    v = as_f32(video, "video")
-    if v.ndim != 4:
-        raise ValueError(f"expected (T,H,W,C) video, got shape {v.shape}")
-    factor = int(factor)
-    if factor < 1:
-        raise ValueError(f"factor must be >= 1, got {factor}")
-    if factor == 1:
-        return v.copy()
-    t, h, w, c = v.shape
-    if h % factor or w % factor:
-        raise ValueError(f"extents {h}x{w} not divisible by factor {factor}")
-    return cell_means(v.reshape(t, h // factor, factor, w // factor, factor, c))
 
 
 def write_siv1(path, arr: np.ndarray) -> None:

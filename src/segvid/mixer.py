@@ -51,7 +51,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .codec import CodecConfig
+from .codec import CodecConfig, latent_shape
 from .grid import (FLOAT, SUB_TRAIN, Rng, init_noise_blocks, read_siv1, require_finite,
                    write_siv1)
 
@@ -468,7 +468,7 @@ def new_model(seed: int, height: int, width: int, codec_cfg: CodecConfig, d: int
               inert_ref: bool = False) -> StageModel:
     """Fresh model for height x width frames; `inert_ref` starts the
     reference rows of w_in at zero (see ref_rows)."""
-    h, w, c = height // codec_cfg.f_s, width // codec_cfg.f_s, codec_cfg.c
+    _, h, w, c = latent_shape(1, height, width, codec_cfg)
     params = init_mixer(Rng(seed), d_in=h * w * 2 * c, d_out=h * w * c, d=d,
                         mask_mode=mask_mode,
                         zero_rows=ref_rows(h, w, c) if inert_ref else None)

@@ -1,7 +1,8 @@
 """Low-resolution motion generator: the one-window case of the windowed
 denoiser.
 
-Its LR video is the HR video pooled once by the codec's f_s (``low_res``).
+Its LR video is the HR video pooled once by the codec's f_s (``low_res``),
+which it encodes, pooling by f_s again; ``lr_size`` checks that both divide.
 Stage 1 is the segment plan with M = t-1 and N = 0: a single window that
 holds every block, conditioned by channel-concatenating the broadcast anchor
 latent (the encoded first frame) to every block. Block 1 holds the anchor
@@ -22,15 +23,31 @@ from __future__ import annotations
 import numpy as np
 
 from . import mixer, scheduler
-from .codec import CodecConfig, encode, latent_shape
-from .grid import as_f32, resize_spatial
+from .codec import CodecConfig, encode, latent_shape, pool
+from .grid import as_f32
 
 NOISE_KEY = 1  # initial-noise key of this stage; stage 2 uses 2
 
 
+def lr_size(H: int, W: int, cfg: CodecConfig) -> tuple[int, int]:
+    """(h, w) of the LR frames of H x W HR frames, pooled by f_s; a one-line
+    ValueError unless the LR frames pool by f_s again, as encoding does."""
+    try:
+        _, h, w, _ = latent_shape(1, H, W, cfg)
+        latent_shape(1, h, w, cfg)
+    except ValueError:
+        raise ValueError(f"frames {H}x{W} not divisible by f_s*f_s={cfg.f_s ** 2}: stage 1 "
+                         f"pools them by f_s={cfg.f_s} to LR, then again to latents") from None
+    return h, w
+
+
 def low_res(video: np.ndarray, cfg: CodecConfig) -> np.ndarray:
-    """The LR video of a (T, H, W, 3) HR video: every frame pooled by f_s."""
-    return resize_spatial(video, cfg.f_s)
+    """The LR video of a (T, H, W, 3) HR video: every frame pooled by f_s,
+    to a size that ``lr_size`` has checked stage 1 can encode."""
+    v = as_f32(video, "video")
+    lr = pool(v, cfg)
+    lr_size(v.shape[1], v.shape[2], cfg)
+    return lr
 
 
 def new_stage1(seed: int, lr_h: int = 8, lr_w: int = 8,

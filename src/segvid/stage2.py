@@ -46,11 +46,6 @@ def load_stage2(in_dir: str) -> mixer.StageModel:
     return mixer.load_model(in_dir, "stage2")
 
 
-def init_latents(inp: StageTwoInput, t: int, seed: int) -> np.ndarray:
-    """Anchor installed, blocks 2..t at their seeded initial noise."""
-    return mixer.init_latents(inp.z_x, t, seed, NOISE_KEY)
-
-
 def denoise_segment(model: mixer.StageModel, z: np.ndarray, inp: StageTwoInput,
                     p: scheduler.SegmentPlan, s: int, on_step=None) -> None:
     """Denoise segment s in place on the global latents z: its noisy tail,
@@ -68,7 +63,7 @@ def infer_csg(model: mixer.StageModel, inp: StageTwoInput, p: scheduler.SegmentP
     """Sequential segment-wise inference. Deterministic per seed.
 
     Each segment's noisy tail is drawn from the request's one noise stream
-    when the loop reaches it, with the same bits as init_latents (see
+    when the loop reaches it, with the same bits as mixer.init_latents (see
     grid.noise_filler), so no per-block work precedes segment 1. Blocks no
     segment has reached yet hold zeros.
 
@@ -92,7 +87,7 @@ def infer_csg(model: mixer.StageModel, inp: StageTwoInput, p: scheduler.SegmentP
 
 def infer_full(model: mixer.StageModel, inp: StageTwoInput, seed: int) -> np.ndarray:
     """Whole-sequence denoising in one window (no segmentation), anchor fixed."""
-    z = init_latents(inp, inp.z_ref.shape[0], seed)
+    z = mixer.init_latents(inp.z_x, inp.z_ref.shape[0], seed, NOISE_KEY)
     return mixer.denoise_full(model.params, model.schedule.sigmas, z, inp.z_ref)
 
 

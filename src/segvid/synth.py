@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import stage1
+from .codec import CodecConfig, latent_shape
 from .grid import FLOAT, Rng, SUB_SCENE, write_siv1, read_siv1
 
 MOTIFS = ("translating_checker", "rotating_gradient", "bouncing_blob")
@@ -25,8 +27,7 @@ MOTIFS = ("translating_checker", "rotating_gradient", "bouncing_blob")
 class SceneSpec:
     """One synthetic clip: seed, extents, base pattern, and velocity.
 
-    (T−1) must be divisible by the codec temporal factor and H, W by its
-    spatial factor so the clip encodes cleanly.
+    ``validate`` checks that the clip encodes under a codec config.
     """
 
     seed: int
@@ -36,13 +37,10 @@ class SceneSpec:
     motif: str = "translating_checker"
     velocity: tuple[float, float] = (1.0, 0.0)  # (dy, dx) pixels per frame
 
-    def validate(self, spatial_factor: int = 4, temporal_factor: int = 4) -> None:
+    def validate(self, cfg: CodecConfig = CodecConfig()) -> None:
         if self.T < 1 or self.H < 1 or self.W < 1:
             raise ValueError(f"extents must be positive: T={self.T} H={self.H} W={self.W}")
-        if (self.T - 1) % temporal_factor:
-            raise ValueError(f"(T-1)={self.T - 1} not divisible by temporal factor {temporal_factor}")
-        if self.H % spatial_factor or self.W % spatial_factor:
-            raise ValueError(f"{self.H}x{self.W} not divisible by spatial factor {spatial_factor}")
+        latent_shape(self.T, self.H, self.W, cfg)
         if self.motif not in MOTIFS:
             raise ValueError(f"unknown motif {self.motif!r}")
 
@@ -119,9 +117,9 @@ def _advect(base: np.ndarray, dy: float, dx: float) -> np.ndarray:
     return (top * (1 - fy) + bot * fy).astype(FLOAT)
 
 
-def render_scene(spec: SceneSpec, spatial_factor: int = 4, temporal_factor: int = 4) -> np.ndarray:
+def render_scene(spec: SceneSpec, cfg: CodecConfig = CodecConfig()) -> np.ndarray:
     """Render the clip described by spec as a (T, H, W, 3) video in [0, 1]."""
-    spec.validate(spatial_factor, temporal_factor)
+    spec.validate(cfg)
     rng = Rng(spec.seed).split(SUB_SCENE)
     base = _PATTERNS[spec.motif](rng, spec.H, spec.W)
     dy, dx = spec.velocity
@@ -130,25 +128,22 @@ def render_scene(spec: SceneSpec, spatial_factor: int = 4, temporal_factor: int 
     return np.clip(video, 0.0, 1.0)
 
 
-def write_corpus(out_dir, specs: list[SceneSpec],
-                 spatial_factor: int = 4, temporal_factor: int = 4) -> Path:
+def write_corpus(out_dir, specs: list[SceneSpec], cfg: CodecConfig = CodecConfig()) -> Path:
     """Render every spec into out_dir and write the manifest; returns its path.
-
-    A corpus trains both stages, and stage 1 encodes its frames pooled by
-    spatial_factor twice (to LR, then to latents), so H and W must divide by
-    its square. Nothing is written otherwise."""
-    f = spatial_factor
+    Nothing is written unless every spec encodes in both stages: stage 2
+    encodes the clips (``validate``), stage 1 their LR video (``lr_size``)."""
     for spec in specs:
-        if spec.H % (f * f) or spec.W % (f * f):
-            raise ValueError(f"corpus frames {spec.H}x{spec.W} not divisible by "
-                             f"f_s*f_s={f * f}: stage 1 pools them by f_s={f} to LR, "
-                             f"then again to latents")
+        spec.validate(cfg)
+        try:
+            stage1.lr_size(spec.H, spec.W, cfg)
+        except ValueError as e:
+            raise ValueError(f"corpus {e}") from None
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     records = []
     for i, spec in enumerate(specs):
         name = f"clip_{i:04d}.siv1"
-        write_siv1(out / name, render_scene(spec, spatial_factor, temporal_factor))
+        write_siv1(out / name, render_scene(spec, cfg))
         rec = asdict(spec)
         rec["velocity"] = list(spec.velocity)
         rec["file"] = name
@@ -159,7 +154,8 @@ def write_corpus(out_dir, specs: list[SceneSpec],
 
 
 def load_corpus(corpus_dir) -> list[tuple[SceneSpec, np.ndarray]]:
-    """Load (spec, video) pairs from a corpus directory written by write_corpus."""
+    """Load (spec, video) pairs from a corpus directory written by write_corpus;
+    a clip whose extents differ from its record or the first clip's is refused."""
     corpus_dir = Path(corpus_dir)
     records = json.loads((corpus_dir / "manifest.json").read_text())
     if not records:
@@ -168,7 +164,15 @@ def load_corpus(corpus_dir) -> list[tuple[SceneSpec, np.ndarray]]:
     for rec in records:
         spec = SceneSpec(seed=rec["seed"], T=rec["T"], H=rec["H"], W=rec["W"],
                          motif=rec["motif"], velocity=tuple(rec["velocity"]))
-        out.append((spec, read_siv1(corpus_dir / rec["file"])))
+        path = corpus_dir / rec["file"]
+        video = read_siv1(path)
+        if video.shape != (spec.T, spec.H, spec.W, 3):
+            raise ValueError(f"{path}: clip is {video.shape}, its manifest record says "
+                             f"{(spec.T, spec.H, spec.W, 3)}")
+        if out and video.shape[1:] != out[0][1].shape[1:]:
+            raise ValueError(f"{path}: frames {video.shape[1:3]} differ from the first "
+                             f"clip's {out[0][1].shape[1:3]}")
+        out.append((spec, video))
     return out
 
 

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 import pytest
 
-from segvid import cli, codec, grid, mixer, scheduler, stage1, stage2, streamer, synth
+from segvid import cli, codec, mixer, scheduler, stage1, stage2, streamer, synth
 
 
 class Counter:
@@ -111,19 +111,21 @@ def test_run_streaming_decodes_each_block_once(monkeypatch, request_parts, count
 
 def test_commands_pool_each_clip_to_lr_once(monkeypatch, pipeline, tmp_path):
     # at the default 6-clip corpus each command pools each HR clip to LR
-    # once, shared by all its uses, and resizes nothing else
-    real = grid.resize_spatial
+    # once, shared by all its uses, and pools no other whole clip: every
+    # other pooling is encode's, of one frame or of the 20 block means
+    real = codec.pool
     sites = [m for n, m in sorted(sys.modules.items())
-             if n.startswith("segvid") and getattr(m, "resize_spatial", None) is real]
-    resize = Counter(monkeypatch, sites, "resize_spatial")
+             if n.startswith("segvid") and getattr(m, "pool", None) is real]
+    assert stage1 in sites
+    pool = Counter(monkeypatch, sites, "pool")
     corpus, s1 = pipeline["corpus"], pipeline["s1"]
     for argv in (["train-stage1", "--corpus", corpus, "--steps", "2"],
                  ["train-stage2", "--corpus", corpus, "--stage1", s1, "--steps", "2"],
                  ["transition", "--corpus", corpus, "--stage1", s1]):
-        resize.calls.clear()
+        pool.calls.clear()
         assert cli.main(argv + ["--out", str(tmp_path / argv[0])]) == 0
-        inputs = [args[0].shape for args, _ in resize.calls]
-        assert inputs == [(81, 32, 32, 3)] * 6, argv[0]
+        clips = [args[0].shape for args, _ in pool.calls if args[0].shape[0] == 81]
+        assert clips == [(81, 32, 32, 3)] * 6, argv[0]
 
 
 def test_train_stage2_encodes_each_hr_clip_once(monkeypatch, pipeline, tmp_path):

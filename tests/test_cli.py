@@ -458,6 +458,66 @@ def test_train_takes_extents_from_corpus(tmp_path):
         assert "height" not in resolved and "width" not in resolved
 
 
+def _corpus_with_odd_clip(tmp_path, case):
+    """A 2-clip 32x32 corpus whose second clip file is 64x64 under a record
+    that says so ("wide"), or 21 frames long under a record of 17 ("long")."""
+    corpus = tmp_path / "corpus"
+    assert cli.main(["synth", "--count", "2", "--frames", "17", "--out", str(corpus)]) == 0
+    records = json.loads((corpus / "manifest.json").read_text())
+    odd = {"wide": dict(T=17, H=64, W=64), "long": dict(T=21)}[case]
+    write_siv1(corpus / records[1]["file"], synth.render_scene(synth.SceneSpec(seed=1, **odd)))
+    if case == "wide":
+        records[1].update(H=64, W=64)
+        (corpus / "manifest.json").write_text(json.dumps(records))
+    return str(corpus), records[1]["file"]
+
+
+@pytest.mark.parametrize("case, want", [
+    ("wide", "frames (64, 64) differ from the first clip's (32, 32)"),
+    ("long", "clip is (21, 32, 32, 3), its manifest record says (17, 32, 32, 3)"),
+], ids=["wide", "long"])
+@pytest.mark.parametrize("cmd", ["train-stage1", "train-stage2", "transition"])
+def test_corpus_clip_of_other_extents_exits_2_naming_it(pipeline, tmp_path, capsys, cmd,
+                                                        case, want):
+    # rejected at load with the file's name, not as the mixer's shape error
+    # (wide) or by training on frames the manifest does not describe (long)
+    corpus, name = _corpus_with_odd_clip(tmp_path, case)
+    capsys.readouterr()
+    argv = [cmd, "--corpus", corpus, "--out", str(tmp_path / "o")]
+    if cmd != "train-stage1":
+        argv += ["--stage1", pipeline["s1"]]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err.strip()
+    assert "\n" not in err and f"{name}: {want}" in err, err
+
+
+def test_pipeline_at_a_non_default_codec(tmp_path):
+    # f_s=2, f_t=2 on 16x16 frames end to end; stage 1 needs a smaller step
+    # size there (at the default it diverges and exits 3)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"f_s": 2, "f_t": 2, "height": 16, "width": 16, "frames": 17}))
+    corpus, s1, s2 = (str(tmp_path / n) for n in ("corpus", "s1", "s2"))
+    common = ["--config", str(cfg)]
+    assert cli.main(["synth", *common, "--out", corpus]) == 0
+    assert cli.main(["train-stage1", *common, "--corpus", corpus, "--lr", "1e-3",
+                     "--out", s1]) == 0
+    assert cli.main(["train-stage2", *common, "--corpus", corpus, "--stage1", s1,
+                     "--out", s2]) == 0
+    image = tmp_path / "image.siv1"
+    write_siv1(image, synth.render_scene(synth.SceneSpec(seed=5, T=1, H=16, W=16)))
+    videos = []
+    for extra in ([], ["--stream"]):
+        out = tmp_path / f"gen{len(extra)}"
+        assert cli.main(["generate", *common, "--stage1", s1, "--stage2", s2,
+                         "--image", str(image), "--out", str(out), *extra]) == 0
+        videos.append((out / "video.siv1").read_bytes())
+    assert read_siv1(out / "video.siv1").shape == (17, 16, 16, 3)
+    assert videos[0] == videos[1]
+    for d, name, d_in in ((s1, "stage1", 2 * 4 * 4 * 4), (s2, "stage2", 2 * 4 * 8 * 8)):
+        assert json.loads((Path(d) / f"{name}.json").read_text())["f_s"] == 2
+        assert read_siv1(Path(d) / "w_in.siv1").shape[1] == d_in
+
+
 def test_train_stage2_rejects_stage1_of_other_size(pipeline, tmp_path, capsys):
     # a 32x32 stage-1 checkpoint on a 64x64 corpus
     corpus = _corpus_64(tmp_path)

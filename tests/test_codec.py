@@ -1,10 +1,15 @@
 """Codec tests: block arithmetic, pooling fidelity, channel lift."""
 
+import importlib
+import inspect
+import pkgutil
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import segvid
 from segvid.codec import (CodecConfig, channel_lift, decode, decode_block, decode_group_means,
                           encode, frames_for_block, group_means, latent_shape, num_blocks,
                           video_shape)
@@ -177,3 +182,22 @@ def test_decode_group_means_validation():
         decode_group_means(np.zeros((3, 2, 2), FLOAT), CFG)
     with pytest.raises(ValueError, match="latent"):
         decode_group_means(np.zeros((3, 2, 2, 3), FLOAT), CFG)  # c=3, config c=4
+
+
+def test_no_public_function_takes_a_pooling_factor():
+    # the codec's f_s is the one spatial pooling factor: every public
+    # function and method reads it from a CodecConfig, none takes its own
+    found = []
+    for info in pkgutil.iter_modules(segvid.__path__):
+        mod = importlib.import_module(f"segvid.{info.name}")
+        for name, obj in vars(mod).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            funcs = [(name, obj)] if inspect.isfunction(obj) else []
+            if inspect.isclass(obj):
+                funcs = [(f"{name}.{m}", f) for m, f in inspect.getmembers(obj, inspect.isfunction)
+                         if not m.startswith("_")]
+            found += [f"{mod.__name__}.{qual}({p})" for qual, f in funcs
+                      for p in inspect.signature(f).parameters
+                      if "factor" in p or p in ("f", "f_s", "scale")]
+    assert found == []

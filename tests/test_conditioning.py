@@ -7,10 +7,10 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from segvid import mixer
+from segvid import mixer, stage1
 from segvid.codec import CodecConfig, encode, group_means
 from segvid.conditioning import StageTwoInput, encode_reference
-from segvid.grid import FLOAT, resize_spatial
+from segvid.grid import FLOAT
 
 import oracles
 from oracles import build_hybrid_reference, build_stage2_input
@@ -21,7 +21,7 @@ CFG = CodecConfig()
 def test_hybrid_reference_swaps_first_frame():
     rng = np.random.default_rng(0)
     v_hr = rng.random((9, 32, 32, 3)).astype(FLOAT)
-    v_lr = resize_spatial(v_hr, 4)
+    v_lr = stage1.low_res(v_hr, CFG)
     out = build_hybrid_reference(v_lr, v_hr[0], 4)
     npt.assert_array_equal(out[0], v_hr[0])
     # later frames are the cell-mean broadcast of the HR frames
@@ -32,7 +32,7 @@ def test_hybrid_reference_swaps_first_frame():
 def test_hybrid_reference_single_frame():
     rng = np.random.default_rng(1)
     x = rng.random((32, 32, 3)).astype(FLOAT)
-    out = build_hybrid_reference(resize_spatial(x[None], 4), x, 4)
+    out = build_hybrid_reference(stage1.low_res(x[None], CFG), x, 4)
     npt.assert_array_equal(out, x[None])
 
 

@@ -1,4 +1,5 @@
-"""RNG, resize, and SIV1 container tests."""
+"""RNG, spatial pooling (codec.pool over grid.cell_means), and SIV1 container
+tests."""
 
 import io
 import os
@@ -15,8 +16,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from segvid import grid
+from segvid.codec import CodecConfig, pool
 from segvid.grid import (FLOAT, SUB_INIT_NOISE, Rng, as_f32, init_noise_blocks, noise_filler,
-                         read_siv1, require_finite, resize_spatial, write_siv1)
+                         read_siv1, require_finite, write_siv1)
 
 import oracles
 
@@ -182,12 +184,12 @@ def test_rng_seeds_its_generator_on_first_draw(monkeypatch):
 
 def test_resize_constant_invariance():
     v = np.full((3, 8, 8, 3), 0.5, FLOAT)
-    npt.assert_array_equal(resize_spatial(v, 4), np.full((3, 2, 2, 3), 0.5, FLOAT))
+    npt.assert_array_equal(pool(v, CodecConfig(f_s=4)), np.full((3, 2, 2, 3), 0.5, FLOAT))
 
 
 def test_resize_block_mean():
     v = np.array([[0.0, 1.0], [1.0, 0.0]], FLOAT).reshape(1, 2, 2, 1)
-    out = resize_spatial(v, 2)
+    out = pool(v, CodecConfig(f_s=2))
     npt.assert_array_equal(out, np.full((1, 1, 1, 1), 0.5, FLOAT))
 
 
@@ -200,28 +202,28 @@ def test_down_avg_equals_numpy_mean(c, f, t, h, w, mag, neg_zero, seed):
     # tap axes for C-contiguous input with C >= 2, including -0.0 taps
     rng = np.random.default_rng(seed)
     v = (mag * rng.standard_normal((t, h * f, w * f, c))).astype(FLOAT)
-    if neg_zero and f > 1:  # factor 1 is a copy, which keeps -0.0
+    if neg_zero:
         v[rng.random(v.shape) < 0.5] = -0.0
         v[:, :f, :f] = -0.0  # one cell of -0.0 only
     want = v.reshape(t, h, f, w, f, c).mean(axis=(2, 4), dtype=np.float32)
-    got = resize_spatial(v, f)
+    got = pool(v, CodecConfig(f_s=f))
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_resize_factor_one_is_copy():
     v = np.zeros((2, 4, 4, 3), FLOAT)
-    out = resize_spatial(v, 1)
+    out = pool(v, CodecConfig(f_s=1))
     assert np.array_equal(out, v) and out is not v
 
 
 def test_resize_errors():
     v = np.zeros((1, 6, 6, 3), FLOAT)
+    with pytest.raises(ValueError, match="6x6 not divisible by f_s=4"):
+        pool(v, CodecConfig(f_s=4))
     with pytest.raises(ValueError):
-        resize_spatial(v, 4)
-    with pytest.raises(ValueError):
-        resize_spatial(v, 0)
-    with pytest.raises(ValueError):
-        resize_spatial(np.zeros((4, 4, 3), FLOAT), 2)
+        pool(v, CodecConfig(f_s=0))
+    with pytest.raises(ValueError, match="expected"):
+        pool(np.zeros((4, 4, 3), FLOAT), CodecConfig(f_s=2))
 
 
 def test_siv1_roundtrip_bit_exact(tmp_path):

@@ -9,15 +9,15 @@ import numpy.testing as npt
 import pytest
 
 from segvid import cli, mixer, scheduler, stage1, synth
-from segvid.codec import decode, encode
-from segvid.grid import SUB_TRAIN, Rng, init_noise_blocks, resize_spatial
+from segvid.codec import CodecConfig, decode, encode
+from segvid.grid import SUB_TRAIN, Rng, init_noise_blocks
 
 import oracles
 
 
 def lr_clips(n=4, T=17):
     specs = synth.default_specs(n, 40, T=T)
-    return [resize_spatial(synth.render_scene(s), 4) for s in specs]
+    return [stage1.low_res(synth.render_scene(s), CodecConfig()) for s in specs]
 
 
 def latents(clips, model):

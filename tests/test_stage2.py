@@ -54,7 +54,7 @@ def test_write_set_discipline(monkeypatch):
     _, inp = truth_and_input(seed=1)
     t = inp.z_ref.shape[0]
     p = scheduler.plan(t, 3, 1)
-    init = stage2.init_latents(inp, t, 5)
+    init = mixer.init_latents(inp.z_x, t, 5, stage2.NOISE_KEY)
     real = mixer.denoise_window
     windows = []
 

@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from segvid import synth
+from segvid.codec import CodecConfig
 
 import oracles
 
@@ -63,6 +64,10 @@ def test_spec_validation():
         synth.SceneSpec(seed=0, motif="zoom").validate()
     with pytest.raises(ValueError):
         synth.SceneSpec(seed=0, T=0).validate()
+    # the extents are checked against the codec config given
+    synth.SceneSpec(seed=0, T=3, H=30, W=6).validate(CodecConfig(f_s=2, f_t=2))
+    with pytest.raises(ValueError, match="f_s=3"):
+        synth.SceneSpec(seed=0, H=30, W=32).validate(CodecConfig(f_s=3))
 
 
 def test_corpus_roundtrip(tmp_path):
