@@ -74,8 +74,10 @@ class Rng:
         """Child stream for the given key path, independent of this one."""
         return Rng(self.seed, self.key + keys)
 
-    def normal(self, shape: tuple[int, ...]) -> np.ndarray:
-        return self._generator().standard_normal(shape, dtype=FLOAT)
+    def normal(self, shape: tuple[int, ...], out: np.ndarray | None = None) -> np.ndarray:
+        """Standard normal FLOAT draws; into out, a FLOAT array of that
+        shape, when given."""
+        return self._generator().standard_normal(shape, dtype=FLOAT, out=out)
 
     def uniform01(self) -> float:
         """One double in [0, 1)."""

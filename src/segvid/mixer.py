@@ -17,20 +17,33 @@ window's rows of it are gathered once per index tuple into a small bounded
 cache (a window runs every step of its sigma ladder on the same indices),
 and noise-level codes sit in another such cache, so the bits equal
 `sin_code`'s. The attention scale is cached per (d, dtype) and the causal
-mask per window length, and the embedding and softmax work in place.
+mask per window length.
 
 The five matrices are views of one contiguous buffer (MixerParams.flat, in
 _MATS order), and w_qkv views w_q|w_k|w_v as one (3, d, d) stack. So the
 forward pass projects once, h @ w_qkv; the backward pass writes d_q|d_k|d_v
 into one (3, n, d) buffer, takes the three d_h terms in one stacked product
-and writes all five gradients, with out=, into one buffer laid out like the
-parameters; and an SGD step is one pass over that buffer. Each gives the
-bits of the separate per-matrix products, which a test checks for the BLAS
-in use.
+and writes all five gradients into one buffer laid out like the parameters;
+and an SGD step writes lr * g into a buffer like it and subtracts that.
 
-Inference runs each window in its own [z | ref] input buffer, built once per
-window: a step writes only the noisy channels of the window's tail back into
-it, and the conditioning prefix and the reference half stay as built.
+Every pass runs in a Workspace, the buffers of one window length: the
+embedding, the q|k|v stack, the logits and their row-reduction column, the
+residual stream and the readout, and for loss_and_grad the backward buffers
+and the gradient buffer. Every product writes into them with out= and every
+reduction into its buffer, and the embedding and softmax work in place. A
+forward or loss_and_grad call without one gets a fresh one, so its result
+is its own; the loops own theirs: denoise_window one per window for its K
+steps, train_windows and eval_windows one per window length per run. The
+stacked and out= products give the bits of separate, fresh per-matrix
+products, which a test checks for the BLAS in use. No workspace is kept at
+module level: the streamer's producer thread runs windows too.
+
+Inference checks each window once and runs it in its own [z | ref] input
+buffer, built once per window: a step writes only the noisy channels of the
+window's tail back into it, and the conditioning prefix and the reference
+half stay as built. Training assembles each window into a Window of input
+rows; stage 1's, the whole clip, is assembled once per clip per run, and a
+step rewrites only its noisy tail.
 
 Both pipeline stages are this denoiser. A stage model is the mixer parameters
 plus the codec and sigma schedule it was trained with; a stage differs from
@@ -211,12 +224,12 @@ def _pos_codes(indices, d: int, dtype) -> np.ndarray:
     return _window_pos_codes(indices if type(indices) is tuple else tuple(indices), d, dtype)
 
 
-def _embed(p: MixerParams, x: np.ndarray, sigma: float, indices) -> np.ndarray:
+def _embed(p: MixerParams, x: np.ndarray, sigma: float, indices, out=None) -> np.ndarray:
     n = x.shape[0]
     if indices is None:
         indices = range(1, n + 1)
     dt = p.w_in.dtype
-    h = x @ p.w_in
+    h = np.matmul(x, p.w_in, out=out)
     h += _level_code(float(1000.0 * sigma), p.d, dt)
     h += _pos_codes(indices, p.d, dt)
     return h
@@ -236,102 +249,156 @@ def _future_mask(n: int) -> np.ndarray:
     return mask
 
 
-def _attend(p: MixerParams, h: np.ndarray):
-    """Attention weights and the stacked (3, n, d) projections q|k|v."""
-    dt = h.dtype
-    qkv = h @ p.w_qkv
-    q, k, _ = qkv
-    scale = _attn_scale(p.d, dt)
-    logits = q @ k.T
-    logits *= scale
-    if p.mask_mode == "causal":
-        np.copyto(logits, dt.type(-np.inf), where=_future_mask(h.shape[0]))
-    logits -= np.maximum.reduce(logits, axis=1, keepdims=True)
-    attn = np.exp(logits, out=logits)
-    attn /= np.add.reduce(attn, axis=1, keepdims=True)
-    return qkv, attn, scale
+class Workspace:
+    """The buffers of one window length n under parameters shaped like p.
+
+    forward and loss_and_grad write every intermediate of a pass into a
+    workspace, products with out= and reductions into their buffers, so a
+    caller that owns one runs pass after pass without allocating; what a
+    pass returns (the readout y, the gradients) lives here until the next
+    pass. `backward` adds loss_and_grad's buffers and a gradient buffer laid
+    out like p.flat. A workspace holds no reference to p, so it also serves
+    p's copies of the same shapes and dtype.
+    """
+
+    def __init__(self, p: MixerParams, n: int, backward: bool = False):
+        if n < 1:
+            raise ValueError("window must contain at least one block")
+        dt, d = p.flat.dtype, p.d
+        self.n, self.backward = n, backward
+        self.h, self.r, self.col = np.empty((n, d), dt), np.empty((n, d), dt), np.empty((n, 1), dt)
+        self.qkv = np.empty((3, n, d), dt)
+        self.q, self.k_t = self.qkv[0], self.qkv[1].T
+        self.logits = np.empty((n, n), dt)
+        self.y = np.empty((n, p.d_out), dt)
+        if backward:
+            self.d_r, self.d_h = np.empty((n, d), dt), np.empty((n, d), dt)
+            self.d_logits, self.prod = np.empty((n, n), dt), np.empty((n, n), dt)
+            self.d_qkv, self.d_h3 = np.empty((3, n, d), dt), np.empty((3, n, d), dt)
+            self.target = np.empty((n, p.d_out), dt)   # eps - x0, then resid**2
+            self.cond = np.empty(n, bool)              # the conditioning rows
+            g_flat = np.empty_like(p.flat)
+            self.g_mats, self.g_qkv = _views(g_flat, p.d_in, d)
+            self.grads = Grads(zip(_MATS, self.g_mats))
+            self.grads.flat = g_flat
 
 
-def _forward_cache(p: MixerParams, window_blocks: np.ndarray, sigma: float, indices):
+def _check_window(p: MixerParams, window_blocks, sigmas) -> np.ndarray:
+    """The window's rows in p's dtype, once its shape and noise levels pass."""
     x = np.asarray(window_blocks, dtype=p.w_in.dtype)
     if x.ndim != 2 or x.shape[1] != p.d_in:
         raise ValueError(f"window blocks must be (n, {p.d_in}), got {x.shape}")
     if x.shape[0] < 1:
         raise ValueError("window must contain at least one block")
-    if not 0.0 <= sigma <= 1.0:
-        raise ValueError(f"sigma must lie in [0,1], got {sigma}")
-    h = _embed(p, x, sigma, indices)
-    qkv, attn, scale = _attend(p, h)
-    r = attn @ qkv[2]
+    for sigma in sigmas:
+        if not 0.0 <= sigma <= 1.0:
+            raise ValueError(f"sigma must lie in [0,1], got {sigma}")
+    return x
+
+
+def _attend(p: MixerParams, h: np.ndarray, ws: Workspace):
+    """Attention weights and the stacked (3, n, d) projections q|k|v."""
+    dt = h.dtype
+    qkv = np.matmul(h, p.w_qkv, out=ws.qkv)
+    scale = _attn_scale(p.d, dt)
+    logits = np.matmul(ws.q, ws.k_t, out=ws.logits)
+    logits *= scale
+    if p.mask_mode == "causal":
+        np.copyto(logits, dt.type(-np.inf), where=_future_mask(h.shape[0]))
+    logits -= np.maximum.reduce(logits, axis=1, keepdims=True, out=ws.col)
+    attn = np.exp(logits, out=logits)
+    attn /= np.add.reduce(attn, axis=1, keepdims=True, out=ws.col)
+    return qkv, attn, scale
+
+
+def _forward_cache(p: MixerParams, x: np.ndarray, sigma: float, indices, ws: Workspace):
+    h = _embed(p, x, sigma, indices, ws.h)
+    qkv, attn, scale = _attend(p, h, ws)
+    r = np.matmul(attn, qkv[2], out=ws.r)
     r += h
-    y = r @ p.w_out
+    y = np.matmul(r, p.w_out, out=ws.y)
     return y, (x, h, qkv, attn, scale, r)
 
 
 def forward(p: MixerParams, window_blocks: np.ndarray, sigma: float,
-            indices=None) -> np.ndarray:
+            indices=None, ws: Workspace | None = None) -> np.ndarray:
     """Velocity predictions, one (d_out,) row per window block.
 
     `indices` are the blocks' absolute 1-based temporal positions; defaults
-    to 1..n for tests that do not care.
+    to 1..n for tests that do not care. Without a workspace the window is
+    checked and the result is a new array. With one (of the window's
+    length), the caller has checked the window (rows of p's dtype and
+    width, sigma in [0, 1]) and the result is the workspace's readout,
+    which the next pass overwrites.
     """
-    y, _ = _forward_cache(p, window_blocks, sigma, indices)
+    if ws is None:
+        window_blocks = _check_window(p, window_blocks, (sigma,))
+        ws = Workspace(p, window_blocks.shape[0])
+    y, _ = _forward_cache(p, window_blocks, sigma, indices, ws)
     return y
 
 
 def loss_and_grad(p: MixerParams, window_blocks: np.ndarray, clean_targets: np.ndarray,
                   noisy_mask: np.ndarray, sigma: float, eps: np.ndarray,
-                  indices=None):
+                  indices=None, ws: Workspace | None = None):
     """Masked flow-matching loss and analytic parameter gradients.
 
     loss = mean over noisy blocks of ||v_hat - (eps - x0)||^2. Blocks with
     noisy_mask False are teacher-forced conditioning; their loss rows are
     zeroed, so their terms contribute exactly zero gradient. The gradients
-    come back as Grads: views of one buffer laid out like p.flat.
+    come back as Grads: views of one buffer laid out like p.flat, a new one
+    without a workspace, else the workspace's (a backward one of the
+    window's length), which the next pass overwrites.
     """
     mask = np.asarray(noisy_mask, dtype=bool)
     n_noisy = np.count_nonzero(mask)
     if not n_noisy:
         raise ValueError("noisy_mask selects no blocks; loss undefined")
-    y, (x, h, qkv, attn, scale, r) = _forward_cache(p, window_blocks, sigma, indices)
+    x = _check_window(p, window_blocks, (sigma,))
+    if ws is None:
+        ws = Workspace(p, x.shape[0], backward=True)
+    elif not ws.backward or ws.n != x.shape[0]:
+        raise ValueError(f"loss_and_grad needs a backward workspace of {x.shape[0]} rows")
+    y, (x, h, qkv, attn, scale, r) = _forward_cache(p, x, sigma, indices, ws)
     dt = y.dtype
 
-    resid = y   # the forward output is this call's own: reuse it in place
-    resid -= np.asarray(eps, dt) - np.asarray(clean_targets, dt)
-    resid[~mask] = 0.0
-    loss = float(np.add.reduce(resid * resid, axis=None)) / n_noisy
+    resid = y   # the forward output is this pass's own: reuse it in place
+    resid -= np.subtract(np.asarray(eps, dt), np.asarray(clean_targets, dt), out=ws.target)
+    resid[np.logical_not(mask, out=ws.cond)] = 0.0
+    loss = float(np.add.reduce(np.multiply(resid, resid, out=ws.target), axis=None)) / n_noisy
 
-    g_flat = np.empty_like(p.flat)
-    g_mats, g_qkv = _views(g_flat, p.d_in, p.d)
+    g_mats = ws.g_mats
     d_y = resid
     d_y *= dt.type(2.0) / dt.type(n_noisy)
     np.matmul(r.T, d_y, out=g_mats[4])
-    d_r = d_y @ p.w_out.T
+    d_r = np.matmul(d_y, p.w_out.T, out=ws.d_r)
     q, k, v = qkv
-    d_logits = d_r @ v.T                  # d_attn, then in place the softmax gradient
-    d_logits -= np.add.reduce(d_logits * attn, axis=1, keepdims=True)
+    # d_attn, then in place the softmax gradient
+    d_logits = np.matmul(d_r, v.T, out=ws.d_logits)
+    d_logits -= np.add.reduce(np.multiply(d_logits, attn, out=ws.prod), axis=1, keepdims=True,
+                              out=ws.col)
     d_logits *= attn
-    d_qkv = np.empty_like(qkv)
+    d_qkv = ws.d_qkv
     d_q, d_k, d_v = d_qkv                 # d_v: the gradient wrt v rows
     np.matmul(d_logits, k, out=d_q)
     np.matmul(d_logits.T, q, out=d_k)
     d_qkv[:2] *= scale
     np.matmul(attn.T, d_r, out=d_v)
-    np.matmul(h.T, d_qkv, out=g_qkv)
+    np.matmul(h.T, d_qkv, out=ws.g_qkv)
     # sum over q|k|v runs in order along the outer axis: (d_hq + d_hk) + d_hv
-    d_h = np.add.reduce(d_qkv @ p.w_qkv.transpose(0, 2, 1), axis=0)
+    d_h = np.add.reduce(np.matmul(d_qkv, p.w_qkv.transpose(0, 2, 1), out=ws.d_h3), axis=0,
+                        out=ws.d_h)
     d_h += d_r                            # residual branch
     np.matmul(x.T, d_h, out=g_mats[0])
-    grads = Grads(zip(_MATS, g_mats))
-    grads.flat = g_flat
-    return loss, grads
+    return loss, ws.grads
 
 
-def sgd_update(p: MixerParams, grads: Grads, lr: float = 1e-2) -> None:
-    """Plain gradient descent, in place, in one pass over the packed buffer;
-    grads as loss_and_grad returns them."""
+def sgd_update(p: MixerParams, grads: Grads, lr: float = 1e-2, buf=None) -> None:
+    """Plain gradient descent, in place on the packed buffer; grads as
+    loss_and_grad returns them. lr * g goes into buf, an array like p.flat,
+    when given (a new array otherwise), and p.flat -= that."""
     flat = p.flat
-    flat -= flat.dtype.type(lr) * grads.flat
+    flat -= np.multiply(flat.dtype.type(lr), grads.flat, out=buf)
 
 
 @dataclass(frozen=True)
@@ -367,28 +434,21 @@ def uniform_sigmas(start: float, steps: int) -> list[float]:
     return [start * (1.0 - j / steps) for j in range(steps)] + [0.0]
 
 
-def sampler_step(z: np.ndarray, v_hat: np.ndarray, sigma_from: float, sigma_to: float) -> np.ndarray:
-    """One Euler step along the linear path: z + (sigma_to - sigma_from) * v_hat."""
-    if sigma_to >= sigma_from:
-        raise ValueError(f"need sigma_to < sigma_from, got {sigma_from} -> {sigma_to}")
-    if z.shape != v_hat.shape:
-        raise ValueError(f"shape mismatch {z.shape} vs {v_hat.shape}")
-    return z + (sigma_to - sigma_from) * v_hat
-
-
 def denoise_window(p: MixerParams, sigmas, z_window: np.ndarray, ref_window: np.ndarray,
                    n_noisy: int, indices, on_step=None) -> np.ndarray:
     """Run the sigma ladder on one window of blocks.
 
     z_window, ref_window: (n, h, w, c). A window is a read-only conditioning
     prefix followed by its noisy tail, the last n_noisy blocks. The window
-    runs in its own [z | ref] input buffer, built once: each step predicts
-    velocities for every block from the buffer, applies the Euler update to
-    the tail only, and writes the tail back into the buffer's noisy
-    channels, so the prefix and the reference half are written once. The
-    inputs are only read, and the result is a new contiguous array. Every
-    denoising path in the package funnels through here, which is what makes
-    the sequential / streaming / single-window variants bit-identical.
+    is checked once (its shape, every sigma in [0, 1], a strictly
+    decreasing ladder) and runs in its own [z | ref] input buffer and
+    Workspace, built once: each step makes one forward pass over the buffer,
+    applies the Euler update to the tail only, and writes the tail back into
+    the buffer's noisy channels, so the prefix and the reference half are
+    written once. The inputs are only read, and the result is a new
+    contiguous array. Every denoising path in the package funnels through
+    here, which is what makes the sequential / streaming / single-window
+    variants bit-identical.
 
     on_step(k, z, idx), if given, observes the window's noisy channels (a
     view into the buffer) after each step.
@@ -396,16 +456,21 @@ def denoise_window(p: MixerParams, sigmas, z_window: np.ndarray, ref_window: np.
     n, h, w, c = z_window.shape
     if not 0 <= n_noisy <= n:
         raise ValueError(f"n_noisy must lie in [0, {n}], got {n_noisy}")
+    if any(b >= a for a, b in zip(sigmas, sigmas[1:])):
+        raise ValueError(f"sigma ladder must be strictly decreasing, got {tuple(sigmas)}")
     prefix = n - n_noisy
     idx = tuple(indices)
-    zr = np.concatenate([z_window, ref_window], axis=-1)  # [z | ref] per pixel
-    x = zr.reshape(n, -1)
+    # [z | ref] per pixel, in the parameters' dtype
+    zr = np.concatenate([z_window, ref_window], axis=-1, dtype=p.flat.dtype)
+    x = _check_window(p, zr.reshape(n, -1), sigmas)
+    ws = Workspace(p, n)
     # The tail's state, contiguous: stepping the buffer's strided channels in
     # place runs numpy's inner loop over c values at a time, which is slower.
     tail = np.array(z_window[prefix:])
+    step = np.empty(tail.shape, x.dtype)
     for k, (sigma_from, sigma_to) in enumerate(zip(sigmas, sigmas[1:])):
-        v_hat = forward(p, x, sigma_from, idx).reshape(n, h, w, c)
-        tail[...] = sampler_step(tail, v_hat[prefix:], sigma_from, sigma_to)
+        v_hat = forward(p, x, sigma_from, idx, ws=ws).reshape(n, h, w, c)
+        tail += np.multiply(v_hat[prefix:], sigma_to - sigma_from, out=step)
         zr[prefix:, ..., :c] = tail
         if on_step is not None:
             on_step(k, zr[..., :c], idx)
@@ -489,31 +554,73 @@ def denoise_full(p: MixerParams, sigmas, z: np.ndarray, ref: np.ndarray) -> np.n
     return denoise_window(p, sigmas, z, ref, t - 1, range(1, t + 1))
 
 
+class Window:
+    """One training window's input rows, assembled: zr holds [clean | ref]
+    per pixel and `clean` the clean latents of the window's blocks, in the
+    latents' dtype; x and targets are their (n, -1) rows. A step of
+    train_windows rewrites only the noisy tail's z channels of zr, so a
+    window that recurs (stage 1's, the whole clip) is assembled once per
+    run, and one that does not is gathered into the run's Window of its
+    length."""
+
+    def __init__(self, n: int, block_shape: tuple, dtype):
+        h, w, c = block_shape
+        dtype = np.dtype(dtype)
+        self.zr = np.empty((n, h, w, 2 * c), dtype)
+        self.clean = np.empty((n, h, w, c), dtype)
+        self.noisy = np.empty((n, h, w, c), dtype)   # the tail's noised latents
+        self.eps = np.empty((n, h, w, c), FLOAT)
+        self.scaled = np.empty((n, h, w, c), FLOAT)  # sigma * eps
+        self.x, self.targets = self.zr.reshape(n, -1), self.clean.reshape(n, -1)
+        self.eps_rows = self.eps.reshape(n, -1)
+        # Each pixel's c channels move as one record.
+        pixel = f"V{c * dtype.itemsize}"
+        self._z, self._ref = np.split(self.zr.view(pixel), 2, axis=-1)
+        self._clean, self._noisy = self.clean.view(pixel), self.noisy.view(pixel)
+        self._pixel = pixel
+        self.n, self.indices, self.mask, self.prefix = n, None, None, 0
+
+    @classmethod
+    def of(cls, z_ref: np.ndarray, z0: np.ndarray, indices, n_noisy: int) -> "Window":
+        """A new window of the given rows."""
+        return cls(len(indices), z0.shape[1:], z0.dtype).gather(z_ref, z0, indices, n_noisy)
+
+    def gather(self, z_ref: np.ndarray, z0: np.ndarray, indices, n_noisy: int) -> "Window":
+        """Fill the window from (t, h, w, c) reference and clean latents: its
+        blocks are the 1-based indices, its noisy tail the last n_noisy."""
+        idx = indices if type(indices) is tuple else tuple(indices)
+        rows, self.mask = _window_rows(idx, n_noisy)
+        self.indices, self.prefix = idx, len(idx) - n_noisy
+        z0.take(rows, axis=0, out=self.clean)
+        self._z[...] = self._clean
+        self._ref[...] = z_ref[rows].view(self._pixel)
+        return self
+
+
+def _window_step(p: MixerParams, win: Window, rng: Rng, ws: Workspace):
+    # Draws sigma, then eps; noises the tail into the window, then one pass.
+    m = win.prefix
+    sigma = 1.0 - rng.uniform01()   # U(0, 1]
+    rng.normal(win.eps.shape, out=win.eps)
+    noisy = np.multiply(win.clean[m:], 1.0 - sigma, out=win.noisy[m:])
+    noisy += np.multiply(win.eps[m:], sigma, out=win.scaled[m:])
+    win._z[m:] = win._noisy[m:]
+    return loss_and_grad(p, win.x, win.targets, win.mask, sigma, win.eps_rows, win.indices, ws)
+
+
 def window_loss(p: MixerParams, z_ref: np.ndarray, z0: np.ndarray, indices, n_noisy: int,
                 rng: Rng):
     """Teacher-forced loss and gradients on one window: the training twin of
-    denoise_window.
+    denoise_window, in buffers of its own (train_windows runs the same step
+    in the run's).
 
     z_ref, z0: (t, h, w, c) reference and clean latents. The window's noisy
     tail, its last n_noisy blocks, moves to a drawn sigma on the path to a
     drawn eps; the conditioning prefix keeps its clean latents. Draws sigma,
     then eps, from rng. Returns (loss, grads).
     """
-    idx = indices if type(indices) is tuple else tuple(indices)
-    rows, mask = _window_rows(idx, n_noisy)
-    n, prefix = len(idx), len(idx) - n_noisy
-    sigma = 1.0 - rng.uniform01()   # U(0, 1]
-    eps = rng.normal((n,) + z0.shape[1:])
-    clean = z0[rows]
-    noisy = clean[prefix:] * (1.0 - sigma)
-    noisy += sigma * eps[prefix:]
-    # [z | ref] per pixel, built by moving each pixel's c channels as one
-    # record; the tail's z half is then overwritten with its noisy latents.
-    pixel = f"V{clean.shape[-1] * clean.itemsize}"
-    zr = np.concatenate([clean.view(pixel), z_ref[rows].view(pixel)], axis=-1)
-    zr[prefix:, ..., :1] = noisy.view(pixel)
-    return loss_and_grad(p, zr.view(clean.dtype).reshape(n, -1), clean.reshape(n, -1), mask,
-                         sigma, eps.reshape(n, -1), indices=idx)
+    win = Window.of(z_ref, z0, indices, n_noisy)
+    return _window_step(p, win, rng, Workspace(p, win.n, backward=True))
 
 
 @lru_cache(maxsize=256)
@@ -529,19 +636,44 @@ def _window_rows(indices: tuple, n_noisy: int):
     return rows, mask
 
 
+class _Spaces(dict):
+    """A run's backward workspaces, one per window length, and the Windows
+    that gather refills, one per length; each made on first use."""
+
+    def __init__(self, p: MixerParams):
+        super().__init__()
+        self.p, self.windows = p, {}
+
+    def __missing__(self, n: int) -> Workspace:
+        ws = self[n] = Workspace(self.p, n, backward=True)
+        return ws
+
+    def gather(self, z_ref, z0, indices, n_noisy: int) -> Window:
+        """The rows gathered into the run's Window of their length."""
+        n = len(indices)
+        win = self.windows.get(n)
+        if win is None:
+            win = self.windows[n] = Window(n, z0.shape[1:], z0.dtype)
+        return win.gather(z_ref, z0, indices, n_noisy)
+
+
 def train_windows(p: MixerParams, windows, steps: int, seed: int, lr: float, stage: int):
-    """SGD, one window per step. windows(step, rng) gives the step's
-    (z_ref, z0, indices, n_noisy, extra); the log row is (step, loss, *extra).
-    The run draws from one stream, Rng(seed).split(SUB_TRAIN): per step, the
-    stage's window choices (in windows), then sigma, then eps (in
-    window_loss). Raises FloatingPointError, naming the stage and step, if
-    training diverges."""
+    """SGD, one window per step. windows(step, rng, gather) gives the step's
+    Window and the extra values of its log row (step, loss, *extra): a
+    window it keeps for the run, or gather(z_ref, z0, indices, n_noisy), the
+    rows gathered into the run's Window of that length. The run owns one
+    Workspace and one such Window per window length and one buffer for
+    lr * g, and draws from one stream, Rng(seed).split(SUB_TRAIN): per step,
+    the stage's window choices (in windows), then sigma, then eps. Raises
+    FloatingPointError, naming the stage and step, if training diverges."""
     rng = Rng(seed).split(SUB_TRAIN)
+    spaces = _Spaces(p)
+    buf = np.empty_like(p.flat)
     log = []
     for step in range(steps):
-        *window, extra = windows(step, rng)
-        loss, grads = window_loss(p, *window, rng)
-        sgd_update(p, grads, lr)
+        win, extra = windows(step, rng, spaces.gather)
+        loss, grads = _window_step(p, win, rng, spaces[win.n])
+        sgd_update(p, grads, lr, buf)
         if not math.isfinite(loss):
             raise FloatingPointError(f"stage {stage} training diverged: loss {loss} at step {step}")
         log.append((step, loss, *extra))
@@ -552,13 +684,14 @@ def train_windows(p: MixerParams, windows, steps: int, seed: int, lr: float, sta
 
 
 def eval_windows(p: MixerParams, windows, seed: int, draws: int) -> float:
-    """Mean window loss over seeded draws of windows(draw, rng), all from one
-    stream in train_windows' order; no update."""
+    """Mean window loss over seeded draws of windows(draw, rng, gather), as
+    train_windows draws them, from one stream in its order; no update."""
     rng = Rng(seed).split(SUB_TRAIN)
+    spaces = _Spaces(p)
     tot = 0.0
     for j in range(draws):
-        *window, _ = windows(j, rng)
-        tot += window_loss(p, *window, rng)[0]
+        win, _ = windows(j, rng, spaces.gather)
+        tot += _window_step(p, win, rng, spaces[win.n])[0]
     return tot / draws
 
 

@@ -15,7 +15,8 @@ decoded LR video: stage 2 only needs each block's mean frame, which
 ``codec.decode_group_means`` reads off the latents.
 
 Training and evaluation take latents, so a caller encodes each clip once and
-every step works on those latents.
+every step works on those latents; each clip's window is assembled once per
+run, and a step rewrites only its noisy tail.
 """
 
 from __future__ import annotations
@@ -87,19 +88,20 @@ def denoise_from(model: mixer.StageModel, z_noisy: np.ndarray, x_lr: np.ndarray,
     return mixer.denoise_full(model.params, sigmas, z, np.broadcast_to(z_x, z.shape))
 
 
-def _window(z0: np.ndarray):
-    """The clip's one window, with the broadcast anchor as its reference."""
+def _window(z0: np.ndarray) -> mixer.Window:
+    """The clip's one window, with the broadcast anchor as its reference,
+    assembled once: a run visits it every len(latents) steps."""
     t = z0.shape[0]
     if t < 2:
         raise ValueError("clip too short: need at least one block beyond the anchor")
     p = scheduler.plan(t, t - 1, 0)
-    return np.broadcast_to(z0[0], z0.shape), z0, p.W[0], len(p.I[0]), ()
+    return mixer.Window.of(np.broadcast_to(z0[0], z0.shape), z0, p.W[0], len(p.I[0]))
 
 
 def eval_loss(model: mixer.StageModel, latents, seed: int, draws: int = 8) -> float:
     """Mean loss over seeded (sigma, eps) draws on the clips' latents; no update."""
     windows = [_window(z0) for z0 in latents]
-    return mixer.eval_windows(model.params, lambda j, rng: windows[j % len(windows)],
+    return mixer.eval_windows(model.params, lambda j, rng, _: (windows[j % len(windows)], ()),
                               seed, draws)
 
 
@@ -108,5 +110,6 @@ def train(model: mixer.StageModel, latents, steps: int, seed: int, lr: float = 1
     (step, loss) log. Raises FloatingPointError, naming the step, if training
     diverges."""
     windows = [_window(z0) for z0 in latents]
-    return mixer.train_windows(model.params, lambda step, rng: windows[step % len(windows)],
+    return mixer.train_windows(model.params,
+                               lambda step, rng, _: (windows[step % len(windows)], ()),
                                steps, seed, lr, stage=1)

@@ -111,7 +111,9 @@ def eval_loss(model: mixer.StageModel, latents, seed: int, draws: int = 8,
               M: int = 3, N: int = 1) -> float:
     """Mean masked loss over seeded draws on encoded pairs; no update."""
     return mixer.eval_windows(
-        model.params, lambda j, rng: (*_segment_window(*latents[j % len(latents)], rng, M, N), ()),
+        model.params,
+        lambda j, rng, gather: (gather(*_segment_window(*latents[j % len(latents)], rng, M, N)),
+                                ()),
         seed, draws)
 
 
@@ -125,11 +127,11 @@ def train(model: mixer.StageModel, transition_latents, down_latents, steps: int,
     Returns log rows (step, loss, M, N, source). Raises FloatingPointError,
     naming the step, if training diverges.
     """
-    def window(step, rng):
+    def window(step, rng, gather):
         use_trans = bool(transition_latents) and rng.uniform01() < TRANSITION_SHARE
         pool = transition_latents if use_trans else down_latents
         M, N = MN_CHOICES[rng.integers(0, len(MN_CHOICES))]
-        return (*_segment_window(*pool[step % len(pool)], rng, M, N),
+        return (gather(*_segment_window(*pool[step % len(pool)], rng, M, N)),
                 (M, N, "transition" if use_trans else "downsampled"))
 
     return mixer.train_windows(model.params, window, steps, seed, lr, stage=2)

@@ -11,6 +11,7 @@ the base pattern, not the dynamics.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -130,14 +131,18 @@ def render_scene(spec: SceneSpec, cfg: CodecConfig = CodecConfig()) -> np.ndarra
 
 def write_corpus(out_dir, specs: list[SceneSpec], cfg: CodecConfig = CodecConfig()) -> Path:
     """Render every spec into out_dir and write the manifest; returns its path.
-    Nothing is written unless every spec encodes in both stages: stage 2
-    encodes the clips (``validate``), stage 1 their LR video (``lr_size``)."""
-    for spec in specs:
+    Nothing is written unless every spec encodes in both stages, stage 2
+    the clips (``validate``), stage 1 their LR video (``lr_size``), and all
+    specs share the first one's frame size, as ``load_corpus`` requires."""
+    for i, spec in enumerate(specs):
         spec.validate(cfg)
         try:
             stage1.lr_size(spec.H, spec.W, cfg)
         except ValueError as e:
             raise ValueError(f"corpus {e}") from None
+        if (spec.H, spec.W) != (specs[0].H, specs[0].W):
+            raise ValueError(f"corpus clip {i} is {spec.H}x{spec.W}, the first clip "
+                             f"{specs[0].H}x{specs[0].W}: a corpus holds one frame size")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     records = []
@@ -153,13 +158,48 @@ def write_corpus(out_dir, specs: list[SceneSpec], cfg: CodecConfig = CodecConfig
     return manifest
 
 
+# A manifest record's keys and the JSON types of their values: SceneSpec's
+# fields and the clip's file name. velocity is a pair of numbers.
+_RECORD = {"seed": int, "T": int, "H": int, "W": int, "motif": str, "velocity": list,
+           "file": str}
+
+
+def _check_record(rec, i: int, where: str) -> None:
+    """A one-line ValueError naming where, record i and the key unless rec
+    is a manifest record of a SceneSpec (a bool is no int)."""
+    if type(rec) is not dict:
+        raise ValueError(f"{where}: record {i} must be a JSON object, got {json.dumps(rec)}")
+    for key, want in _RECORD.items():
+        if key not in rec:
+            raise ValueError(f"{where}: record {i} lacks key {key!r}")
+        v = rec[key]
+        if type(v) is not want:
+            raise ValueError(f"{where}: record {i} key {key!r} expects {want.__name__}, "
+                             f"got {json.dumps(v)}")
+    vel = rec["velocity"]
+    if len(vel) != 2 or any(type(v) not in (int, float) or not math.isfinite(v) for v in vel):
+        raise ValueError(f"{where}: record {i} key 'velocity' expects two finite numbers, "
+                         f"got {json.dumps(vel)}")
+    if rec["motif"] not in MOTIFS:
+        raise ValueError(f"{where}: record {i} key 'motif' expects one of {MOTIFS}, "
+                         f"got {json.dumps(rec['motif'])}")
+
+
 def load_corpus(corpus_dir) -> list[tuple[SceneSpec, np.ndarray]]:
-    """Load (spec, video) pairs from a corpus directory written by write_corpus;
-    a clip whose extents differ from its record or the first clip's is refused."""
+    """Load (spec, video) pairs from a corpus directory written by write_corpus.
+    The manifest is checked whole before any clip is read (a list of records
+    of SceneSpec's keys and types, see _check_record); a clip whose extents
+    differ from its record or the first clip's is refused."""
     corpus_dir = Path(corpus_dir)
-    records = json.loads((corpus_dir / "manifest.json").read_text())
+    manifest = corpus_dir / "manifest.json"
+    records = json.loads(manifest.read_text())
+    if type(records) is not list:
+        raise ValueError(f"{manifest}: expects a JSON list of clip records, "
+                         f"got {type(records).__name__}")
     if not records:
         raise ValueError(f"corpus {corpus_dir} holds no clips")
+    for i, rec in enumerate(records):
+        _check_record(rec, i, str(manifest))
     out = []
     for rec in records:
         spec = SceneSpec(seed=rec["seed"], T=rec["T"], H=rec["H"], W=rec["W"],

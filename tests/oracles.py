@@ -234,10 +234,11 @@ def denoise_window_concat(forward, sigmas, z_window, ref_window, update_mask):
     return z
 
 
-def attend_uncached(p, h):
+def attend_uncached(p, h, ws=None):
     """mixer._attend as it was before its in-place form: three separate
     projections (stacked only to return them as _attend does), a fresh
-    causal keep-mask per call, np.where, and out-of-place softmax steps."""
+    causal keep-mask per call, np.where, and out-of-place softmax steps,
+    all in fresh arrays (the workspace goes unused)."""
     n = h.shape[0]
     dt = h.dtype
     q, k, v = h @ p.w_q, h @ p.w_k, h @ p.w_v

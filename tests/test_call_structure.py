@@ -9,7 +9,9 @@ the (1 + N + M)·h·w token budget. These tests count the same calls the same
 way, so a refactor that would break those checks fails here first. They also
 pin that stage 1 hands stage 2 its latents: the LR video is never decoded,
 so a generate request's one `codec.decode` is the HR video's, and a streamed
-request makes none.
+request makes none. A train command makes one `mixer.loss_and_grad` call per
+training step and per evaluation draw, and each of its runs (the training
+loop, each evaluation) builds at most one `mixer.Workspace` per window length.
 """
 
 import sys
@@ -141,3 +143,42 @@ def test_train_stage2_encodes_each_hr_clip_once(monkeypatch, pipeline, tmp_path)
                      "--steps", "2", "--out", str(tmp_path / "s2")]) == 0
     inputs = sorted(args[0].shape for args, _ in encode.calls)
     assert inputs == sorted([(81, 32, 32, 3)] * 6 + [(81, 8, 8, 3)] * 6 + [(1, 8, 8, 3)] * 6)
+
+
+@pytest.mark.parametrize("cmd", ["train-stage1", "train-stage2"])
+def test_train_command_passes_and_workspaces(monkeypatch, pipeline, tmp_path, cmd):
+    # steps + 2·draws passes: the evaluations before and after training draw
+    # 8 windows each. A run's workspaces are its own, one per window length,
+    # built on first use and reused by every later pass of that length.
+    passes = Counter(monkeypatch, [mixer], "loss_and_grad")
+    runs, current = [], [None]
+
+    def run_counted(real):
+        def counted(*args, **kwargs):
+            current[0] = []
+            runs.append(current[0])
+            try:
+                return real(*args, **kwargs)
+            finally:
+                current[0] = None
+        return counted
+
+    for name in ("train_windows", "eval_windows"):
+        monkeypatch.setattr(mixer, name, run_counted(getattr(mixer, name)))
+    real_ws = mixer.Workspace
+
+    def workspace(p, n, *args, **kwargs):
+        if current[0] is not None:
+            current[0].append(n)
+        return real_ws(p, n, *args, **kwargs)
+
+    monkeypatch.setattr(mixer, "Workspace", workspace)
+    steps, draws = 40, 8
+    argv = [cmd, "--corpus", pipeline["corpus"], "--steps", str(steps), "--out", str(tmp_path)]
+    if cmd == "train-stage2":
+        argv += ["--stage1", pipeline["s1"]]
+    assert cli.main(argv) == 0
+    assert len(passes) == steps + 2 * draws
+    assert len(runs) == 3  # evaluate, train, evaluate
+    for lengths in runs:
+        assert lengths and len(lengths) == len(set(lengths)), lengths

@@ -491,6 +491,58 @@ def test_corpus_clip_of_other_extents_exits_2_naming_it(pipeline, tmp_path, caps
     assert "\n" not in err and f"{name}: {want}" in err, err
 
 
+def _drop(key):
+    def mutate(records):
+        del records[0][key]
+        return records
+    return mutate
+
+
+def _set(key, value):
+    def mutate(records):
+        records[0][key] = value
+        return records
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, want", [
+    (_drop("seed"), "record 0 lacks key 'seed'"),
+    (lambda records: {"clips": records}, "expects a JSON list of clip records, got dict"),
+    (_set("velocity", 5), "record 0 key 'velocity' expects list, got 5"),
+    (_set("file", None), "record 0 key 'file' expects str, got null"),
+    (lambda records: [1], "record 0 must be a JSON object, got 1"),
+    (_set("motif", "nope"), "record 0 key 'motif' expects one of"),
+], ids=["missing-key", "object", "velocity-number", "file-null", "record-number", "motif"])
+@pytest.mark.parametrize("cmd", ["train-stage1", "train-stage2", "transition"])
+def test_bad_manifest_exits_2_naming_record_and_key(pipeline, tmp_path, capsys, cmd, mutate,
+                                                    want):
+    # checked whole before any clip is read: one line naming the manifest,
+    # never a bare KeyError, a TypeError (exit 3) or training on a bad motif
+    corpus = tmp_path / "corpus"
+    assert cli.main(["synth", "--count", "2", "--frames", "17", "--out", str(corpus)]) == 0
+    manifest = corpus / "manifest.json"
+    manifest.write_text(json.dumps(mutate(json.loads(manifest.read_text()))))
+    capsys.readouterr()
+    argv = [cmd, "--corpus", str(corpus), "--out", str(tmp_path / "o")]
+    if cmd != "train-stage1":
+        argv += ["--stage1", pipeline["s1"]]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err.strip()
+    assert "\n" not in err and f"{manifest}: {want}" in err, err
+
+
+def test_synth_refuses_clips_of_two_frame_sizes(monkeypatch, tmp_path, capsys):
+    # the writer enforces the reader's rule, before it writes anything
+    specs = [synth.SceneSpec(seed=0), synth.SceneSpec(seed=1, H=64, W=64)]
+    monkeypatch.setattr(synth, "default_specs", lambda *args, **kwargs: specs)
+    corpus = tmp_path / "corpus"
+    capsys.readouterr()
+    assert cli.main(["synth", "--out", str(corpus)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert "\n" not in err and "corpus clip 1 is 64x64, the first clip 32x32" in err, err
+    assert not corpus.exists() or not any(corpus.iterdir())
+
+
 def test_pipeline_at_a_non_default_codec(tmp_path):
     # f_s=2, f_t=2 on 16x16 frames end to end; stage 1 needs a smaller step
     # size there (at the default it diverges and exits 3)

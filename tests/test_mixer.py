@@ -153,26 +153,6 @@ def test_sgd_update_descends():
     assert loss1 < loss0
 
 
-def test_sampler_step_examples():
-    g = np.random.default_rng(3)
-    z = g.standard_normal((3, 4))
-    npt.assert_array_equal(mixer.sampler_step(z, np.zeros_like(z), 1.0, 0.5), z)
-    x0 = g.standard_normal((3, 4))
-    eps = g.standard_normal((3, 4))
-    sigma = 0.7
-    zs = (1 - sigma) * x0 + sigma * eps
-    npt.assert_allclose(mixer.sampler_step(zs, eps - x0, sigma, 0.0), x0, atol=1e-12)
-    # two exact-velocity steps compose to one
-    v = eps - x0
-    two = mixer.sampler_step(mixer.sampler_step(zs, v, sigma, 0.3), v, 0.3, 0.0)
-    one = mixer.sampler_step(zs, v, sigma, 0.0)
-    npt.assert_allclose(two, one, atol=1e-12)
-    with pytest.raises(ValueError):
-        mixer.sampler_step(z, np.zeros_like(z), 0.5, 0.5)
-    with pytest.raises(ValueError):
-        mixer.sampler_step(z, np.zeros((2, 4)), 1.0, 0.5)
-
-
 def test_schedules():
     sch = mixer.default_schedule(4)
     assert sch.sigmas == (1.0, 0.75, 0.5, 0.25, 0.0) and sch.K == 4
@@ -203,6 +183,15 @@ def test_denoise_window_holds_conditioning_prefix():
     for bad in (-1, 4):
         with pytest.raises(ValueError):
             mixer.denoise_window(p, mixer.default_schedule(2).sigmas, z, ref, bad, (1, 2, 3))
+    # the ladder is checked once, before any step: every sigma in [0, 1],
+    # strictly decreasing
+    for ladder, what in (((1.0, 0.5, 0.5, 0.0), "strictly decreasing"),
+                         ((1.0, 0.6, 0.7, 0.0), "strictly decreasing"),
+                         ((1.5, 0.5, 0.0), "sigma must lie in"),
+                         ((1.0, 0.5, -0.5), "sigma must lie in"),
+                         ((1.0, float("nan"), 0.0), "sigma must lie in")):
+        with pytest.raises(ValueError, match=what):
+            mixer.denoise_window(p, ladder, z, ref, 2, (1, 2, 3))
 
 
 def test_save_load_roundtrip(tmp_path):
@@ -507,13 +496,38 @@ def test_stacked_and_out_products_equal_separate_fresh_products(dtype, d, d_in):
         def check(ok, what):
             assert ok, _BLAS.format(what=what, n=n, d=d, d_in=d_in, dtype=np.dtype(dtype).name)
 
+        def into(shape, product, *args, **kwargs):
+            # the product written into a fresh out= buffer, as a workspace holds it
+            return product(*args, **kwargs, out=np.empty(shape, dtype))
+
         h, d_r = (g.standard_normal((n, d)).astype(dtype) for _ in range(2))
         x = g.standard_normal((n, d_in)).astype(dtype)
         d_y = g.standard_normal((n, d_out)).astype(dtype)
         attn, d_logits = (g.standard_normal((n, n)).astype(dtype) for _ in range(2))
+        # the forward pass: embedding, projections, logits, readout
+        check(into((n, d), np.matmul, x, mats[0]).tobytes() == (x @ mats[0]).tobytes(),
+              "x @ w_in into out=")
         qkv = h @ w_qkv                                      # the forward projections
+        qkv_out = into((3, n, d), np.matmul, h, w_qkv)
         for i, w in enumerate((w_q, w_k, w_v)):
             check(qkv[i].tobytes() == (h @ w).tobytes(), f"h @ w_qkv, slice {i}")
+            check(qkv_out[i].tobytes() == (h @ w).tobytes(), f"h @ w_qkv into out=, slice {i}")
+        q, k, v = qkv
+        check(into((n, n), np.matmul, q, k.T).tobytes() == (q @ k.T).tobytes(),
+              "q @ k.T into out=")
+        for name, reduce in (("maximum", np.maximum.reduce), ("add", np.add.reduce)):
+            check(into((n, 1), reduce, attn, axis=1, keepdims=True).tobytes()
+                  == reduce(attn, axis=1, keepdims=True).tobytes(),
+                  f"np.{name}.reduce over rows into an out= column")
+        check(into((n, d), np.matmul, attn, v).tobytes() == (attn @ v).tobytes(),
+              "attn @ v into out=")
+        check(into((n, d_out), np.matmul, h, mats[4]).tobytes() == (h @ mats[4]).tobytes(),
+              "r @ w_out into out=")
+        # the backward pass
+        check(into((n, d), np.matmul, d_y, mats[4].T).tobytes() == (d_y @ mats[4].T).tobytes(),
+              "d_y @ w_out.T into out=")
+        check(into((n, n), np.matmul, d_r, v.T).tobytes() == (d_r @ v.T).tobytes(),
+              "d_r @ v.T into out=")
         g_flat = np.empty_like(mats[0].base)                 # a gradient buffer
         (g_in, _, _, _, g_out), g_qkv = mixer._views(g_flat, d_in, d)
         d_qkv = np.empty_like(qkv)
@@ -525,13 +539,74 @@ def test_stacked_and_out_products_equal_separate_fresh_products(dtype, d, d_in):
         check(d_qkv[2].tobytes() == (attn.T @ d_r).tobytes(), "attn.T @ d_r into out=")
         np.matmul(h.T, d_qkv, out=g_qkv)
         d_h3 = d_qkv @ w_qkv.transpose(0, 2, 1)
+        d_h3_out = into((3, n, d), np.matmul, d_qkv, w_qkv.transpose(0, 2, 1))
         for i, w in enumerate((w_q, w_k, w_v)):
             check(g_qkv[i].tobytes() == (h.T @ d_qkv[i]).tobytes(), f"h.T @ d_qkv into out=, {i}")
             check(d_h3[i].tobytes() == (d_qkv[i] @ w.T).tobytes(), f"d_qkv @ w_qkv^T, slice {i}")
+            check(d_h3_out[i].tobytes() == (d_qkv[i] @ w.T).tobytes(),
+                  f"d_qkv @ w_qkv^T into out=, slice {i}")
         d_h = np.add.reduce(d_h3, axis=0)
         check(d_h.tobytes() == ((d_h3[0] + d_h3[1]) + d_h3[2]).tobytes(),
               "np.add.reduce over q|k|v in order")
+        check(into((n, d), np.add.reduce, d_h3, axis=0).tobytes() == d_h.tobytes(),
+              "np.add.reduce over q|k|v into out=")
         np.matmul(x.T, d_h, out=g_in)
         np.matmul(h.T, d_y, out=g_out)
         check(g_in.tobytes() == (x.T @ d_h).tobytes(), "x.T @ d_h into out=")
         check(g_out.tobytes() == (h.T @ d_y).tobytes(), "r.T @ d_y into out=")
+
+
+@settings(deadline=None, max_examples=60)
+@given(dtype=st.sampled_from((np.float32, np.float64)), shape=st.sampled_from(_SHAPES),
+       seed=st.integers(0, 2**32 - 1),
+       windows=st.lists(st.tuples(st.integers(1, 9), st.sampled_from(mixer.MASK_MODES),
+                                  st.floats(0.0, 1.0), st.integers(0, 2**32 - 1)),
+                        min_size=2, max_size=10))
+def test_reused_workspaces_give_the_bits_of_fresh_calls(dtype, shape, seed, windows):
+    # one workspace per window length, reused across a sequence of windows
+    # of mixed length, content, sigma and mask mode (a workspace serves any
+    # parameters of its shapes), gives the bits of calls that get a fresh one
+    d_in, d_out, d = shape
+    params = {mode: mixer.init_mixer(Rng(seed), d_in, d_out, d=d, mask_mode=mode).astype(dtype)
+              for mode in mixer.MASK_MODES}
+    spaces = {}
+    for n, mode, sigma, s in windows:
+        p = params[mode]
+        g = np.random.default_rng(s)
+        x, clean, eps = (g.standard_normal((n, k)).astype(dtype) for k in (d_in, d_out, d_out))
+        mask = g.random(n) < 0.5
+        mask[int(g.integers(n))] = True
+        idx = tuple(int(i) for i in g.integers(1, 300, n))
+        if n not in spaces:
+            spaces[n] = mixer.Workspace(p, n, backward=True)
+        ws = spaces[n]
+        y = mixer.forward(p, x, sigma, idx, ws=ws)
+        assert y.tobytes() == mixer.forward(p, x, sigma, idx).tobytes()
+        loss, grads = mixer.loss_and_grad(p, x, clean, mask, sigma, eps, idx, ws=ws)
+        want_loss, want = mixer.loss_and_grad(p, x, clean, mask, sigma, eps, idx)
+        assert loss == want_loss
+        assert grads.flat.tobytes() == want.flat.tobytes()
+        for name in MATS:
+            assert np.shares_memory(grads[name], ws.grads.flat), name
+
+
+def test_calls_without_a_workspace_return_arrays_no_later_call_writes():
+    p = small_params(44)
+    x, clean, eps, mask, sigma = random_instance(45)
+    ys = [mixer.forward(p, x, sigma) for _ in range(2)]
+    passes = [mixer.loss_and_grad(p, x, clean, mask, sigma, eps) for _ in range(2)]
+    z = np.zeros((3, 1, 1, 2), FLOAT)
+    losses = [mixer.window_loss(mixer.init_mixer(Rng(46), 4, 2, d=6), z + 1, z, (1, 2, 3), 2,
+                                Rng(46)) for _ in range(2)]
+    outs = [*ys, *(g.flat for _, g in passes), *(g.flat for _, g in losses)]
+    before = [a.tobytes() for a in outs]
+    for i, a in enumerate(outs):
+        for b in outs[i + 1:]:
+            assert not np.shares_memory(a, b)
+    mixer.forward(p, x, 0.9)
+    mixer.loss_and_grad(p, x, clean, mask, 0.9, eps)
+    assert [a.tobytes() for a in outs] == before
+    # a workspace of another length, or one for forward passes only, is refused
+    for ws in (mixer.Workspace(p, 4, backward=True), mixer.Workspace(p, 3)):
+        with pytest.raises(ValueError, match="backward workspace of 3 rows"):
+            mixer.loss_and_grad(p, x, clean, mask, sigma, eps, ws=ws)

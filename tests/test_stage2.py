@@ -1,5 +1,8 @@
 """Stage II tests: CSG inference discipline, training step, persistence."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -266,3 +269,40 @@ def test_train_raises_on_divergence():
             stage2.train(stage2.new_stage2(0), [], pairs, steps=4, seed=0, lr=1e6)
         with pytest.raises(FloatingPointError, match="stage 2 .*parameters non-finite after step 0"):
             stage2.train(stage2.new_stage2(0), [], pairs, steps=1, seed=0, lr=float("inf"))
+
+
+def _retained_bytes(run) -> int:
+    """Traced memory still held after run() returns and its result is dropped."""
+    gc.collect()
+    before = tracemalloc.get_traced_memory()[0]
+    log = run()
+    del log
+    gc.collect()
+    return tracemalloc.get_traced_memory()[0] - before
+
+
+def test_training_retains_no_memory_per_step():
+    # a run's workspaces and windows go with the run: what stage1.train and
+    # stage2.train leave behind does not grow with the step count. Each run
+    # gets latents of its own, as each train command encodes its own, so a
+    # cache kept across runs shows here too.
+    cfg = CodecConfig()
+    clips = [synth.render_scene(s) for s in synth.default_specs(6, 0, T=81)]
+    zs1 = [encode(stage1.low_res(v, cfg), cfg) for v in clips]
+    pairs = encoded(stage2.new_stage2(0), [down_pair(v) for v in clips])
+    runs = {
+        1: lambda steps: stage1.train(stage1.new_stage1(0), [z.copy() for z in zs1], steps, 0),
+        2: lambda steps: stage2.train(stage2.new_stage2(0),
+                                      [(r.copy(), z.copy()) for r, z in pairs[:3]],
+                                      [(r.copy(), z.copy()) for r, z in pairs[3:]],
+                                      steps, 0, 3e-4),
+    }
+    tracemalloc.start()
+    try:
+        for stage, run in runs.items():
+            run(600)  # fills the bounded caches (noise-level and position codes, window rows)
+            short, long = (_retained_bytes(lambda: run(steps)) for steps in (50, 600))
+            assert long - short <= 16 * 1024, f"stage {stage}: {short} B after 50 steps, " \
+                                              f"{long} B after 600"
+    finally:
+        tracemalloc.stop()
