@@ -154,6 +154,7 @@ class _Cfg:
     def __init__(self, args):
         self.args = args
         self.file = {}
+        self.made = []
         if getattr(args, "config", None):
             if not os.path.exists(args.config):
                 raise ValueError(f"--config expects the path of a JSON file; "
@@ -184,12 +185,26 @@ class _Cfg:
         return v
 
     def out_dir(self):
+        """The output directory, created with any missing parents; `made`
+        lists the directories this call created, deepest first."""
         out = getattr(self.args, "out", None) or self.file.get("out")
         if not out:
             raise ValueError("an output directory is required (--out)")
+        d = os.path.abspath(out)
+        while not os.path.exists(d):
+            self.made.append(d)
+            d = os.path.dirname(d)
         os.makedirs(out, exist_ok=True)
         self.resolved["out"] = out
         return out
+
+    def remove_made(self):
+        """Remove the directories out_dir created, deepest first, while empty."""
+        for d in self.made:
+            try:
+                os.rmdir(d)
+            except OSError:
+                break
 
     def echo(self, out):
         _write_json(os.path.join(out, "config.resolved.json"), dict(sorted(self.resolved.items())))
@@ -571,6 +586,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 0 if e.code in (0, None) else 1
     name = f"bench {args.bench_cmd}" if args.cmd == "bench" else args.cmd
+    cfg = None
     try:
         cfg = _Cfg(args)
         out = cfg.out_dir()
@@ -579,6 +595,8 @@ def main(argv=None) -> int:
         return 0
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as e:
         print(f"segvid: validation error: {e}", file=sys.stderr)
+        if cfg is not None:  # a refused command leaves no empty output directory
+            cfg.remove_made()
         return 2
     except Exception as e:
         print(f"segvid: runtime failure: {type(e).__name__}: {e}", file=sys.stderr)

@@ -15,8 +15,10 @@ one by one as the pooling of the HR frames does (skipping the pooling would
 change bits), so this equals encoding the HR hybrid video (the tests check
 it against that construction).
 
-The denoiser (mixer) installs the anchor as block 1 and concatenates the
-reference to the noisy latents along channels, one window at a time.
+The denoiser's input puts the reference beside the noisy latents along
+channels, with the anchor as block 1: stage 2 packs each block's reference
+into the request's [z | ref] buffer when its segment reaches it
+(``stage2.infer_csg``), and the full-window path concatenates them.
 """
 
 from __future__ import annotations

@@ -155,6 +155,21 @@ def init_noise_blocks(rng: Rng, t: int, h: int, w: int, c: int) -> np.ndarray:
     return z
 
 
+def pixel_views(dst: np.ndarray, src: np.ndarray):
+    """(dst, src) views for the copy dst[...] = src between arrays of
+    (..., c) pixels. When both hold one dtype with unit-strided channels, the
+    views see each pixel as one record of c values, so the copy moves one
+    item per pixel instead of looping over c values at a time (a channel
+    slice of a [z | ref] buffer is strided from pixel to pixel). Otherwise
+    they are the arrays themselves, and the copy casts value by value."""
+    c = dst.shape[-1]
+    if (dst.dtype == src.dtype and src.shape[-1] == c
+            and dst.strides[-1] == src.strides[-1] == dst.itemsize):
+        pixel = f"V{c * dst.itemsize}"
+        return dst.view(pixel), src.view(pixel)
+    return dst, src
+
+
 def cell_means(taps: np.ndarray) -> np.ndarray:
     """(n, h, f, w, g, C) float32 tap view to its (n, h, w, C) cell means.
 

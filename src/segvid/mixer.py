@@ -32,18 +32,24 @@ residual stream and the readout, and for loss_and_grad the backward buffers
 and the gradient buffer. Every product writes into them with out= and every
 reduction into its buffer, and the embedding and softmax work in place. A
 forward or loss_and_grad call without one gets a fresh one, so its result
-is its own; the loops own theirs: denoise_window one per window for its K
-steps, train_windows and eval_windows one per window length per run. The
+is its own; the loops own theirs: stage2.infer_csg one per window length
+per request, denoise_full one per call, train_windows and eval_windows one
+per window length per run, all of a run's sharing one gradient buffer. The
 stacked and out= products give the bits of separate, fresh per-matrix
-products, which a test checks for the BLAS in use. No workspace is kept at
-module level: the streamer's producer thread runs windows too.
+products, which a test checks for the BLAS in use. No workspace or buffer
+is kept at module level: the streamer's producer thread runs windows too,
+and so may concurrent requests.
 
-Inference checks each window once and runs it in its own [z | ref] input
-buffer, built once per window: a step writes only the noisy channels of the
-window's tail back into it, and the conditioning prefix and the reference
-half stay as built. Training assembles each window into a Window of input
-rows; stage 1's, the whole clip, is assembled once per clip per run, and a
-step rewrites only its noisy tail.
+denoise_window runs a window in place in a caller's [z | ref] input buffer,
+checked once per window: each step writes the window's tail back into the
+buffer's z channels as whole pixels (grid.pixel_views), and the
+conditioning prefix and the reference half stay as the caller built them.
+A stage-2 request's latents live in the z half of one packed (t, h, w, 2c)
+buffer of this layout, from which each segment gathers its window's rows
+(see stage2.infer_csg); denoise_full builds its one window by
+concatenation. Training assembles each window into a Window of input rows;
+stage 1's, the whole clip, is assembled once per clip per run, and a step
+rewrites only its noisy tail.
 
 Both pipeline stages are this denoiser. A stage model is the mixer parameters
 plus the codec and sigma schedule it was trained with; a stage differs from
@@ -65,8 +71,8 @@ from functools import lru_cache
 import numpy as np
 
 from .codec import CodecConfig, latent_shape
-from .grid import (FLOAT, SUB_TRAIN, Rng, init_noise_blocks, read_siv1, require_finite,
-                   write_siv1)
+from .grid import (FLOAT, SUB_TRAIN, Rng, init_noise_blocks, pixel_views, read_siv1,
+                   require_finite, write_siv1)
 
 MASK_MODES = ("bidirectional", "causal")
 
@@ -257,11 +263,14 @@ class Workspace:
     caller that owns one runs pass after pass without allocating; what a
     pass returns (the readout y, the gradients) lives here until the next
     pass. `backward` adds loss_and_grad's buffers and a gradient buffer laid
-    out like p.flat. A workspace holds no reference to p, so it also serves
-    p's copies of the same shapes and dtype.
+    out like p.flat: `g_flat` when given (a run's workspaces share one, as
+    only one pass is live at a time), else a new one. A workspace holds no
+    reference to p, so it also serves p's copies of the same shapes and
+    dtype.
     """
 
-    def __init__(self, p: MixerParams, n: int, backward: bool = False):
+    def __init__(self, p: MixerParams, n: int, backward: bool = False,
+                 g_flat: np.ndarray | None = None):
         if n < 1:
             raise ValueError("window must contain at least one block")
         dt, d = p.flat.dtype, p.d
@@ -277,7 +286,8 @@ class Workspace:
             self.d_qkv, self.d_h3 = np.empty((3, n, d), dt), np.empty((3, n, d), dt)
             self.target = np.empty((n, p.d_out), dt)   # eps - x0, then resid**2
             self.cond = np.empty(n, bool)              # the conditioning rows
-            g_flat = np.empty_like(p.flat)
+            if g_flat is None:
+                g_flat = np.empty_like(p.flat)
             self.g_mats, self.g_qkv = _views(g_flat, p.d_in, d)
             self.grads = Grads(zip(_MATS, self.g_mats))
             self.grads.flat = g_flat
@@ -434,47 +444,48 @@ def uniform_sigmas(start: float, steps: int) -> list[float]:
     return [start * (1.0 - j / steps) for j in range(steps)] + [0.0]
 
 
-def denoise_window(p: MixerParams, sigmas, z_window: np.ndarray, ref_window: np.ndarray,
-                   n_noisy: int, indices, on_step=None) -> np.ndarray:
-    """Run the sigma ladder on one window of blocks.
+def denoise_window(p: MixerParams, sigmas, zr: np.ndarray, tail: np.ndarray, indices,
+                   ws: Workspace, on_step=None) -> None:
+    """Run the sigma ladder on one window, in place.
 
-    z_window, ref_window: (n, h, w, c). A window is a read-only conditioning
-    prefix followed by its noisy tail, the last n_noisy blocks. The window
-    is checked once (its shape, every sigma in [0, 1], a strictly
-    decreasing ladder) and runs in its own [z | ref] input buffer and
-    Workspace, built once: each step makes one forward pass over the buffer,
-    applies the Euler update to the tail only, and writes the tail back into
-    the buffer's noisy channels, so the prefix and the reference half are
-    written once. The inputs are only read, and the result is a new
-    contiguous array. Every denoising path in the package funnels through
-    here, which is what makes the sequential / streaming / single-window
-    variants bit-identical.
+    zr: the (n, h, w, 2c) window, [z | ref] per pixel, C-contiguous in p's
+    dtype: a read-only conditioning prefix followed by its noisy tail, the
+    last m blocks. tail: (m, h, w, c), the tail's latents, which the ladder
+    starts from and steps in place. ws: a Workspace of n rows. The window is
+    checked once (its shape, every sigma in [0, 1], a strictly decreasing
+    ladder). The tail is written into zr's z channels, then each step makes
+    one forward pass over zr, applies the Euler update to the tail only and
+    writes it back, whole pixels at a time (grid.pixel_views); the prefix and
+    the reference half are never written. Every denoising path in the
+    package funnels through here, which is what makes the sequential /
+    streaming / single-window variants bit-identical.
 
-    on_step(k, z, idx), if given, observes the window's noisy channels (a
-    view into the buffer) after each step.
+    on_step(k, z, idx), if given, observes zr's z channels (a view) after
+    each step.
     """
-    n, h, w, c = z_window.shape
-    if not 0 <= n_noisy <= n:
-        raise ValueError(f"n_noisy must lie in [0, {n}], got {n_noisy}")
+    n, m, c = zr.shape[0], tail.shape[0], tail.shape[-1]
+    if zr.shape[1:] != tail.shape[1:-1] + (2 * c,) or m > n:
+        raise ValueError(f"need an (n, h, w, 2c) window and an (m <= n, h, w, c) tail, "
+                         f"got {zr.shape} and {tail.shape}")
+    if zr.dtype != p.flat.dtype or not zr.flags.c_contiguous:
+        raise ValueError(f"the window must be C-contiguous {p.flat.dtype}, got {zr.dtype}")
+    if ws.n != n:
+        raise ValueError(f"denoise_window needs a workspace of {n} rows, got {ws.n}")
     if any(b >= a for a, b in zip(sigmas, sigmas[1:])):
         raise ValueError(f"sigma ladder must be strictly decreasing, got {tuple(sigmas)}")
-    prefix = n - n_noisy
-    idx = tuple(indices)
-    # [z | ref] per pixel, in the parameters' dtype
-    zr = np.concatenate([z_window, ref_window], axis=-1, dtype=p.flat.dtype)
     x = _check_window(p, zr.reshape(n, -1), sigmas)
-    ws = Workspace(p, n)
-    # The tail's state, contiguous: stepping the buffer's strided channels in
-    # place runs numpy's inner loop over c values at a time, which is slower.
-    tail = np.array(z_window[prefix:])
-    step = np.empty(tail.shape, x.dtype)
+    prefix = n - m
+    idx = tuple(indices)
+    v = ws.y[prefix:].reshape(tail.shape)   # the tail's rows of every pass's readout
+    put, got = pixel_views(zr[prefix:, ..., :c], tail)
+    put[...] = got
     for k, (sigma_from, sigma_to) in enumerate(zip(sigmas, sigmas[1:])):
-        v_hat = forward(p, x, sigma_from, idx, ws=ws).reshape(n, h, w, c)
-        tail += np.multiply(v_hat[prefix:], sigma_to - sigma_from, out=step)
-        zr[prefix:, ..., :c] = tail
+        forward(p, x, sigma_from, idx, ws=ws)
+        # the readout is this pass's own, so the step scales it in place
+        tail += np.multiply(v, sigma_to - sigma_from, out=v)
+        put[...] = got
         if on_step is not None:
             on_step(k, zr[..., :c], idx)
-    return np.concatenate([z_window[:prefix], tail])
 
 
 def save_params(p: MixerParams, out_dir: str) -> None:
@@ -549,9 +560,14 @@ def init_latents(z_x: np.ndarray, t: int, seed: int, key: int) -> np.ndarray:
 
 
 def denoise_full(p: MixerParams, sigmas, z: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """All t blocks in one window, block 1 (the anchor) held fixed."""
+    """All t blocks in one window, block 1 (the anchor) held fixed. The
+    window, its tail and its Workspace are this call's own; the inputs are
+    only read, and the result is a new contiguous array."""
     t = z.shape[0]
-    return denoise_window(p, sigmas, z, ref, t - 1, range(1, t + 1))
+    zr = np.concatenate([z, ref], axis=-1, dtype=p.flat.dtype)
+    tail = np.array(z[1:])
+    denoise_window(p, sigmas, zr, tail, range(1, t + 1), Workspace(p, t))
+    return np.concatenate([z[:1], tail])
 
 
 class Window:
@@ -637,15 +653,16 @@ def _window_rows(indices: tuple, n_noisy: int):
 
 
 class _Spaces(dict):
-    """A run's backward workspaces, one per window length, and the Windows
-    that gather refills, one per length; each made on first use."""
+    """A run's backward workspaces, one per window length, which share one
+    gradient buffer g_flat, and the Windows that gather refills, one per
+    length; each made on first use."""
 
     def __init__(self, p: MixerParams):
         super().__init__()
-        self.p, self.windows = p, {}
+        self.p, self.windows, self.g_flat = p, {}, np.empty_like(p.flat)
 
     def __missing__(self, n: int) -> Workspace:
-        ws = self[n] = Workspace(self.p, n, backward=True)
+        ws = self[n] = Workspace(self.p, n, backward=True, g_flat=self.g_flat)
         return ws
 
     def gather(self, z_ref, z0, indices, n_noisy: int) -> Window:
@@ -662,10 +679,11 @@ def train_windows(p: MixerParams, windows, steps: int, seed: int, lr: float, sta
     Window and the extra values of its log row (step, loss, *extra): a
     window it keeps for the run, or gather(z_ref, z0, indices, n_noisy), the
     rows gathered into the run's Window of that length. The run owns one
-    Workspace and one such Window per window length and one buffer for
-    lr * g, and draws from one stream, Rng(seed).split(SUB_TRAIN): per step,
-    the stage's window choices (in windows), then sigma, then eps. Raises
-    FloatingPointError, naming the stage and step, if training diverges."""
+    Workspace and one such Window per window length, one gradient buffer
+    that the workspaces share and one buffer for lr * g, and draws from one
+    stream, Rng(seed).split(SUB_TRAIN): per step, the stage's window choices
+    (in windows), then sigma, then eps. Raises FloatingPointError, naming
+    the stage and step, if training diverges."""
     rng = Rng(seed).split(SUB_TRAIN)
     spaces = _Spaces(p)
     buf = np.empty_like(p.flat)

@@ -80,19 +80,24 @@ def token_budget(p: SegmentPlan, h: int, w: int) -> list[int]:
     return [len(w_s) * h * w for w_s in p.W]
 
 
-def window_gather(latents: np.ndarray, p: SegmentPlan, s: int):
-    """Pull segment s's window out of (t, h, w, c) latents.
+def window_gather(latents: np.ndarray, p: SegmentPlan, s: int, out: np.ndarray | None = None):
+    """Pull segment s's window out of (t, ...) latents.
 
     Returns (window, idx) where window[k] is a copy of latents[idx[k] - 1]
     and idx is the ascending tuple of global block indices W_s. The window's
-    last len(I_s) blocks are the noisy tail, global blocks a_s onward.
+    last len(I_s) blocks are the noisy tail, global blocks a_s onward. The
+    rows are written into `out` when given, an array of the window's shape
+    and the latents' dtype, which is returned as the window; else into a new
+    array.
     """
     if latents.shape[0] != p.t:
         raise ValueError(f"latents have {latents.shape[0]} blocks, plan expects {p.t}")
     if not 1 <= s <= p.S:
         raise ValueError(f"segment {s} out of range [1, {p.S}]")
     idx = p.W[s - 1]
-    window = latents[np.asarray(idx) - 1]
+    # The plan's rows lie in [0, t): "clip" only spares take's bounds check,
+    # which would copy through a temporary before writing into out.
+    window = latents.take(np.subtract(idx, 1), axis=0, out=out, mode="clip")
     return window, idx
 
 

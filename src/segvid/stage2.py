@@ -1,13 +1,16 @@
 """Segment-wise denoising for the high-resolution stage.
 
-Inference walks the segment plan in order. Each segment draws the initial
-noise of its own blocks, gathers its window, a conditioning prefix (anchor,
-up to N finalized neighbors) followed by a noisy tail (the segment's own
-blocks), runs the full sigma ladder on that window, and writes the tail back
-as one contiguous run of global blocks.
-Conditioning content is never written, so the anchor and all finalized
-history are bit-stable for the rest of the run, and a finished segment can
-be decoded immediately.
+Inference walks the segment plan in order. A request's latents live in the
+z half of one packed (t, h, w, 2c) [z | ref] buffer, the denoiser's input
+layout, whose blocks stay zero until their segment. Each segment packs the
+reference of its own blocks, draws their initial noise into a contiguous
+tail buffer, gathers its window, a conditioning prefix (anchor, up to N
+finalized neighbors) followed by a noisy tail (the segment's own blocks),
+into the request's window buffer of that length, runs the full sigma ladder
+there, and stores the tail in the z half as one contiguous run of global
+blocks. Conditioning content is never written, so the anchor and all
+finalized history are bit-stable for the rest of the run, and a finished
+segment can be decoded immediately.
 
 Stage 1 is the one-window case of the same denoiser; the stages share the
 model type, the window loss and the training loop (see mixer). What is this
@@ -27,7 +30,7 @@ import numpy as np
 from . import mixer, scheduler, stage1 as stage1_mod
 from .codec import CodecConfig, decode_group_means, group_means, lift
 from .conditioning import StageTwoInput, encode_reference
-from .grid import FLOAT, Rng, as_f32, noise_filler
+from .grid import FLOAT, Rng, as_f32, noise_filler, pixel_views
 
 MN_CHOICES = ((2, 1), (2, 2), (3, 1), (3, 2))
 TRANSITION_SHARE = 0.7  # transition pairs vs plain downsampled pairs
@@ -46,43 +49,57 @@ def load_stage2(in_dir: str) -> mixer.StageModel:
     return mixer.load_model(in_dir, "stage2")
 
 
-def denoise_segment(model: mixer.StageModel, z: np.ndarray, inp: StageTwoInput,
-                    p: scheduler.SegmentPlan, s: int, on_step=None) -> None:
-    """Denoise segment s in place on the global latents z: its noisy tail,
-    global blocks a_s .. a_s + m - 1, is written back as one slice."""
-    z_win, idx = scheduler.window_gather(z, p, s)
-    ref_win, _ = scheduler.window_gather(inp.z_ref, p, s)
-    a, m = p.a[s - 1], len(p.I[s - 1])
-    out = mixer.denoise_window(model.params, model.schedule.sigmas, z_win, ref_win,
-                               m, idx, on_step=on_step)
-    z[a - 1:a - 1 + m] = out[-m:]
-
-
 def infer_csg(model: mixer.StageModel, inp: StageTwoInput, p: scheduler.SegmentPlan,
               seed: int, on_step=None, on_segment=None) -> np.ndarray:
     """Sequential segment-wise inference. Deterministic per seed.
 
-    Each segment's noisy tail is drawn from the request's one noise stream
-    when the loop reaches it, with the same bits as mixer.init_latents (see
-    grid.noise_filler), so no per-block work precedes segment 1. Blocks no
-    segment has reached yet hold zeros.
+    The packed [z | ref] buffer (see the module docstring) is in the
+    parameters' dtype. A segment packs the reference of its own blocks and
+    draws their initial noise from the request's one noise stream when the
+    loop reaches it, with the same bits as mixer.init_latents (see
+    grid.noise_filler), so no per-block work precedes segment 1. It gathers
+    its window's rows once (scheduler.window_gather with out=) and runs the
+    ladder with the request's Workspace of that length. A plan has at most
+    three window lengths, so a request builds at most three window buffers
+    and Workspaces; every buffer is the request's own.
 
-    on_step(s, k, window, idx) observes each denoise step; on_segment(s, z)
-    observes the global latents after each segment.
+    on_step(s, k, window, idx) observes each denoise step, the window's z
+    channels (a view valid until the next step); on_segment(s, z) observes
+    the z half after each segment. Returns the latents as a new (t, h, w, c)
+    float32 array.
     """
     if inp.z_ref.shape[0] != p.t:
         raise ValueError(f"reference has {inp.z_ref.shape[0]} blocks, plan expects {p.t}")
-    z = np.zeros((p.t,) + inp.z_x.shape, FLOAT)
-    z[0] = inp.z_x
+    params, sigmas = model.params, model.schedule.sigmas
+    h, w, c = inp.z_x.shape
+    packed = np.zeros((p.t, h, w, 2 * c), params.flat.dtype)
+    packed[0, ..., :c], packed[0, ..., c:] = inp.z_x, inp.z_ref[0]
+    z = packed[..., :c]
+    tails = np.empty((min(p.M, p.t - 1), h, w, c), FLOAT)
+    put_ref, got_ref = pixel_views(packed[..., c:], inp.z_ref)
+    put_z, got_z = pixel_views(z, tails)
+    windows = {}
     fill = noise_filler(Rng(seed).split(NOISE_KEY), p.t)
     for s in range(1, p.S + 1):
-        a = p.a[s - 1]
-        fill(z[a - 1:a - 1 + len(p.I[s - 1])], a)
+        a, m = p.a[s - 1], len(p.I[s - 1])
+        rows = slice(a - 1, a - 1 + m)
+        put_ref[rows] = got_ref[rows]
+        tail = tails[:m]
+        fill(tail, a)
+        n = len(p.W[s - 1])
+        if n not in windows:
+            windows[n] = (np.empty((n, h, w, 2 * c), packed.dtype), mixer.Workspace(params, n))
+        buf, ws = windows[n]
+        win, idx = scheduler.window_gather(packed, p, s, out=buf)
         hook = None if on_step is None else (lambda k, zw, idx, _s=s: on_step(_s, k, zw, idx))
-        denoise_segment(model, z, inp, p, s, on_step=hook)
+        mixer.denoise_window(params, sigmas, win, tail, idx, ws, on_step=hook)
+        put_z[rows] = got_z[:m]
         if on_segment is not None:
             on_segment(s, z)
-    return z
+    out = np.empty((p.t, h, w, c), FLOAT)
+    put, got = pixel_views(out, z)
+    put[...] = got
+    return out
 
 
 def infer_full(model: mixer.StageModel, inp: StageTwoInput, seed: int) -> np.ndarray:

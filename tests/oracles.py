@@ -221,16 +221,19 @@ def decode_block_repeat_then_clip(block, lift, f_s, f_t, first):
     return np.clip(frames, 0.0, 1.0).astype(np.float32)
 
 
-def denoise_window_concat(forward, sigmas, z_window, ref_window, update_mask):
+def denoise_window_concat(forward, sigmas, z_window, ref_window, update_mask, on_step=None):
     """Euler ladder on one window that builds the [z | ref] input afresh by
-    concatenation at every step; forward(x, sigma) returns (n, h*w*c)."""
+    concatenation at every step; forward(x, sigma) returns (n, h*w*c).
+    on_step(k, z), if given, sees the window's latents after step k."""
     z = np.array(z_window, copy=True)
     n, h, w, c = z.shape
     upd = np.asarray(update_mask, dtype=bool)
-    for a, b in zip(sigmas, sigmas[1:]):
+    for k, (a, b) in enumerate(zip(sigmas, sigmas[1:])):
         x = np.concatenate([z, ref_window], axis=-1).reshape(n, -1)
         stepped = z + (b - a) * forward(x, a).reshape(n, h, w, c)
         z[upd] = stepped[upd]
+        if on_step is not None:
+            on_step(k, z)
     return z
 
 
@@ -385,10 +388,12 @@ def stage1_loss_terms(params, z0, rng):
 
 def anchored_denoise(params, sigmas, z, z_x):
     """The stage-1 rollout before the shared full-window denoise: every block
-    in one window, block 1 held, the broadcast anchor as the reference."""
+    in one window, block 1 held, the broadcast anchor as the reference, by
+    the concatenating ladder."""
     t = z.shape[0]
-    return mixer.denoise_window(params, sigmas, z, np.broadcast_to(z_x, z.shape), t - 1,
-                                range(1, t + 1))
+    idx = range(1, t + 1)
+    return denoise_window_concat(lambda x, sigma: mixer.forward(params, x, sigma, idx), sigmas,
+                                 z, np.broadcast_to(z_x, z.shape), np.arange(t) >= 1)
 
 
 def stage1_train_step(model, v_lr, rng, lr=1e-2):

@@ -11,15 +11,20 @@ pin that stage 1 hands stage 2 its latents: the LR video is never decoded,
 so a generate request's one `codec.decode` is the HR video's, and a streamed
 request makes none. A train command makes one `mixer.loss_and_grad` call per
 training step and per evaluation draw, and each of its runs (the training
-loop, each evaluation) builds at most one `mixer.Workspace` per window length.
+loop, each evaluation) builds at most one `mixer.Workspace` per window length,
+all sharing one gradient buffer. A generate request's stage 2 builds at most
+one `mixer.Workspace` per window length too, and its buffers are its own:
+requests running at once on several threads each get their own bits.
 """
 
 import sys
+import threading
 
 import numpy as np
 import pytest
 
 from segvid import cli, codec, mixer, scheduler, stage1, stage2, streamer, synth
+from segvid.conditioning import StageTwoInput
 
 
 class Counter:
@@ -85,8 +90,11 @@ def test_generate_request_call_counts(monkeypatch, request_parts, counters, T, M
     inp = stage2.pipeline_inputs(s1, s2, image, T, seed=5)
     p = scheduler.plan(inp.z_ref.shape[0], M, N)
     assert len(counters["forward"]) == s1.schedule.K  # stage 1: one window
+    workspaces = Counter(monkeypatch, [mixer], "Workspace")
     codec.decode(stage2.infer_csg(s2, inp, p, seed=5), s2.codec_cfg)
     assert len(counters["forward"]) == s1.schedule.K + s2.schedule.K * p.S
+    lengths = [args[1] for args, _ in workspaces.calls]
+    assert sorted(lengths) == sorted({len(w) for w in p.W}) and len(lengths) <= 3
     assert decodes == [p.t]  # the HR video's; stage 1 hands over latents
     h, w = inp.z_x.shape[:2]
     gathered = [args[2] for args, _ in counters["window_gather"].calls]
@@ -94,6 +102,40 @@ def test_generate_request_call_counts(monkeypatch, request_parts, counters, T, M
     tokens = [args[0].shape[1] * args[0].shape[2] * len(p.W[args[2] - 1])
               for args, _ in counters["window_gather"].calls]
     assert max(tokens) <= (1 + N + M) * h * w
+
+
+def test_concurrent_requests_each_get_their_own_bits(request_parts):
+    # more threads than cores, switching as often as the interpreter allows:
+    # a buffer kept at module level or shared between requests would mix
+    # their latents
+    _, s2, _ = request_parts
+    g = np.random.default_rng(0)
+    jobs = []
+    for i, (t, M, N) in enumerate([(13, 3, 1), (17, 2, 2), (13, 3, 1), (9, 8, 0)]):
+        inp = StageTwoInput(z_ref=g.standard_normal((t, 8, 8, 4)).astype(np.float32),
+                            z_x=g.standard_normal((8, 8, 4)).astype(np.float32))
+        jobs.append((inp, scheduler.plan(t, M, N), i))
+    want = [stage2.infer_csg(s2, inp, p, seed) for inp, p, seed in jobs]
+    got = [[] for _ in jobs]
+
+    def run(j):
+        inp, p, seed = jobs[j]
+        for _ in range(5):
+            got[j].append(stage2.infer_csg(s2, inp, p, seed))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(j,), daemon=True) for j in range(len(jobs))]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for j, runs in enumerate(got):
+        assert len(runs) == 5 and all(z.tobytes() == want[j].tobytes() for z in runs), j
 
 
 @pytest.mark.parametrize("mode", ["serial", "threads"])
@@ -168,9 +210,10 @@ def test_train_command_passes_and_workspaces(monkeypatch, pipeline, tmp_path, cm
     real_ws = mixer.Workspace
 
     def workspace(p, n, *args, **kwargs):
+        ws = real_ws(p, n, *args, **kwargs)
         if current[0] is not None:
-            current[0].append(n)
-        return real_ws(p, n, *args, **kwargs)
+            current[0].append(ws)
+        return ws
 
     monkeypatch.setattr(mixer, "Workspace", workspace)
     steps, draws = 40, 8
@@ -180,5 +223,8 @@ def test_train_command_passes_and_workspaces(monkeypatch, pipeline, tmp_path, cm
     assert cli.main(argv) == 0
     assert len(passes) == steps + 2 * draws
     assert len(runs) == 3  # evaluate, train, evaluate
-    for lengths in runs:
+    for spaces in runs:
+        lengths = [ws.n for ws in spaces]
         assert lengths and len(lengths) == len(set(lengths)), lengths
+        # and one gradient buffer, which every pass writes in turn
+        assert all(np.shares_memory(ws.grads.flat, spaces[0].grads.flat) for ws in spaces)

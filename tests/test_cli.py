@@ -121,7 +121,7 @@ def test_synth_rejects_frames_stage1_cannot_encode(tmp_path, capsys, extents):
     assert "\n" not in err, err
     assert f"corpus frames {H}x{W} not divisible by f_s*f_s=16" in err, err
     assert "pools them by f_s=4 to LR" in err, err
-    assert not any(out.iterdir())  # no clip and no manifest
+    assert not out.exists()  # no clip, no manifest, no directory
 
 
 @pytest.mark.parametrize("key", ["count", "repeats", "seeds", "clips", "capacity"])
@@ -523,12 +523,14 @@ def test_bad_manifest_exits_2_naming_record_and_key(pipeline, tmp_path, capsys, 
     manifest = corpus / "manifest.json"
     manifest.write_text(json.dumps(mutate(json.loads(manifest.read_text()))))
     capsys.readouterr()
-    argv = [cmd, "--corpus", str(corpus), "--out", str(tmp_path / "o")]
+    argv = [cmd, "--corpus", str(corpus), "--out", str(tmp_path / "o" / "run")]
     if cmd != "train-stage1":
         argv += ["--stage1", pipeline["s1"]]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err.strip()
     assert "\n" not in err and f"{manifest}: {want}" in err, err
+    # the refused command leaves neither --out nor the parent it created
+    assert not (tmp_path / "o").exists() and tmp_path.exists()
 
 
 def test_synth_refuses_clips_of_two_frame_sizes(monkeypatch, tmp_path, capsys):
@@ -540,7 +542,7 @@ def test_synth_refuses_clips_of_two_frame_sizes(monkeypatch, tmp_path, capsys):
     assert cli.main(["synth", "--out", str(corpus)]) == 2
     err = capsys.readouterr().err.strip()
     assert "\n" not in err and "corpus clip 1 is 64x64, the first clip 32x32" in err, err
-    assert not corpus.exists() or not any(corpus.iterdir())
+    assert not corpus.exists()
 
 
 def test_pipeline_at_a_non_default_codec(tmp_path):

@@ -170,19 +170,36 @@ def test_schedules():
         mixer.default_schedule(0)
 
 
+def _packed(p, z, ref, n_noisy):
+    """A window buffer [z | ref] in p's dtype and a copy of its tail."""
+    return (np.concatenate([z, ref], axis=-1, dtype=p.flat.dtype),
+            np.array(z[z.shape[0] - n_noisy:]))
+
+
 def test_denoise_window_holds_conditioning_prefix():
     p = mixer.init_mixer(Rng(9), d_in=10, d_out=5, d=6)
     g = np.random.default_rng(4)
     z = g.standard_normal((3, 1, 1, 5)).astype(FLOAT)
     ref = g.standard_normal((3, 1, 1, 5)).astype(FLOAT)
-    before = z.copy()
-    out = mixer.denoise_window(p, mixer.default_schedule(2).sigmas, z, ref, 2, (1, 2, 3))
-    npt.assert_array_equal(out[0], z[0])
-    assert not np.array_equal(out[1], z[1])
-    npt.assert_array_equal(z, before)  # caller's array untouched
-    for bad in (-1, 4):
-        with pytest.raises(ValueError):
-            mixer.denoise_window(p, mixer.default_schedule(2).sigmas, z, ref, bad, (1, 2, 3))
+    sigmas = mixer.default_schedule(2).sigmas
+    zr, tail = _packed(p, z, ref, 2)
+    before = zr.copy()
+    mixer.denoise_window(p, sigmas, zr, tail, (1, 2, 3), mixer.Workspace(p, 3))
+    npt.assert_array_equal(zr[0], before[0])                # the prefix, both halves
+    npt.assert_array_equal(zr[..., 5:], before[..., 5:])    # the reference half
+    npt.assert_array_equal(zr[1:, ..., :5], tail)           # the stepped tail, written back
+    assert not np.array_equal(tail, z[1:])
+    # a tail longer than the window or of other extents, a window in
+    # another dtype or not contiguous, a workspace of another length
+    zr, tail = _packed(p, z, ref, 2)
+    for args, what in (((zr, np.zeros((4, 1, 1, 5), FLOAT), 3), "tail"),
+                       ((zr, tail[..., :4], 3), "tail"),
+                       ((zr.astype(np.float64), tail, 3), "C-contiguous float32"),
+                       ((np.asfortranarray(zr), tail, 3), "C-contiguous float32"),
+                       ((zr, tail, 2), "workspace of 3 rows")):
+        window, bad_tail, n = args
+        with pytest.raises(ValueError, match=what):
+            mixer.denoise_window(p, sigmas, window, bad_tail, (1, 2, 3), mixer.Workspace(p, n))
     # the ladder is checked once, before any step: every sigma in [0, 1],
     # strictly decreasing
     for ladder, what in (((1.0, 0.5, 0.5, 0.0), "strictly decreasing"),
@@ -191,7 +208,8 @@ def test_denoise_window_holds_conditioning_prefix():
                          ((1.0, 0.5, -0.5), "sigma must lie in"),
                          ((1.0, float("nan"), 0.0), "sigma must lie in")):
         with pytest.raises(ValueError, match=what):
-            mixer.denoise_window(p, ladder, z, ref, 2, (1, 2, 3))
+            mixer.denoise_window(p, ladder, zr, tail, (1, 2, 3), mixer.Workspace(p, 3))
+    npt.assert_array_equal(tail, z[1:])  # a refused window is not stepped
 
 
 def test_save_load_roundtrip(tmp_path):
@@ -256,25 +274,35 @@ def test_embed_matches_sin_code_formula_and_level_cache_is_bounded():
 
 @pytest.mark.parametrize("broadcast_ref", [False, True])
 def test_denoise_window_matches_concat_per_step_and_keeps_inputs(broadcast_ref):
+    # in one window buffer and workspace, reused window after window, every
+    # step equals the concatenating ladder's, and only the tail's z channels
+    # are written: the prefix and the reference half stay as built
     p = mixer.init_mixer(Rng(12), d_in=2 * 2 * 2 * 3, d_out=2 * 2 * 3, d=8)
     g = np.random.default_rng(7)
     z = g.standard_normal((5, 2, 2, 3)).astype(FLOAT)
     ref = (np.broadcast_to(g.standard_normal((2, 2, 3)).astype(FLOAT), z.shape)
            if broadcast_ref else g.standard_normal((5, 2, 2, 3)).astype(FLOAT))
-    z0, ref0 = z.copy(), ref.copy()
     idx = (1, 3, 4, 6, 7)
     n = len(idx)
     sigmas = mixer.default_schedule(4).sigmas
-    for n_noisy in range(1, n + 1):
-        a = mixer.denoise_window(p, sigmas, z, ref, n_noisy, idx)
-        b = mixer.denoise_window(p, sigmas, z, ref, n_noisy, idx)
-        npt.assert_array_equal(z, z0)
-        npt.assert_array_equal(ref, ref0)
-        assert a.tobytes() == b.tobytes()
-        tail = np.arange(n) >= n - n_noisy
-        want = oracles.denoise_window_concat(lambda x, s: mixer.forward(p, x, s, idx),
-                                             sigmas, z, ref, tail)
-        assert a.tobytes() == want.tobytes()
+    ws = mixer.Workspace(p, n)
+    zr = np.empty((n, 2, 2, 6), FLOAT)
+    for n_noisy in range(n + 1):
+        zr[...], tail = _packed(p, z, ref, n_noisy)
+        prefix = n - n_noisy
+        seen, want_seen = [], []
+        mixer.denoise_window(p, sigmas, zr, tail, idx, ws,
+                             on_step=lambda k, zw, i: seen.append((k, zw.copy(), i)))
+        tail_mask = np.arange(n) >= prefix
+        want = oracles.denoise_window_concat(lambda x, s: mixer.forward(p, x, s, idx), sigmas,
+                                             z, ref, tail_mask,
+                                             on_step=lambda k, zw: want_seen.append(zw.copy()))
+        assert len(seen) == len(want_seen) == len(sigmas) - 1
+        for (k, zw, i), zw_want in zip(seen, want_seen):
+            assert i == idx and zw.tobytes() == zw_want.tobytes(), k
+        assert tail.tobytes() == want[prefix:].tobytes()
+        assert zr[..., :3].tobytes() == want.tobytes()
+        assert zr[..., 3:].tobytes() == np.ascontiguousarray(ref).tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -309,7 +337,7 @@ def _readonly(a):
 
 
 @pytest.mark.parametrize("broadcast_ref", [False, True])
-def test_denoise_window_never_writes_its_inputs_or_returns_its_buffer(broadcast_ref):
+def test_denoise_full_never_writes_its_inputs_or_returns_its_buffer(broadcast_ref):
     p = mixer.init_mixer(Rng(14), d_in=2 * 2 * 2 * 3, d_out=2 * 2 * 3, d=8)
     g = np.random.default_rng(8)
     z = _readonly(g.standard_normal((4, 2, 2, 3)).astype(FLOAT))
@@ -319,17 +347,16 @@ def test_denoise_window_never_writes_its_inputs_or_returns_its_buffer(broadcast_
     assert not z.flags.writeable and not ref.flags.writeable
     z0, ref0 = z.tobytes(), np.ascontiguousarray(ref).tobytes()
     sigmas = mixer.default_schedule(3).sigmas
-    seen = []
-    a = mixer.denoise_window(p, sigmas, z, ref, 3, (1, 2, 3, 4),
-                             on_step=lambda k, zw, idx: seen.append(zw))
+    a = mixer.denoise_full(p, sigmas, z, ref)
     a_bytes = a.tobytes()
     assert z.tobytes() == z0 and np.ascontiguousarray(ref).tobytes() == ref0
     assert a.flags.c_contiguous and a.flags.writeable and a.flags.owndata
     assert not np.shares_memory(a, z) and not np.shares_memory(a, ref)
-    assert not any(np.shares_memory(a, zw) for zw in seen)
-    # the observed window after the last step is the result
-    assert np.ascontiguousarray(seen[-1]).tobytes() == a_bytes
-    b = mixer.denoise_window(p, sigmas, z, ref, 3, (1, 2, 3, 4))
+    assert a[0].tobytes() == z[0].tobytes()  # the anchor is held
+    want = oracles.denoise_window_concat(lambda x, s: mixer.forward(p, x, s, (1, 2, 3, 4)),
+                                         sigmas, z, ref, np.arange(4) >= 1)
+    assert a_bytes == want.tobytes()
+    b = mixer.denoise_full(p, sigmas, z, ref)
     assert a.tobytes() == a_bytes == b.tobytes()  # a later call leaves it alone
     b[:] = 0.0  # and writing one result changes no other
     assert a.tobytes() == a_bytes
@@ -504,6 +531,10 @@ def test_stacked_and_out_products_equal_separate_fresh_products(dtype, d, d_in):
         x = g.standard_normal((n, d_in)).astype(dtype)
         d_y = g.standard_normal((n, d_out)).astype(dtype)
         attn, d_logits = (g.standard_normal((n, n)).astype(dtype) for _ in range(2))
+        # a window's rows, gathered into a buffer of its length (window_gather)
+        rows = g.integers(0, n, n)
+        check(into((n, d_in), x.take, rows, axis=0, mode="clip").tobytes()
+              == x[rows].tobytes(), "x.take(rows) into out=")
         # the forward pass: embedding, projections, logits, readout
         check(into((n, d), np.matmul, x, mats[0]).tobytes() == (x @ mats[0]).tobytes(),
               "x @ w_in into out=")

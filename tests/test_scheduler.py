@@ -152,8 +152,16 @@ def test_window_gather_returns_a_copy():
     p = scheduler.plan(10, 3, 2)
     latents = np.random.default_rng(1).standard_normal((10, 2, 2, 3)).astype(np.float32)
     keep = latents.copy()
+    bufs = {}
     for s in range(1, p.S + 1):
         win, idx = scheduler.window_gather(latents, p, s)
-        assert np.array_equal(win, np.stack([latents[i - 1] for i in idx]))
+        want = np.stack([latents[i - 1] for i in idx])
+        assert np.array_equal(win, want)
         win += 1.0
+        # into a caller's buffer of the window's length, reused
+        buf = bufs.setdefault(len(idx), np.empty((len(idx), 2, 2, 3), np.float32))
+        out, _ = scheduler.window_gather(latents, p, s, out=buf)
+        assert out is buf and out.tobytes() == want.tobytes()
     assert np.array_equal(latents, keep)
+    with pytest.raises(ValueError):  # a buffer of another length
+        scheduler.window_gather(latents, p, 1, out=np.empty((2, 2, 2, 3), np.float32))

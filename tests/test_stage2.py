@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from segvid import cli, mixer, scheduler, stage1, stage2, synth
 from segvid.codec import CodecConfig, encode
@@ -52,31 +53,85 @@ def test_anchor_survives_inference():
 def test_write_set_discipline(monkeypatch):
     # a block is zero until its segment starts, enters its first window
     # holding exactly its seeded initial noise, and never changes after its
-    # segment
+    # segment; a window's prefix holds the finished latents of its blocks,
+    # and its reference half the reference of all its blocks
     model = stage2.new_stage2(2)
     _, inp = truth_and_input(seed=1)
     t = inp.z_ref.shape[0]
+    c = inp.z_x.shape[-1]
     p = scheduler.plan(t, 3, 1)
     init = mixer.init_latents(inp.z_x, t, 5, stage2.NOISE_KEY)
     real = mixer.denoise_window
     windows = []
 
-    def watched(params, sigmas, z_window, ref_window, n_noisy, indices, on_step=None):
-        windows.append((z_window.copy(), n_noisy, tuple(indices)))
-        return real(params, sigmas, z_window, ref_window, n_noisy, indices, on_step)
+    def watched(params, sigmas, zr, tail, indices, ws, on_step=None):
+        windows.append((zr.copy(), tail.copy(), tuple(indices)))
+        return real(params, sigmas, zr, tail, indices, ws, on_step)
 
     monkeypatch.setattr(mixer, "denoise_window", watched)
     states = []
     final = stage2.infer_csg(model, inp, p, 5, on_segment=lambda s, z: states.append(z.copy()))
     assert len(windows) == len(states) == p.S
-    for s, ((z_win, m, idx), z) in enumerate(zip(windows, states), 1):
+    for s, ((zr, tail, idx), z) in enumerate(zip(windows, states), 1):
+        m = len(tail)
         assert idx == p.W[s - 1] and m == len(p.I[s - 1])
-        tail = np.asarray(idx[-m:]) - 1
-        assert z_win[-m:].tobytes() == init[tail].tobytes()
+        rows = np.asarray(idx) - 1
+        assert tail.tobytes() == init[rows[-m:]].tobytes()
+        assert zr[:-m, ..., :c].tobytes() == final[rows[:-m]].tobytes()
+        assert zr[..., c:].tobytes() == inp.z_ref[rows].tobytes()
         last = p.I[s - 1][-1]
         assert z[:last].tobytes() == final[:last].tobytes()
         assert not z[last:].any()
     npt.assert_array_equal(final[0], inp.z_x)
+
+
+@settings(deadline=None, max_examples=60)
+@given(t=st.integers(2, 14), data=st.data(), K=st.integers(1, 4),
+       mask_mode=st.sampled_from(mixer.MASK_MODES), dtype=st.sampled_from((FLOAT, np.float64)),
+       seed=st.integers(0, 2**32 - 1))
+def test_infer_csg_equals_concat_oracle(t, data, K, mask_mode, dtype, seed):
+    # the packed request buffer, the reused window buffers and workspaces and
+    # the pixel write-backs give, per step and per segment, the bits of a
+    # segment loop that gathers each window afresh and concatenates [z | ref]
+    # at every step (N = 0 and M = t - 1 included)
+    M = data.draw(st.integers(1, t - 1))
+    N = data.draw(st.integers(0, 3))
+    p = scheduler.plan(t, M, N)
+    h, w, c = 2, 1, 3
+    g = np.random.default_rng(seed)
+    inp = StageTwoInput(z_ref=g.standard_normal((t, h, w, c)).astype(FLOAT),
+                        z_x=g.standard_normal((h, w, c)).astype(FLOAT))
+    params = mixer.init_mixer(Rng(seed), h * w * 2 * c, h * w * c, d=8,
+                              mask_mode=mask_mode).astype(dtype)
+    model = mixer.StageModel(params, CodecConfig(c=c), mixer.default_schedule(K))
+    sigmas = model.schedule.sigmas
+    steps, states = [], []
+    got = stage2.infer_csg(model, inp, p, seed,
+                           on_step=lambda s, k, zw, idx: steps.append((s, k, idx, zw.copy())),
+                           on_segment=lambda s, z: states.append(z.copy()))
+
+    init = mixer.init_latents(inp.z_x, t, seed, stage2.NOISE_KEY)
+    z = np.zeros_like(init)
+    z[0] = init[0]
+    want_steps, want_states = [], []
+    for s in range(1, p.S + 1):
+        idx, m = p.W[s - 1], len(p.I[s - 1])
+        rows = np.asarray(idx) - 1
+        z[rows[-m:]] = init[rows[-m:]]
+        win = oracles.denoise_window_concat(
+            lambda x, sigma: mixer.forward(params, x, sigma, idx), sigmas, z[rows],
+            inp.z_ref[rows], np.arange(len(idx)) >= len(idx) - m,
+            on_step=lambda k, zw: want_steps.append((s, k, idx, zw.copy())))
+        z[rows[-m:]] = win[-m:]
+        want_states.append(z.copy())
+    assert got.dtype == FLOAT and got.tobytes() == z.tobytes()
+    assert len(steps) == len(want_steps) == p.S * K
+    for (s, k, idx, zw), (s_, k_, idx_, zw_) in zip(steps, want_steps):
+        assert (s, k, idx) == (s_, k_, idx_)
+        assert zw.astype(FLOAT).tobytes() == zw_.tobytes(), (s, k)
+    assert len(states) == p.S
+    for s, (state, want) in enumerate(zip(states, want_states), 1):
+        assert state.astype(FLOAT).tobytes() == want.tobytes(), s
 
 
 def test_single_segment_plan_equals_full_window():

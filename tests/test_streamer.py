@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import oracles
-from segvid import cli, scheduler, stage2, streamer, synth
+from segvid import cli, mixer, scheduler, stage2, streamer, synth
 from segvid.codec import decode
 from segvid.conditioning import StageTwoInput
 from segvid.streamer import StreamError, StreamEvent, TimingModel
@@ -226,20 +226,23 @@ def _producer_alive():
 
 def test_producer_failure_preserves_partial_log(small, monkeypatch):
     model, inp, p, _ = small
-    real = stage2.denoise_segment
+    real = mixer.denoise_window
+    windows = []
 
-    def boom(m, z, i, plan_, s, on_step=None):
-        if s == 2:
+    def boom(*args, **kwargs):  # segment s runs the request's s-th window
+        windows.append(args[4])
+        if len(windows) == 2:
             raise RuntimeError("injected segment failure")
-        return real(m, z, i, plan_, s, on_step=on_step)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(stage2, "denoise_segment", boom)
+    monkeypatch.setattr(mixer, "denoise_window", boom)
     with pytest.raises(StreamError) as ei:
         streamer.run_streaming(model, inp, p, seed=5)
     events = ei.value.events
     assert [e.index for e in events if e.kind == "segment_denoised"] == [1]
     assert [e.index for e in events if e.kind == "segment_decoded"] == [1]
     assert "injected segment failure" in str(ei.value)
+    assert windows == [p.W[0], p.W[1]]
     assert all(e.kind in streamer.KINDS for e in events)
     assert not _producer_alive()
 
@@ -303,17 +306,17 @@ def test_consumer_failure_stops_producer_early(monkeypatch):
     # producer, at most two segments ahead, must stop at its next hand-off
     # instead of denoising the rest or blocking on a queue nobody drains
     model, inp, p = make_setup(seed=8, T=81)
-    real = stage2.denoise_segment
+    real = mixer.denoise_window
     denoised = []
 
-    def counted(m, z, i, plan_, s, on_step=None):
-        denoised.append(s)
-        return real(m, z, i, plan_, s, on_step=on_step)
+    def counted(*args, **kwargs):  # segment s runs the request's s-th window
+        denoised.append(args[4])
+        return real(*args, **kwargs)
 
     def fail(block, cfg, first, out=None):
         raise ArithmeticError("injected consumer failure")
 
-    monkeypatch.setattr(stage2, "denoise_segment", counted)
+    monkeypatch.setattr(mixer, "denoise_window", counted)
     monkeypatch.setattr(streamer, "decode_block", fail)
     raised = []
 
@@ -328,7 +331,7 @@ def test_consumer_failure_stops_producer_early(monkeypatch):
     th.join(timeout=30.0)
     assert not th.is_alive(), "run_streaming did not return after the consumer failed"
     assert len(raised) == 1 and not _producer_alive()
-    assert p.S == 7 and len(denoised) <= 4
+    assert p.S == 7 and len(denoised) <= 4 and denoised == list(p.W[:len(denoised)])
 
 
 def test_predict_timing_examples():
