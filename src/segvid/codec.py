@@ -82,8 +82,14 @@ def group_means(video: np.ndarray, f_t: int) -> np.ndarray:
 
 
 def lift(pixels: np.ndarray, cfg: CodecConfig) -> np.ndarray:
-    """(..., 3) pooled pixels to (..., c) latent channels: the channel lift."""
-    return pixels @ channel_lift(cfg).T
+    """(..., 3) pooled pixels to (..., c) latent channels: the channel lift,
+    as one (pixels, 3) @ (3, c) product. Where the last pixel axis has width
+    >= 2 this equals the stacked per-row products
+    ``pixels @ channel_lift(cfg).T`` bit for bit under every OpenBLAS kernel
+    that tier-1 checks (tests/test_golden.py). At width 1 numpy runs each
+    row's product as a gemv, which rounds otherwise than this gemm on the
+    Haswell and SkylakeX kernels."""
+    return (pixels.reshape(-1, 3) @ channel_lift(cfg).T).reshape(*pixels.shape[:-1], cfg.c)
 
 
 def pool(frames: np.ndarray, cfg: CodecConfig) -> np.ndarray:
@@ -133,6 +139,8 @@ def decode_block(block: np.ndarray, cfg: CodecConfig, first: bool,
     # before the spatial repeat and the frame copies gives the same bits.
     # The clip ufunc (np.clip's), not maximum/minimum: those differ from it
     # on -0.0.
+    # Per row, unlike lift: at (8, 8, 4) one 2-D product measured no faster
+    # (0.98 us against 0.93 us per row, 2-core x86 host, OpenBLAS SkylakeX).
     rgb = block @ channel_lift(cfg)
     rgb.clip(0.0, 1.0, out=rgb)
     # Repeat along W, then copy each row f times down H: views of out[0],
@@ -170,7 +178,9 @@ def decode_group_means(latent: np.ndarray, cfg: CodecConfig) -> np.ndarray:
     z = as_f32(latent, "latent")
     if z.ndim != 4 or z.shape[3] != cfg.c:
         raise ValueError(f"expected (t,h,w,{cfg.c}) latent, got shape {z.shape}")
-    rgb = z[1:] @ channel_lift(cfg)  # per block, the product decode_block takes
+    # per row, the products decode_block takes: one 2-D product would differ
+    # at h = w = 1 (f_s=1, f_t=1, c=4, t=3), where each row is a gemv
+    rgb = z[1:] @ channel_lift(cfg)
     rgb.clip(0.0, 1.0, out=rgb)
     total = rgb + FLOAT(0)
     for _ in range(cfg.f_t - 1):

@@ -11,8 +11,8 @@ import time
 
 import pytest
 
-from segvid import cli, streamer, synth
-from segvid.grid import write_siv1
+import golden
+from segvid import streamer
 
 # The session's criterion rows, kept in memory so the summary also works
 # with pytest's cache plugin disabled (-p no:cacheprovider).
@@ -45,20 +45,10 @@ def criterion(request):
 
 @pytest.fixture(scope="session")
 def pipeline(tmp_path_factory):
-    """CLI defaults end to end: 6-clip T=81 corpus, 600-step stage 1, 600-step
-    stage 2, plus a single-frame SIV1 input image for generate tests."""
-    root = tmp_path_factory.mktemp("pipeline")
-    corpus = str(root / "corpus")
-    s1 = str(root / "s1")
-    s2 = str(root / "s2")
-    assert cli.main(["synth", "--out", corpus]) == 0
-    assert cli.main(["train-stage1", "--corpus", corpus, "--out", s1]) == 0
-    assert cli.main(["train-stage2", "--corpus", corpus, "--stage1", s1,
-                     "--out", s2]) == 0
-    image = str(root / "input.siv1")
-    frame = synth.render_scene(synth.SceneSpec(seed=777, T=17))[:1]
-    write_siv1(image, frame)
-    return {"root": root, "corpus": corpus, "s1": s1, "s2": s2, "image": image}
+    """CLI defaults end to end (``golden.build_pipeline``): 6-clip T=81
+    corpus, 600-step stage 1, 600-step stage 2, plus a single-frame SIV1
+    input image for generate tests."""
+    return golden.build_pipeline(tmp_path_factory.mktemp("pipeline"))
 
 
 @pytest.fixture

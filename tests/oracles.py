@@ -17,10 +17,11 @@ keeps the stage-2 conditioning built the obvious way, by encoding the HR
 hybrid video with `encode_loop` (numpy's mean, not the package's pooling),
 the reference for `conditioning.encode_reference`; the stage-2 inputs built
 from the decoded LR video (the reference for `stage2.pipeline_inputs`, which
-never decodes it); and the SIV1 writer that truncates its target first, the
-byte reference for the in-place `grid.write_siv1`. The retired losses and
-train steps draw from the stream they are given in the package's order:
-(M, N), the segment, sigma, then eps.
+never decodes it); the SIV1 writer that truncates its target first, the
+byte reference for the in-place `grid.write_siv1`; and the channel lift as
+one stacked product per pixel row, the bit reference for `codec.lift`'s one
+2-D product. The retired losses and train steps draw from the stream they
+are given in the package's order: (M, N), the segment, sigma, then eps.
 """
 
 import json
@@ -30,7 +31,7 @@ import struct
 import numpy as np
 
 from segvid import mixer, stage1, stage2
-from segvid.codec import CodecConfig, channel_lift, decode, encode
+from segvid.codec import CodecConfig, channel_lift, decode, encode, lift
 from segvid.conditioning import StageTwoInput
 from segvid.grid import FLOAT, _check_dims, as_f32, read_siv1
 
@@ -343,6 +344,17 @@ def build_stage2_input(v_ref, x, cfg):
     z_ref = encode_loop(v_ref, cfg.f_s, cfg.f_t, lift)
     z_x = encode_loop(as_f32(x, "x")[None], cfg.f_s, cfg.f_t, lift)[0]
     return StageTwoInput(z_ref=z_ref, z_x=z_x)
+
+
+def lift_bits(n, h, w, c, scale, zeros, seed):
+    """uint32 views of `codec.lift` and of the lift as numpy's stacked
+    product (one (w, 3) @ (3, c) product per pixel row) of one (n, h, w, 3)
+    float32 array: seeded standard normals times ``scale``, or all -0.0."""
+    cfg = CodecConfig(c=c)
+    x = (np.random.default_rng(seed).standard_normal((n, h, w, 3)) * scale).astype(FLOAT)
+    if zeros:
+        x[...] = -0.0
+    return lift(x, cfg).view(np.uint32), (x @ channel_lift(cfg).T).view(np.uint32)
 
 
 def pipeline_inputs_via_lr_video(s1, s2, x_hr, T, seed):

@@ -177,6 +177,18 @@ def test_decode_group_means_equals_means_of_decoded_video(f_s, f_t, c, t, h, w, 
     npt.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
+@settings(deadline=None, max_examples=200)
+@given(n=st.integers(1, 160), h=st.integers(1, 8), w=st.integers(2, 8),
+       c=st.sampled_from((3, 4, 6)), scale=st.floats(1e-3, 1e2), zeros=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_lift_equals_stacked_per_row_products(n, h, w, c, scale, zeros, seed):
+    # one 2-D product gives the bits of the per-row products, sign of zero
+    # included; tests/test_golden.py runs the same check under each kernel
+    got, want = oracles.lift_bits(n, h, w, c, scale, zeros, seed)
+    assert got.shape == want.shape == (n, h, w, c)
+    npt.assert_array_equal(got, want)
+
+
 def test_decode_group_means_validation():
     with pytest.raises(ValueError, match="latent"):
         decode_group_means(np.zeros((3, 2, 2), FLOAT), CFG)
