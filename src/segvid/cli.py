@@ -182,6 +182,8 @@ class _Cfg:
                 v = _typed(name, v, type(default))
         if name in COUNTS and v < 1:
             raise ValueError(f"{name} must be at least 1, got {v}")
+        if name in ("steps", "lr") and not 0 <= v < math.inf:
+            raise ValueError(f"{name} must be finite and at least 0, got {v}")
         return v
 
     def out_dir(self):
@@ -315,9 +317,9 @@ def _train(out: str, stage: int, model, train, evaluate, header) -> None:
 
 
 def _cmd_train_stage1(cfg: _Cfg, args, out: str) -> None:
+    seed, steps, lr = cfg.get("seed"), cfg.get("steps"), cfg.get_or("lr", 1e-2)
     ccfg = _codec(cfg)
     clips = [stage1.low_res(v, ccfg) for _, v in synth.load_corpus(args.corpus)]
-    seed, steps, lr = cfg.get("seed"), cfg.get("steps"), cfg.get_or("lr", 1e-2)
     _, H, W, _ = clips[0].shape
     model = stage1.new_stage1(seed, lr_h=H, lr_w=W, codec_cfg=ccfg, d=cfg.get("d"),
                               K=cfg.get("K"))
@@ -327,9 +329,9 @@ def _cmd_train_stage1(cfg: _Cfg, args, out: str) -> None:
 
 
 def _cmd_train_stage2(cfg: _Cfg, args, out: str) -> None:
+    seed, steps, lr = cfg.get("seed"), cfg.get("steps"), cfg.get_or("lr", 3e-4)
     s1 = stage1.load_stage1(args.stage1)
     clips_hr = [v for _, v in synth.load_corpus(args.corpus)]
-    seed, steps, lr = cfg.get("seed"), cfg.get("steps"), cfg.get_or("lr", 3e-4)
     _, H, W, _ = clips_hr[0].shape
     model = stage2.new_stage2(seed, hr_h=H, hr_w=W, codec_cfg=_codec(cfg), d=cfg.get("d"),
                               K=cfg.get("K"), mask_mode=MASKS[cfg.get("mask")])

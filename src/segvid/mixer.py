@@ -45,11 +45,13 @@ checked once per window: each step writes the window's tail back into the
 buffer's z channels as whole pixels (grid.pixel_views), and the
 conditioning prefix and the reference half stay as the caller built them.
 A stage-2 request's latents live in the z half of one packed (t, h, w, 2c)
-buffer of this layout, from which each segment gathers its window's rows
-(see stage2.infer_csg); denoise_full builds its one window by
-concatenation. Training assembles each window into a Window of input rows;
-stage 1's, the whole clip, is assembled once per clip per run, and a step
-rewrites only its noisy tail.
+buffer of this layout, and a training pair is packed the same way, [clean |
+ref], before its run. An inference segment and a training draw are one thing,
+segment s of a plan over such a buffer, and scheduler.window_gather is the
+one gather of its window: into a request's buffer of that length (see
+stage2.infer_csg), or into a run's Window, whose step noises only the tail.
+Stage 1's window is segment 1 of plan(t, t - 1, 0), the whole clip.
+denoise_full builds its one window by concatenation.
 
 Both pipeline stages are this denoiser. A stage model is the mixer parameters
 plus the codec and sigma schedule it was trained with; a stage differs from
@@ -70,6 +72,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import scheduler
 from .codec import CodecConfig, latent_shape
 from .grid import (FLOAT, SUB_TRAIN, Rng, init_noise_blocks, pixel_views, read_siv1,
                    require_finite, write_siv1)
@@ -571,91 +574,44 @@ def denoise_full(p: MixerParams, sigmas, z: np.ndarray, ref: np.ndarray) -> np.n
 
 
 class Window:
-    """One training window's input rows, assembled: zr holds [clean | ref]
-    per pixel and `clean` the clean latents of the window's blocks, in the
-    latents' dtype; x and targets are their (n, -1) rows. A step of
-    train_windows rewrites only the noisy tail's z channels of zr, so a
-    window that recurs (stage 1's, the whole clip) is assembled once per
-    run, and one that does not is gathered into the run's Window of its
-    length."""
+    """One training window's input rows, in the dtype of the packed pairs it
+    is gathered from: zr holds [z | ref] per pixel and `clean` the clean
+    latents of its blocks; x and targets are their (n, -1) rows, and mask
+    marks the noisy tail's rows. gather copies segment s of a plan over a packed
+    (t, h, w, 2c) [clean | ref] pair into zr (scheduler.window_gather) and
+    zr's z channels into clean; a step noises the tail into `noisy` and
+    copies that into zr's z channels. Both copies move whole pixels
+    (grid.pixel_views): noising straight into the strided z channels would
+    loop over c values at a time."""
 
     def __init__(self, n: int, block_shape: tuple, dtype):
-        h, w, c = block_shape
-        dtype = np.dtype(dtype)
-        self.zr = np.empty((n, h, w, 2 * c), dtype)
-        self.clean = np.empty((n, h, w, c), dtype)
-        self.noisy = np.empty((n, h, w, c), dtype)   # the tail's noised latents
-        self.eps = np.empty((n, h, w, c), FLOAT)
-        self.scaled = np.empty((n, h, w, c), FLOAT)  # sigma * eps
+        h, w, c2 = block_shape
+        self.zr = np.empty((n, h, w, c2), dtype)
+        self.z = self.zr[..., :c2 // 2]
+        self.clean = np.empty(self.z.shape, dtype)
+        self.noisy = np.empty(self.z.shape, dtype)   # the tail's noised latents
+        self.eps = np.empty(self.z.shape, FLOAT)
+        self.scaled = np.empty(self.z.shape, FLOAT)  # sigma * eps
         self.x, self.targets = self.zr.reshape(n, -1), self.clean.reshape(n, -1)
         self.eps_rows = self.eps.reshape(n, -1)
-        # Each pixel's c channels move as one record.
-        pixel = f"V{c * dtype.itemsize}"
-        self._z, self._ref = np.split(self.zr.view(pixel), 2, axis=-1)
-        self._clean, self._noisy = self.clean.view(pixel), self.noisy.view(pixel)
-        self._pixel = pixel
-        self.n, self.indices, self.mask, self.prefix = n, None, None, 0
+        self.masks = [np.arange(n) >= k for k in range(n + 1)]  # one per prefix length
+        self.z_to_clean = pixel_views(self.clean, self.z)
+        self.noisy_to_z = pixel_views(self.z, self.noisy)
+        self.n, self.indices, self.prefix, self.mask = n, None, 0, None
 
-    @classmethod
-    def of(cls, z_ref: np.ndarray, z0: np.ndarray, indices, n_noisy: int) -> "Window":
-        """A new window of the given rows."""
-        return cls(len(indices), z0.shape[1:], z0.dtype).gather(z_ref, z0, indices, n_noisy)
-
-    def gather(self, z_ref: np.ndarray, z0: np.ndarray, indices, n_noisy: int) -> "Window":
-        """Fill the window from (t, h, w, c) reference and clean latents: its
-        blocks are the 1-based indices, its noisy tail the last n_noisy."""
-        idx = indices if type(indices) is tuple else tuple(indices)
-        rows, self.mask = _window_rows(idx, n_noisy)
-        self.indices, self.prefix = idx, len(idx) - n_noisy
-        z0.take(rows, axis=0, out=self.clean)
-        self._z[...] = self._clean
-        self._ref[...] = z_ref[rows].view(self._pixel)
-        return self
-
-
-def _window_step(p: MixerParams, win: Window, rng: Rng, ws: Workspace):
-    # Draws sigma, then eps; noises the tail into the window, then one pass.
-    m = win.prefix
-    sigma = 1.0 - rng.uniform01()   # U(0, 1]
-    rng.normal(win.eps.shape, out=win.eps)
-    noisy = np.multiply(win.clean[m:], 1.0 - sigma, out=win.noisy[m:])
-    noisy += np.multiply(win.eps[m:], sigma, out=win.scaled[m:])
-    win._z[m:] = win._noisy[m:]
-    return loss_and_grad(p, win.x, win.targets, win.mask, sigma, win.eps_rows, win.indices, ws)
-
-
-def window_loss(p: MixerParams, z_ref: np.ndarray, z0: np.ndarray, indices, n_noisy: int,
-                rng: Rng):
-    """Teacher-forced loss and gradients on one window: the training twin of
-    denoise_window, in buffers of its own (train_windows runs the same step
-    in the run's).
-
-    z_ref, z0: (t, h, w, c) reference and clean latents. The window's noisy
-    tail, its last n_noisy blocks, moves to a drawn sigma on the path to a
-    drawn eps; the conditioning prefix keeps its clean latents. Draws sigma,
-    then eps, from rng. Returns (loss, grads).
-    """
-    win = Window.of(z_ref, z0, indices, n_noisy)
-    return _window_step(p, win, rng, Workspace(p, win.n, backward=True))
-
-
-@lru_cache(maxsize=256)
-def _window_rows(indices: tuple, n_noisy: int):
-    # A window's 0-based rows and its noisy-tail mask, read-only. Bounded:
-    # training visits one window per step, from a few plans.
-    n = len(indices)
-    if not 0 <= n_noisy <= n:
-        raise ValueError(f"n_noisy must lie in [0, {n}], got {n_noisy}")
-    rows = np.asarray(indices) - 1
-    mask = np.arange(n) >= n - n_noisy
-    rows.flags.writeable = mask.flags.writeable = False
-    return rows, mask
+    def gather(self, packed: np.ndarray, plan, s: int) -> None:
+        """Fill the window with segment s of the plan over the packed pair."""
+        self.indices = scheduler.window_gather(packed, plan, s, out=self.zr)[1]
+        put, got = self.z_to_clean
+        put[...] = got
+        self.prefix = self.n - len(plan.I[s - 1])
+        self.mask = self.masks[self.prefix]
 
 
 class _Spaces(dict):
     """A run's backward workspaces, one per window length, which share one
-    gradient buffer g_flat, and the Windows that gather refills, one per
-    length; each made on first use."""
+    gradient buffer g_flat, and its Windows, one per length; each made on
+    first use."""
 
     def __init__(self, p: MixerParams):
         super().__init__()
@@ -665,32 +621,56 @@ class _Spaces(dict):
         ws = self[n] = Workspace(self.p, n, backward=True, g_flat=self.g_flat)
         return ws
 
-    def gather(self, z_ref, z0, indices, n_noisy: int) -> Window:
-        """The rows gathered into the run's Window of their length."""
-        n = len(indices)
+    def step(self, packed: np.ndarray, plan, s: int, rng: Rng):
+        """(loss, grads) of segment s of the plan over the packed pair,
+        gathered into the run's Window of its length. Draws sigma, then eps
+        for the whole window, and noises the tail before the pass."""
+        n = len(plan.W[s - 1])
         win = self.windows.get(n)
         if win is None:
-            win = self.windows[n] = Window(n, z0.shape[1:], z0.dtype)
-        return win.gather(z_ref, z0, indices, n_noisy)
+            win = self.windows[n] = Window(n, packed.shape[1:], packed.dtype)
+        win.gather(packed, plan, s)
+        m = win.prefix
+        sigma = 1.0 - rng.uniform01()   # U(0, 1]
+        rng.normal(win.eps.shape, out=win.eps)
+        noisy = np.multiply(win.clean[m:], 1.0 - sigma, out=win.noisy[m:])
+        noisy += np.multiply(win.eps[m:], sigma, out=win.scaled[m:])
+        put, got = win.noisy_to_z
+        put[m:] = got[m:]
+        return loss_and_grad(self.p, win.x, win.targets, win.mask, sigma, win.eps_rows,
+                             win.indices, self[n])
+
+
+def window_loss(p: MixerParams, packed: np.ndarray, plan, s: int, rng: Rng):
+    """Teacher-forced loss and gradients on one window: the training twin of
+    denoise_window, in buffers of its own (train_windows runs the same step
+    in the run's).
+
+    packed: a (t, h, w, 2c) [clean | ref] pair, of which the window is
+    segment s of the plan. The window's noisy tail moves to a drawn sigma on
+    the path to a drawn eps; the conditioning prefix keeps its clean
+    latents. Draws sigma, then eps, from rng. Returns (loss, grads).
+    """
+    return _Spaces(p).step(packed, plan, s, rng)
 
 
 def train_windows(p: MixerParams, windows, steps: int, seed: int, lr: float, stage: int):
-    """SGD, one window per step. windows(step, rng, gather) gives the step's
-    Window and the extra values of its log row (step, loss, *extra): a
-    window it keeps for the run, or gather(z_ref, z0, indices, n_noisy), the
-    rows gathered into the run's Window of that length. The run owns one
-    Workspace and one such Window per window length, one gradient buffer
-    that the workspaces share and one buffer for lr * g, and draws from one
-    stream, Rng(seed).split(SUB_TRAIN): per step, the stage's window choices
-    (in windows), then sigma, then eps. Raises FloatingPointError, naming
-    the stage and step, if training diverges."""
+    """SGD, one window per step. windows(step, rng) names the step's window
+    as inference names a segment, (packed, plan, s): segment s of the plan
+    over a packed (t, h, w, 2c) [clean | ref] pair; and then the extra
+    values of its log row (step, loss, *extra). The run owns one Window and
+    one Workspace per window length, one gradient buffer that the workspaces
+    share and one buffer for lr * g, and draws from one stream,
+    Rng(seed).split(SUB_TRAIN): per step, the stage's window choices (in
+    windows), then sigma, then eps. Raises FloatingPointError, naming the
+    stage and step, if training diverges."""
     rng = Rng(seed).split(SUB_TRAIN)
     spaces = _Spaces(p)
     buf = np.empty_like(p.flat)
     log = []
     for step in range(steps):
-        win, extra = windows(step, rng, spaces.gather)
-        loss, grads = _window_step(p, win, rng, spaces[win.n])
+        packed, plan, s, extra = windows(step, rng)
+        loss, grads = spaces.step(packed, plan, s, rng)
         sgd_update(p, grads, lr, buf)
         if not math.isfinite(loss):
             raise FloatingPointError(f"stage {stage} training diverged: loss {loss} at step {step}")
@@ -702,14 +682,14 @@ def train_windows(p: MixerParams, windows, steps: int, seed: int, lr: float, sta
 
 
 def eval_windows(p: MixerParams, windows, seed: int, draws: int) -> float:
-    """Mean window loss over seeded draws of windows(draw, rng, gather), as
+    """Mean window loss over seeded draws of windows(draw, rng), as
     train_windows draws them, from one stream in its order; no update."""
     rng = Rng(seed).split(SUB_TRAIN)
     spaces = _Spaces(p)
     tot = 0.0
     for j in range(draws):
-        win, _ = windows(j, rng, spaces.gather)
-        tot += _window_step(p, win, rng, spaces[win.n])[0]
+        packed, plan, s, _ = windows(j, rng)
+        tot += spaces.step(packed, plan, s, rng)[0]
     return tot / draws
 
 

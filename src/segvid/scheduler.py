@@ -15,14 +15,15 @@ blocks regardless of t.
 
 A window is therefore a read-only conditioning prefix, the anchor and the
 neighbors, followed by its noisy tail I_s: the last len(I_s) blocks of W_s,
-which are the consecutive global blocks a_s .. a_s + len(I_s) - 1. The
-denoiser and the window loss take a window as (W_s, len(I_s)).
+which are the consecutive global blocks a_s .. a_s + len(I_s) - 1.
+Inference segments and training draws alike name a window as segment s of a
+plan, and window_gather copies its rows out of the (t, ...) latents.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -42,6 +43,8 @@ class SegmentPlan:
     I: tuple[tuple[int, ...], ...]      # noisy indices per segment
     Nbr: tuple[tuple[int, ...], ...]    # neighbor (read-only) indices per segment
     W: tuple[tuple[int, ...], ...]      # full window per segment: (1,) + Nbr + I, ascending
+    # 0-based rows of each W_s, read-only: window_gather's index arrays
+    rows: tuple[np.ndarray, ...] = field(compare=False, repr=False)
 
 
 def plan(t: int, M: int, N: int) -> SegmentPlan:
@@ -61,7 +64,7 @@ def plan(t: int, M: int, N: int) -> SegmentPlan:
 @lru_cache(maxsize=256, typed=True)
 def _build_plan(t: int, M: int, N: int) -> SegmentPlan:
     S = -((t - 1) // -M)  # ceil((t-1)/M)
-    a, I, Nbr, W = [], [], [], []
+    a, I, Nbr, W, rows = [], [], [], [], []
     for s in range(1, S + 1):
         a_s = 2 + (s - 1) * M
         i_s = tuple(range(a_s, min(a_s + M - 1, t) + 1))
@@ -70,7 +73,10 @@ def _build_plan(t: int, M: int, N: int) -> SegmentPlan:
         I.append(i_s)
         Nbr.append(n_s)
         W.append((1,) + n_s + i_s)
-    return SegmentPlan(t=t, M=M, N=N, S=S, a=tuple(a), I=tuple(I), Nbr=tuple(Nbr), W=tuple(W))
+        rows.append(np.subtract(W[-1], 1))
+        rows[-1].flags.writeable = False
+    return SegmentPlan(t=t, M=M, N=N, S=S, a=tuple(a), I=tuple(I), Nbr=tuple(Nbr), W=tuple(W),
+                       rows=tuple(rows))
 
 
 def token_budget(p: SegmentPlan, h: int, w: int) -> list[int]:
@@ -94,11 +100,9 @@ def window_gather(latents: np.ndarray, p: SegmentPlan, s: int, out: np.ndarray |
         raise ValueError(f"latents have {latents.shape[0]} blocks, plan expects {p.t}")
     if not 1 <= s <= p.S:
         raise ValueError(f"segment {s} out of range [1, {p.S}]")
-    idx = p.W[s - 1]
     # The plan's rows lie in [0, t): "clip" only spares take's bounds check,
     # which would copy through a temporary before writing into out.
-    window = latents.take(np.subtract(idx, 1), axis=0, out=out, mode="clip")
-    return window, idx
+    return latents.take(p.rows[s - 1], axis=0, out=out, mode="clip"), p.W[s - 1]
 
 
 def to_json(p: SegmentPlan) -> str:

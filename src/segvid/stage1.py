@@ -15,8 +15,9 @@ decoded LR video: stage 2 only needs each block's mean frame, which
 ``codec.decode_group_means`` reads off the latents.
 
 Training and evaluation take latents, so a caller encodes each clip once and
-every step works on those latents; each clip's window is assembled once per
-run, and a step rewrites only its noisy tail.
+every step works on those latents. A run packs each clip once as [clean |
+ref], stage 2's training layout, and each step gathers its window as stage 2
+gathers a segment (scheduler.window_gather): segment 1 of plan(t, t-1, 0).
 """
 
 from __future__ import annotations
@@ -88,28 +89,27 @@ def denoise_from(model: mixer.StageModel, z_noisy: np.ndarray, x_lr: np.ndarray,
     return mixer.denoise_full(model.params, sigmas, z, np.broadcast_to(z_x, z.shape))
 
 
-def _window(z0: np.ndarray) -> mixer.Window:
-    """The clip's one window, with the broadcast anchor as its reference,
-    assembled once: a run visits it every len(latents) steps."""
-    t = z0.shape[0]
-    if t < 2:
-        raise ValueError("clip too short: need at least one block beyond the anchor")
-    p = scheduler.plan(t, t - 1, 0)
-    return mixer.Window.of(np.broadcast_to(z0[0], z0.shape), z0, p.W[0], len(p.I[0]))
+def _draws(latents):
+    """The windows callback of a run over the clips' latents: each clip
+    packed once as [clean | ref] with the broadcast anchor as reference, and
+    drawn round-robin as segment 1 of plan(t, t - 1, 0), the whole clip."""
+    clips = []
+    for z0 in latents:
+        t = z0.shape[0]
+        if t < 2:
+            raise ValueError("clip too short: need at least one block beyond the anchor")
+        packed = np.concatenate([z0, np.broadcast_to(z0[0], z0.shape)], axis=-1)
+        clips.append((packed, scheduler.plan(t, t - 1, 0)))
+    return lambda j, rng: (*clips[j % len(clips)], 1, ())
 
 
 def eval_loss(model: mixer.StageModel, latents, seed: int, draws: int = 8) -> float:
     """Mean loss over seeded (sigma, eps) draws on the clips' latents; no update."""
-    windows = [_window(z0) for z0 in latents]
-    return mixer.eval_windows(model.params, lambda j, rng, _: (windows[j % len(windows)], ()),
-                              seed, draws)
+    return mixer.eval_windows(model.params, _draws(latents), seed, draws)
 
 
 def train(model: mixer.StageModel, latents, steps: int, seed: int, lr: float = 1e-2):
     """SGD over the clips' latents, round-robin with seeded draws. Returns the
     (step, loss) log. Raises FloatingPointError, naming the step, if training
     diverges."""
-    windows = [_window(z0) for z0 in latents]
-    return mixer.train_windows(model.params,
-                               lambda step, rng, _: (windows[step % len(windows)], ()),
-                               steps, seed, lr, stage=1)
+    return mixer.train_windows(model.params, _draws(latents), steps, seed, lr, stage=1)

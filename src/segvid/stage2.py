@@ -4,13 +4,13 @@ Inference walks the segment plan in order. A request's latents live in the
 z half of one packed (t, h, w, 2c) [z | ref] buffer, the denoiser's input
 layout, whose blocks stay zero until their segment. Each segment packs the
 reference of its own blocks, draws their initial noise into a contiguous
-tail buffer, gathers its window, a conditioning prefix (anchor, up to N
-finalized neighbors) followed by a noisy tail (the segment's own blocks),
-into the request's window buffer of that length, runs the full sigma ladder
-there, and stores the tail in the z half as one contiguous run of global
-blocks. Conditioning content is never written, so the anchor and all
-finalized history are bit-stable for the rest of the run, and a finished
-segment can be decoded immediately.
+tail buffer, gathers its window (scheduler.window_gather), a conditioning
+prefix (anchor, up to N finalized neighbors) followed by a noisy tail (the
+segment's own blocks), into the request's window buffer of that length, runs
+the full sigma ladder there, and stores the tail in the z half as one
+contiguous run of global blocks. Conditioning content is never written, so
+the anchor and all finalized history are bit-stable for the rest of the run,
+and a finished segment can be decoded immediately.
 
 Stage 1 is the one-window case of the same denoiser; the stages share the
 model type, the window loss and the training loop (see mixer). What is this
@@ -19,8 +19,10 @@ that plan as the training window, the hybrid reference, reference input rows
 that start zero-initialized (a fresh model ignores reference content until
 training moves those weights), and a 7:3 mix of transition and plain
 downsampled pairs (`stage1.low_res(v, cfg)`, v). Training and evaluation take
-encoded pairs (`pair_latents`), so a caller encodes each HR clip once and
-shares its latents between the clip's transition and plain pairs.
+pairs packed once in the request layout, [clean | ref] (`pair_latents`), so
+a caller encodes each HR clip once and shares its latents between the
+clip's transition and plain pairs; a training draw is then named as a
+segment is, (packed, plan, s), and gathered by the same window_gather.
 """
 
 from __future__ import annotations
@@ -108,35 +110,32 @@ def infer_full(model: mixer.StageModel, inp: StageTwoInput, seed: int) -> np.nda
     return mixer.denoise_full(model.params, model.schedule.sigmas, z, inp.z_ref)
 
 
-def pair_latents(cfg: CodecConfig, v_ref_lr: np.ndarray, z0: np.ndarray):
-    """(z_ref, z0) of a (reference LR video, HR clip) training pair: the
-    latents of the hybrid reference, whose anchor is block 1 of the HR
-    clip's latents z0, and z0 itself. The caller encodes the HR clip, once
-    for all the pairs it is in."""
+def pair_latents(cfg: CodecConfig, v_ref_lr: np.ndarray, z0: np.ndarray) -> np.ndarray:
+    """A (reference LR video, HR clip) training pair, packed as inference
+    packs a request: the (t, h, w, 2c) [z0 | z_ref] latents of the HR clip,
+    z0, and of the hybrid reference, whose anchor is block 1 of z0. The
+    caller encodes the HR clip, once for all the pairs it is in."""
     means = group_means(as_f32(v_ref_lr, "v_ref_lr"), cfg.f_t)
-    return encode_reference(means, z0[0], cfg).z_ref, z0
+    return np.concatenate([z0, encode_reference(means, z0[0], cfg).z_ref], axis=-1)
 
 
-def _segment_window(z_ref: np.ndarray, z0: np.ndarray, rng, M: int, N: int):
-    """A seeded segment of the (M, N) plan over the pair's latents."""
-    p = scheduler.plan(z0.shape[0], M, N)
-    s = rng.integers(0, p.S)
-    return z_ref, z0, p.W[s], len(p.I[s])
+def _segment(packed: np.ndarray, rng, M: int, N: int):
+    """(packed, plan, s): a seeded segment s of the (M, N) plan over a pair."""
+    p = scheduler.plan(packed.shape[0], M, N)
+    return packed, p, rng.integers(0, p.S) + 1
 
 
 def eval_loss(model: mixer.StageModel, latents, seed: int, draws: int = 8,
               M: int = 3, N: int = 1) -> float:
-    """Mean masked loss over seeded draws on encoded pairs; no update."""
+    """Mean masked loss over seeded draws on packed pairs; no update."""
     return mixer.eval_windows(
-        model.params,
-        lambda j, rng, gather: (gather(*_segment_window(*latents[j % len(latents)], rng, M, N)),
-                                ()),
+        model.params, lambda j, rng: (*_segment(latents[j % len(latents)], rng, M, N), ()),
         seed, draws)
 
 
 def train(model: mixer.StageModel, transition_latents, down_latents, steps: int, seed: int,
           lr: float = 1e-2):
-    """SGD over a 7:3 seeded mix of encoded transition and plain downsampled
+    """SGD over a 7:3 seeded mix of packed transition and plain downsampled
     pairs, with (M, N) drawn per step from MN_CHOICES. Each step draws, from
     the run's one stream: the source (only when there are transition pairs),
     (M, N), the segment, then sigma and eps.
@@ -144,11 +143,11 @@ def train(model: mixer.StageModel, transition_latents, down_latents, steps: int,
     Returns log rows (step, loss, M, N, source). Raises FloatingPointError,
     naming the step, if training diverges.
     """
-    def window(step, rng, gather):
+    def window(step, rng):
         use_trans = bool(transition_latents) and rng.uniform01() < TRANSITION_SHARE
         pool = transition_latents if use_trans else down_latents
         M, N = MN_CHOICES[rng.integers(0, len(MN_CHOICES))]
-        return (gather(*_segment_window(*pool[step % len(pool)], rng, M, N)),
+        return (*_segment(pool[step % len(pool)], rng, M, N),
                 (M, N, "transition" if use_trans else "downsampled"))
 
     return mixer.train_windows(model.params, window, steps, seed, lr, stage=2)

@@ -438,7 +438,8 @@ def stage2_train_step(model, v_ref_lr, v_hr, rng, M=None, N=None, lr=1e-2):
     a seeded draw from MN_CHOICES. Returns (loss, M, N)."""
     if M is None or N is None:
         M, N = stage2.MN_CHOICES[rng.integers(0, len(stage2.MN_CHOICES))]
-    z_ref, z0 = stage2.pair_latents(model.codec_cfg, v_ref_lr, encode(v_hr, model.codec_cfg))
+    packed = stage2.pair_latents(model.codec_cfg, v_ref_lr, encode(v_hr, model.codec_cfg))
+    z0, z_ref = np.split(packed, 2, axis=-1)
     loss, grads = stage2_loss_terms(model.params, z_ref, z0, rng, M, N)
     mixer.sgd_update(model.params, grads, lr)
     return loss, M, N

@@ -10,9 +10,12 @@ way, so a refactor that would break those checks fails here first. They also
 pin that stage 1 hands stage 2 its latents: the LR video is never decoded,
 so a generate request's one `codec.decode` is the HR video's, and a streamed
 request makes none. A train command makes one `mixer.loss_and_grad` call per
-training step and per evaluation draw, and each of its runs (the training
-loop, each evaluation) builds at most one `mixer.Workspace` per window length,
-all sharing one gradient buffer. A generate request's stage 2 builds at most
+training step and per evaluation draw, each on a window gathered by one
+`scheduler.window_gather` call into a buffer of the run's (out=), as
+inference gathers a segment; train-stage1's windows are all segment 1 of
+the plan (t, t-1, 0). Each of its runs (the training loop, each evaluation)
+builds at most one `mixer.Workspace` per window length, all sharing one
+gradient buffer. A generate request's stage 2 builds at most
 one `mixer.Workspace` per window length too, and its buffers are its own:
 requests running at once on several threads each get their own bits.
 """
@@ -190,9 +193,11 @@ def test_train_stage2_encodes_each_hr_clip_once(monkeypatch, pipeline, tmp_path)
 @pytest.mark.parametrize("cmd", ["train-stage1", "train-stage2"])
 def test_train_command_passes_and_workspaces(monkeypatch, pipeline, tmp_path, cmd):
     # steps + 2·draws passes: the evaluations before and after training draw
-    # 8 windows each. A run's workspaces are its own, one per window length,
+    # 8 windows each, and each pass's window is gathered as inference gathers
+    # a segment. A run's workspaces are its own, one per window length,
     # built on first use and reused by every later pass of that length.
     passes = Counter(monkeypatch, [mixer], "loss_and_grad")
+    gathers = Counter(monkeypatch, [scheduler], "window_gather")
     runs, current = [], [None]
 
     def run_counted(real):
@@ -221,7 +226,13 @@ def test_train_command_passes_and_workspaces(monkeypatch, pipeline, tmp_path, cm
     if cmd == "train-stage2":
         argv += ["--stage1", pipeline["s1"]]
     assert cli.main(argv) == 0
-    assert len(passes) == steps + 2 * draws
+    assert len(passes) == len(gathers) == steps + 2 * draws
+    assert all(kwargs.get("out") is not None for _, kwargs in gathers.calls)
+    for (packed, p, s), _ in gathers.calls:
+        if cmd == "train-stage1":  # the one-window case: the whole clip
+            assert (p, s) == (scheduler.plan(packed.shape[0], packed.shape[0] - 1, 0), 1)
+        else:
+            assert (p.M, p.N) in stage2.MN_CHOICES and 1 <= s <= p.S
     assert len(runs) == 3  # evaluate, train, evaluate
     for spaces in runs:
         lengths = [ws.n for ws in spaces]

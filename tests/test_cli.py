@@ -94,6 +94,26 @@ def test_config_int_passes_as_float(tmp_path, capsys):
     assert "config key 'lr' expects float, got false" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd", ["train-stage1", "train-stage2"])
+@pytest.mark.parametrize("flags, config, key", [
+    (["--lr", "nan"], None, "lr"), (["--lr", "inf"], None, "lr"), (["--lr", "-1"], None, "lr"),
+    (["--steps", "-5"], None, "steps"), ([], {"lr": float("nan")}, "lr"),
+    ([], {"lr": -0.5}, "lr"), ([], {"steps": -1}, "steps")])
+def test_train_refuses_bad_lr_and_steps(tmp_path, capsys, cmd, flags, config, key):
+    # refused before the corpus is read (there is none, nor a stage-1
+    # checkpoint), in one line naming the key, leaving no --out directory
+    argv = [cmd, "--corpus", str(tmp_path / "no-corpus"), "--out", str(tmp_path / "out"), *flags]
+    if cmd == "train-stage2":
+        argv += ["--stage1", str(tmp_path / "no-s1")]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err.strip()
+    assert "\n" not in err and f"{key} must be finite and at least 0" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_empty_corpus_exits_2(tmp_path, capsys):
     for count in ("0", "-1"):
         assert cli.main(["synth", "--count", count, "--out", str(tmp_path / "o")]) == 2
@@ -202,7 +222,8 @@ def _layers(draw):
 def test_config_layering_property(tmp_path_factory, layers):
     # flag > file > default; a file value must have its default's JSON type
     # (an int passes as a float, bool and null never pass as a number); a
-    # flag hides the file's value, wrong or not; a count below 1 is rejected
+    # flag hides the file's value, wrong or not; a count below 1 is rejected,
+    # and so are negative steps, from a flag or the file
     cfg_path = tmp_path_factory.getbasetemp() / "layering.json"
     cfg_path.write_text(json.dumps({k: v for k, (_, v) in layers.items() if v is not _MISSING}))
     argv = ["train-stage2", "--corpus", "c", "--stage1", "s", "--config", str(cfg_path)]
@@ -213,15 +234,18 @@ def test_config_layering_property(tmp_path_factory, layers):
         flag, v = layers[key]
         default = cli.DEFAULTS[key]
         if flag is not None:
-            return flag
-        if v is _MISSING:
+            v = flag
+        elif v is _MISSING:
             return default
-        if type(default) is float and type(v) is int:
-            v = float(v)
-        if type(v) is not type(default):
-            return ValueError(f"config key '{key}' expects {type(default).__name__}")
+        else:
+            if type(default) is float and type(v) is int:
+                v = float(v)
+            if type(v) is not type(default):
+                return ValueError(f"config key '{key}' expects {type(default).__name__}")
         if key in cli.COUNTS and v < 1:
             return ValueError(f"{key} must be at least 1, got {v}")
+        if key == "steps" and v < 0:
+            return ValueError(f"steps must be finite and at least 0, got {v}")
         return v
 
     if isinstance(expect("count"), ValueError):  # counts are checked up front

@@ -485,22 +485,14 @@ def test_window_loss_equals_where_and_concatenate_build(t, M, N, c, dtype, broad
     z_ref = (np.broadcast_to(z0[0], z0.shape) if broadcast_ref
              else g.standard_normal((t, h, w, c)).astype(dtype))
     p = mixer.init_mixer(Rng(seed), h * w * 2 * c, h * w * c, d=8)
-    window = (z_ref, z0, plan.W[s], len(plan.I[s]))
     ra, rb = Rng(seed).split(SUB_TRAIN), Rng(seed).split(SUB_TRAIN)
-    loss, grads = mixer.window_loss(p, *window, ra)
-    want_loss, want = oracles.window_loss_concat(p, *window, rb, oracles.loss_and_grad_unpacked)
+    loss, grads = mixer.window_loss(p, np.concatenate([z0, z_ref], axis=-1), plan, s + 1, ra)
+    want_loss, want = oracles.window_loss_concat(p, z_ref, z0, plan.W[s], len(plan.I[s]), rb,
+                                                 oracles.loss_and_grad_unpacked)
     assert loss == want_loss
     for name in MATS:
         assert grads[name].tobytes() == want[name].tobytes(), name
     assert ra.uniform01() == rb.uniform01()
-
-
-def test_window_loss_rejects_a_tail_longer_than_its_window():
-    p = mixer.init_mixer(Rng(0), 2 * 3, 3, d=8)
-    z = np.zeros((4, 1, 1, 3), FLOAT)
-    for bad in (-1, 4):
-        with pytest.raises(ValueError, match="n_noisy must lie in"):
-            mixer.window_loss(p, z, z, (1, 2, 3), bad, Rng(0))
 
 
 _BLAS = ("bit assumption of the packed mixer failed: {what} (n={n}, d={d}, d_in={d_in}, "
@@ -627,7 +619,8 @@ def test_calls_without_a_workspace_return_arrays_no_later_call_writes():
     ys = [mixer.forward(p, x, sigma) for _ in range(2)]
     passes = [mixer.loss_and_grad(p, x, clean, mask, sigma, eps) for _ in range(2)]
     z = np.zeros((3, 1, 1, 2), FLOAT)
-    losses = [mixer.window_loss(mixer.init_mixer(Rng(46), 4, 2, d=6), z + 1, z, (1, 2, 3), 2,
+    losses = [mixer.window_loss(mixer.init_mixer(Rng(46), 4, 2, d=6),
+                                np.concatenate([z, z + 1], axis=-1), scheduler.plan(3, 2, 0), 1,
                                 Rng(46)) for _ in range(2)]
     outs = [*ys, *(g.flat for _, g in passes), *(g.flat for _, g in losses)]
     before = [a.tobytes() for a in outs]

@@ -165,3 +165,30 @@ def test_window_gather_returns_a_copy():
     assert np.array_equal(latents, keep)
     with pytest.raises(ValueError):  # a buffer of another length
         scheduler.window_gather(latents, p, 1, out=np.empty((2, 2, 2, 3), np.float32))
+
+
+@settings(deadline=None, max_examples=200)
+@given(t=st.integers(2, 40), data=st.data())
+def test_plan_rows_cache_and_gather(t, data):
+    # every window's 0-based rows ride on the cached plan, read-only; they
+    # take no part in equality, and window_gather into out= equals fancy
+    # indexing. Stage 1's plan (t, t-1, 0) is drawn as often as any other.
+    M = data.draw(st.one_of(st.just(t - 1), st.integers(1, t + 1)))
+    N = data.draw(st.one_of(st.just(0), st.integers(0, 5)))
+    p = scheduler.plan(t, M, N)
+    hits = scheduler._build_plan.cache_info().hits
+    assert scheduler.plan(t, M, N) is p
+    assert scheduler._build_plan.cache_info().hits == hits + 1
+    fresh = scheduler._build_plan.__wrapped__(t, M, N)
+    assert fresh is not p and fresh == p and hash(fresh) == hash(p)
+    latents = np.random.default_rng(t).standard_normal((t, 2, 3, 4)).astype(np.float32)
+    for s in range(1, p.S + 1):
+        rows = p.rows[s - 1]
+        assert rows.tolist() == [i - 1 for i in p.W[s - 1]]
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError):
+            rows[0] = 0
+        buf = np.empty((len(rows), 2, 3, 4), np.float32)
+        win, idx = scheduler.window_gather(latents, p, s, out=buf)
+        assert win is buf and idx == p.W[s - 1]
+        assert win.tobytes() == latents[np.asarray(p.W[s - 1]) - 1].tobytes()

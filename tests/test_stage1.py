@@ -191,8 +191,8 @@ def test_window_loss_equals_retired_stage1_loss(T):
         want_loss, want_grads = oracles.stage1_loss_terms(model.params, z0,
                                                           Rng(seed).split(SUB_TRAIN))
         p = scheduler.plan(z0.shape[0], z0.shape[0] - 1, 0)
-        loss, grads = mixer.window_loss(model.params, np.broadcast_to(z0[0], z0.shape), z0,
-                                        p.W[0], len(p.I[0]), Rng(seed).split(SUB_TRAIN))
+        packed = np.concatenate([z0, np.broadcast_to(z0[0], z0.shape)], axis=-1)
+        loss, grads = mixer.window_loss(model.params, packed, p, 1, Rng(seed).split(SUB_TRAIN))
         assert loss == want_loss
         assert _same_grads(grads, want_grads)
         if seed < 5:

@@ -180,7 +180,8 @@ def test_train_step_draws_mn_from_choices():
     # a given (M, N) is the one used: eval_loss at (3, 2) is the retired
     # stage-2 loss at (3, 2) over the same draws
     g = Rng(1).split(SUB_TRAIN)
-    want = sum(oracles.stage2_loss_terms(model.params, *pair[0], g, 3, 2)[0]
+    z0, z_ref = np.split(pair[0], 2, axis=-1)
+    want = sum(oracles.stage2_loss_terms(model.params, z_ref, z0, g, 3, 2)[0]
                for _ in range(4)) / 4
     assert stage2.eval_loss(model, pair, seed=1, draws=4, M=3, N=2) == want
 
@@ -348,14 +349,14 @@ def test_training_retains_no_memory_per_step():
     runs = {
         1: lambda steps: stage1.train(stage1.new_stage1(0), [z.copy() for z in zs1], steps, 0),
         2: lambda steps: stage2.train(stage2.new_stage2(0),
-                                      [(r.copy(), z.copy()) for r, z in pairs[:3]],
-                                      [(r.copy(), z.copy()) for r, z in pairs[3:]],
+                                      [q.copy() for q in pairs[:3]],
+                                      [q.copy() for q in pairs[3:]],
                                       steps, 0, 3e-4),
     }
     tracemalloc.start()
     try:
         for stage, run in runs.items():
-            run(600)  # fills the bounded caches (noise-level and position codes, window rows)
+            run(600)  # fills the bounded caches (noise-level and position codes, plans)
             short, long = (_retained_bytes(lambda: run(steps)) for steps in (50, 600))
             assert long - short <= 16 * 1024, f"stage {stage}: {short} B after 50 steps, " \
                                               f"{long} B after 600"
