@@ -597,12 +597,13 @@ def main(argv=None) -> int:
         return 0
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as e:
         print(f"segvid: validation error: {e}", file=sys.stderr)
-        if cfg is not None:  # a refused command leaves no empty output directory
-            cfg.remove_made()
-        return 2
+        code = 2
     except Exception as e:
         print(f"segvid: runtime failure: {type(e).__name__}: {e}", file=sys.stderr)
-        return 3
+        code = 3
+    if cfg is not None:  # a failed command leaves no empty output directory
+        cfg.remove_made()
+    return code
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 """Toy 3D latent codec: first frame as its own block, temporal grouping,
 spatial mean pooling (``pool``, the package's one spatial pooling, by the
-config's f_s), and a fixed orthonormal channel lift.
+config's f_s), and a fixed orthonormal channel lift. Every mean it takes is
+``grid.plane_means``: an in-order float32 sum of planes from +0.0, divided once.
 
 A (T, H, W, 3) video maps to (t, h, w, c) with t = 1 + (T−1)/f_t,
 h = H/f_s, w = W/f_s. Block 1 derives from frame 1 alone; block i (i ≥ 2)
@@ -18,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import FLOAT, Rng, SUB_PARAMS, as_f32, cell_means
+from .grid import FLOAT, Rng, SUB_PARAMS, as_f32, pixel_views, plane_means
 
 
 @dataclass(frozen=True)
@@ -94,15 +95,26 @@ def lift(pixels: np.ndarray, cfg: CodecConfig) -> np.ndarray:
 
 def pool(frames: np.ndarray, cfg: CodecConfig) -> np.ndarray:
     """(n, H, W, C) float32 frames to their (n, H/f_s, W/f_s, C) f_s x f_s
-    cell means by ``grid.cell_means``: for C-contiguous frames with C >= 2,
-    the bits of numpy's float32 mean of each cell. Encoding and the LR video
-    (``stage1.low_res``) pool with it."""
+    cell means: ``grid.plane_means`` of the taps in row-major order, copied
+    tap-major into f_s² planes whole pixels at a time (``grid.pixel_views``),
+    up to 128 KiB of frames per copy. For C-contiguous frames with C >= 2
+    that is the bits of numpy's float32 mean of each cell. Encoding and the
+    LR video (``stage1.low_res``) pool with it."""
     if frames.ndim != 4:
         raise ValueError(f"expected (n,H,W,C) frames, got shape {frames.shape}")
     n, H, W, C = frames.shape
     _, h, w, _ = latent_shape(1, H, W, cfg)  # checks that f_s divides H and W
     f = cfg.f_s
-    return cell_means(frames.reshape(n, h, f, w, f, C))
+    g = max(1, min(n, (1 << 17) // max(1, H * W * C * frames.itemsize)))
+    planes = np.empty((f * f, g, h, w, C), frames.dtype)
+    dst, src = pixel_views(planes.reshape(f, f, g, h, w, C),
+                           frames.reshape(n, h, f, w, f, C).transpose(2, 4, 0, 1, 3, 5))
+    out = np.empty((n, h, w, C), FLOAT)
+    for lo in range(0, n, g):
+        k = min(g, n - lo)
+        dst[:, :, :k] = src[:, :, lo:lo + k]
+        out[lo:lo + k] = plane_means(planes[:, :k])
+    return out
 
 
 def encode(video: np.ndarray, cfg: CodecConfig) -> np.ndarray:
@@ -171,10 +183,10 @@ def decode_group_means(latent: np.ndarray, cfg: CodecConfig) -> np.ndarray:
     """``group_means(decode(latent, cfg), cfg.f_t)`` bit for bit, without the
     video: (t-1, h·f_s, w·f_s, 3), one mean frame per block 2..t.
 
-    A block decodes to f_t copies of one clamped frame, so its mean is that
-    frame added f_t times into a float32 sum that starts at +0.0 (the order
-    and the signed zeros of numpy's mean over the copies) and divided by f_t,
-    all at latent resolution, then repeated f_s times along H and W."""
+    A block decodes to f_t copies of one clamped frame, so its mean is
+    ``grid.plane_means`` of a stride-0 stack of f_t copies of that frame (the
+    order and the signed zeros of numpy's mean over the copies), taken at
+    latent resolution, then repeated f_s times along H and W."""
     z = as_f32(latent, "latent")
     if z.ndim != 4 or z.shape[3] != cfg.c:
         raise ValueError(f"expected (t,h,w,{cfg.c}) latent, got shape {z.shape}")
@@ -182,9 +194,5 @@ def decode_group_means(latent: np.ndarray, cfg: CodecConfig) -> np.ndarray:
     # at h = w = 1 (f_s=1, f_t=1, c=4, t=3), where each row is a gemv
     rgb = z[1:] @ channel_lift(cfg)
     rgb.clip(0.0, 1.0, out=rgb)
-    total = rgb + FLOAT(0)
-    for _ in range(cfg.f_t - 1):
-        total += rgb
-    total /= FLOAT(cfg.f_t)
-    f = cfg.f_s
-    return total.repeat(f, axis=1).repeat(f, axis=2)
+    mean = plane_means(np.broadcast_to(rgb, (cfg.f_t, *rgb.shape)))
+    return mean.repeat(cfg.f_s, axis=1).repeat(cfg.f_s, axis=2)

@@ -8,12 +8,13 @@ latent of the input image, which is block 1, and the LR video's f_t-frame
 block means, one per block 2..t. At inference those means come straight
 from the stage-1 latents (``codec.decode_group_means``), so stage 1 hands
 over latents, not an LR video; training and the ground-truth runs pass
-``codec.group_means`` of their LR videos. Blocks 2..t pool the means through
-a stride-0 view that repeats each LR pixel f_s×f_s times (averaging commutes
-with nearest upsampling bit for bit). ``grid.cell_means`` adds the copies
-one by one as the pooling of the HR frames does (skipping the pooling would
-change bits), so this equals encoding the HR hybrid video (the tests check
-it against that construction).
+``codec.group_means`` of their LR videos. Blocks 2..t pool the means as
+``grid.plane_means`` of a stride-0 stack of f_s² copies of them, one per tap
+of an f_s×f_s cell of the upsampled frame (averaging commutes with nearest
+upsampling bit for bit). The copies are added in order from +0.0 and
+divided once, as ``codec.pool`` adds the taps of the HR frames (skipping the
+pooling would change bits), so this equals encoding the HR hybrid video (the
+tests check it against that construction).
 
 The denoiser's input puts the reference beside the noisy latents along
 channels, with the anchor as block 1: stage 2 packs each block's reference
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import CodecConfig, lift
-from .grid import FLOAT, as_f32, cell_means
+from .grid import FLOAT, as_f32, plane_means
 
 
 @dataclass(frozen=True)
@@ -59,8 +60,5 @@ def encode_reference(means: np.ndarray, z_x: np.ndarray, cfg: CodecConfig) -> St
                          f"both are the HR frame pooled by f_s={cfg.f_s}")
     z_ref = np.empty((1 + n, *zx.shape), FLOAT)
     z_ref[0] = zx
-    if n:
-        f = cfg.f_s
-        taps = np.broadcast_to(m[:, :, None, :, None], (n, h, f, w, f, 3))
-        z_ref[1:] = lift(cell_means(taps), cfg)
+    z_ref[1:] = lift(plane_means(np.broadcast_to(m, (cfg.f_s ** 2, *m.shape))), cfg)
     return StageTwoInput(z_ref=z_ref, z_x=zx)

@@ -3,8 +3,10 @@
 Every array that crosses a module boundary in this package is a row-major
 float32 numpy array with finite entries. Pixel videos are (T, H, W, C) with
 values in [0, 1]; latent videos are (t, h, w, c). This module owns the three
-shared primitives: the deterministic RNG, the cell means that all spatial
-pooling adds through (``codec.pool``, the stage-2 reference), and file I/O.
+shared primitives: the deterministic RNG, the one way a mean is taken
+(``plane_means``: an in-order float32 sum of planes from +0.0, divided once,
+for spatial pooling, the stage-2 reference and the LR block means), and file
+I/O.
 
 Reproducibility contract: ``Rng`` wraps numpy's PCG64 bit generator seeded
 through ``SeedSequence``. The same 64-bit seed yields the same value stream
@@ -107,7 +109,7 @@ def _check_dims(dims: tuple[int, ...], where: str = "") -> tuple[int, ...]:
 
 
 def require_finite(arr: np.ndarray, name: str = "tensor") -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite values")
     return arr
 
@@ -170,25 +172,16 @@ def pixel_views(dst: np.ndarray, src: np.ndarray):
     return dst, src
 
 
-def cell_means(taps: np.ndarray) -> np.ndarray:
-    """(n, h, f, w, g, C) float32 tap view to its (n, h, w, C) cell means.
-
-    The f·g taps of a cell are added into a float32 sum that starts at +0.0,
-    in row-major (i, j) order, and the sum is divided by f·g in float32. For
-    a C-contiguous view with C >= 2 that is the order in which numpy's
-    float32 mean over axes 2 and 4 adds (the channel axis is innermost and
-    not reduced), and numpy's float64 division rounds to the same float32, so
-    the bits equal numpy's mean. For C = 1 or other strides numpy adds in
-    another order; no caller pools such views. A stride-0 view over a smaller
-    array is pooled without materialising it.
-    """
-    f, g = taps.shape[2], taps.shape[4]
-    out = taps[:, :, 0, :, 0] + FLOAT(0)  # as numpy's sum, so a cell of -0.0 gives +0.0
-    for i in range(f):
-        for j in range(g):
-            if i or j:
-                out += taps[:, :, i, :, j]
-    out /= FLOAT(f * g)
+def plane_means(planes: np.ndarray) -> np.ndarray:
+    """The mean plane of a (k, ...) stack of planes, copied or stride-0
+    (``np.broadcast_to``): one ``np.add.reduce`` over axis 0 into a float32
+    sum that starts at +0.0 (so -0.0 planes give +0.0), then one divide by k.
+    Where a plane has two or more elements numpy adds plane by plane, in
+    order. Eight or more one-element planes are one reduction axis, which
+    numpy adds pairwise; no caller pools such planes, as pixels have 3
+    channels."""
+    out = np.add.reduce(planes, axis=0, initial=FLOAT(0))
+    out /= FLOAT(len(planes))
     return out
 
 

@@ -18,9 +18,12 @@ hybrid video with `encode_loop` (numpy's mean, not the package's pooling),
 the reference for `conditioning.encode_reference`; the stage-2 inputs built
 from the decoded LR video (the reference for `stage2.pipeline_inputs`, which
 never decodes it); the SIV1 writer that truncates its target first, the
-byte reference for the in-place `grid.write_siv1`; and the channel lift as
-one stacked product per pixel row, the bit reference for `codec.lift`'s one
-2-D product. The retired losses and train steps draw from the stream they
+byte reference for the in-place `grid.write_siv1`; the channel lift as one
+stacked product per pixel row, the bit reference for `codec.lift`'s one 2-D
+product; and the pooling loop that added each cell's taps one by one in
+row-major order, the bit reference for `grid.plane_means` and every mean
+taken through it (`codec.pool`, `encode_reference`, `decode_group_means`).
+The retired losses and train steps draw from the stream they
 are given in the package's order: (M, N), the segment, sigma, then eps.
 """
 
@@ -481,3 +484,25 @@ def write_siv1_truncating(path, arr):
     with open(path, "wb") as f:
         f.write(struct.pack("<4sIIIII", b"SIV1", *a.shape, 0))
         f.write(np.ascontiguousarray(a, dtype="<f4").data)
+
+
+def cell_means(taps):
+    """(n, h, f, w, g, C) float32 tap view to its (n, h, w, C) cell means:
+    the f·g taps of a cell added one by one in row-major (i, j) order into a
+    float32 sum that starts at +0.0, then divided by f·g in float32. The
+    retired pooling loop, the bit reference for ``grid.plane_means`` and its
+    callers; any strides, stride-0 views included."""
+    f, g = taps.shape[2], taps.shape[4]
+    out = taps[:, :, 0, :, 0] + FLOAT(0)  # as numpy's sum, so a cell of -0.0 gives +0.0
+    for i in range(f):
+        for j in range(g):
+            if i or j:
+                out += taps[:, :, i, :, j]
+    out /= FLOAT(f * g)
+    return out
+
+
+def stack_means(planes):
+    """``cell_means`` of a (k, n, h, w, C) stack of planes, added in order:
+    plane j is tap (0, j) of (n, h, 1, w, k, C) one-row cells."""
+    return cell_means(planes.transpose(1, 2, 3, 0, 4)[:, :, None])

@@ -409,6 +409,28 @@ def test_diverging_training_exits_3_without_checkpoint(tmp_path, capsys):
     assert not list(s1.glob("w_*.siv1"))
 
 
+def test_diverging_training_leaves_no_output_directory_it_made(tmp_path, capsys):
+    # exit 3, like exit 2, removes the empty --out directories the command
+    # made; an --out that existed before is kept
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"count": 1}))
+    corpus = tmp_path / "corpus"
+    assert cli.main(["synth", "--config", str(cfg), "--out", str(corpus)]) == 0
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    for out in (tmp_path / "made" / "s1", kept):
+        capsys.readouterr()
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = cli.main(["train-stage1", "--corpus", str(corpus), "--out", str(out),
+                           "--lr", "1e6", "--steps", "5"])
+        assert rc == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("segvid: runtime failure"), err
+        assert "stage 1 training diverged" in err[0]
+    assert not (tmp_path / "made").exists()
+    assert kept.is_dir() and not list(kept.iterdir())
+
+
 def test_generate_rejects_codec_mismatch(pipeline, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"c": 3}))

@@ -189,6 +189,32 @@ def test_lift_equals_stacked_per_row_products(n, h, w, c, scale, zeros, seed):
     npt.assert_array_equal(got, want)
 
 
+@settings(deadline=None, max_examples=100)
+@given(f_t=st.integers(1, 20), f_s=st.sampled_from((1, 2, 3, 4, 8)), t=st.integers(2, 41),
+       h=st.integers(1, 40), w=st.integers(1, 40), c=st.sampled_from((3, 4, 6)),
+       scale=st.floats(1e-3, 1e3), neg_zero=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_decode_group_means_equals_ordered_loop(f_t, f_s, t, h, w, c, scale, neg_zero, seed):
+    # the f_t stride-0 copies of each clamped block frame add in order from
+    # +0.0, as the retired loop added them; compared as uint32, so the sign
+    # of every zero counts
+    cfg = CodecConfig(f_s=f_s, f_t=f_t, c=c)
+    rng = np.random.default_rng(seed)
+    per_block = f_s * f_s * 3
+    w = min(w, max(1, (1 << 16) // (h * per_block)))
+    t = min(t, 1 + max(1, (1 << 16) // (h * w * per_block)))
+    z = (scale * rng.standard_normal((t, h, w, c))).astype(FLOAT)
+    if neg_zero:
+        z[rng.random(z.shape) < 0.3] = -0.0
+        z[1] = -0.0
+    rgb = z[1:] @ channel_lift(cfg)
+    rgb.clip(0.0, 1.0, out=rgb)
+    taps = np.broadcast_to(rgb[:, :, None, :, None], (t - 1, h, 1, w, f_t, 3))
+    want = oracles.cell_means(taps).repeat(f_s, axis=1).repeat(f_s, axis=2)
+    got = decode_group_means(z, cfg)
+    assert got.shape == (t - 1, h * f_s, w * f_s, 3) and got.dtype == FLOAT
+    npt.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
+
+
 def test_decode_group_means_validation():
     with pytest.raises(ValueError, match="latent"):
         decode_group_means(np.zeros((3, 2, 2), FLOAT), CFG)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from segvid import mixer, stage1
-from segvid.codec import CodecConfig, encode, group_means
+from segvid.codec import CodecConfig, encode, group_means, lift
 from segvid.conditioning import StageTwoInput, encode_reference
 from segvid.grid import FLOAT
 
@@ -99,6 +99,31 @@ def test_encode_reference_equals_hybrid_oracle(f_s, f_t, c, groups, h, w, seed):
     assert got.z_ref.shape == want.z_ref.shape == (1 + groups, h * f_s, w * f_s, c)
     npt.assert_array_equal(got.z_ref, want.z_ref)
     npt.assert_array_equal(got.z_x, want.z_x)
+
+
+@settings(deadline=None, max_examples=100)
+@given(f_s=st.sampled_from((1, 2, 3, 4, 8)), n=st.integers(1, 40), h=st.integers(1, 40),
+       w=st.integers(1, 40), c=st.sampled_from((3, 4, 6)), scale=st.floats(1e-3, 1e3),
+       neg_zero=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_encode_reference_equals_ordered_loop(f_s, n, h, w, c, scale, neg_zero, seed):
+    # the f_s² stride-0 copies of each LR block mean add in order from +0.0,
+    # as the retired loop added the stride-0 taps of the upsampled means;
+    # compared as uint32, so the sign of every zero counts
+    cfg = CodecConfig(f_s=f_s, c=c)
+    rng = np.random.default_rng(seed)
+    w = min(w, max(1, (1 << 14) // h))
+    n = min(n, max(1, (1 << 14) // (h * w)))
+    means = (scale * rng.standard_normal((n, h, w, 3))).astype(FLOAT)
+    if neg_zero:
+        means[rng.random(means.shape) < 0.3] = -0.0
+        means[0, 0, 0] = -0.0
+    z_x = rng.standard_normal((h, w, c)).astype(FLOAT)
+    got = encode_reference(means, z_x, cfg).z_ref
+    taps = np.broadcast_to(means[:, :, None, :, None], (n, h, f_s, w, f_s, 3))
+    want = lift(oracles.cell_means(taps), cfg)
+    assert got.shape == (1 + n, h, w, c) and got.dtype == FLOAT
+    npt.assert_array_equal(got[0].view(np.uint32), z_x.view(np.uint32))
+    npt.assert_array_equal(got[1:].view(np.uint32), want.view(np.uint32))
 
 
 def test_encode_reference_validation():

@@ -1,7 +1,14 @@
-"""RNG, spatial pooling (codec.pool over grid.cell_means), and SIV1 container
-tests."""
+"""RNG, means and spatial pooling, and SIV1 container tests.
+
+Every mean in the package is ``grid.plane_means``: one in-order float32 sum
+of a (k, ...) stack of planes from +0.0, divided once by k. ``codec.pool``
+hands it each cell's taps, copied tap-major, and the tests here check it and
+pooling bit for bit against the retired row-major loop (``oracles.cell_means``)
+and against numpy's mean.
+"""
 
 import io
+import math
 import os
 import stat
 import struct
@@ -226,6 +233,100 @@ def test_resize_errors():
         pool(np.zeros((4, 4, 3), FLOAT), CodecConfig(f_s=2))
 
 
+def _bits(a):
+    """uint32 view of a float32 array, so -0.0 and +0.0 compare unequal."""
+    assert a.dtype == FLOAT
+    return a.view(np.uint32)
+
+
+def _fit(n, h, w, per_pixel, limit=1 << 17):
+    """(n, h, w) with w, then n, cut so n·h·w·per_pixel <= limit values."""
+    w = min(w, max(1, limit // (h * per_pixel)))
+    return min(n, max(1, limit // (h * w * per_pixel))), h, w
+
+
+def _values(rng, shape, scale, neg_zero):
+    v = (scale * rng.standard_normal(shape)).astype(FLOAT)
+    if neg_zero:
+        v[rng.random(shape) < 0.3] = -0.0
+    return v
+
+
+_EXTENT = st.integers(1, 40)
+
+
+@settings(deadline=None, max_examples=100)
+@given(k=st.integers(1, 20), n=_EXTENT, h=_EXTENT, w=_EXTENT, c=st.integers(2, 6),
+       layout=st.sampled_from(("contiguous", "sliced", "stride0")),
+       scale=st.floats(1e-3, 1e3), neg_zero=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_plane_means_equals_ordered_loop(k, n, h, w, c, layout, scale, neg_zero, seed):
+    # a stack of planes of two or more values each, copied, sliced out of a
+    # larger stack or stride-0, reduces in order from +0.0, bit for bit
+    rng = np.random.default_rng(seed)
+    n, h, w = _fit(n, h, w, k * c)
+    stack = _values(rng, (k, n + 1, h, w, c), scale, neg_zero)
+    if neg_zero:
+        stack[:, 0, 0, 0] = -0.0  # one pixel of -0.0 in every plane
+    planes = {"contiguous": np.ascontiguousarray(stack[:, :n]), "sliced": stack[:, :n],
+              "stride0": np.broadcast_to(stack[0, :n], (k, n, h, w, c))}[layout]
+    want = oracles.stack_means(planes)
+    got = grid.plane_means(planes)
+    assert got.shape == (n, h, w, c)
+    npt.assert_array_equal(_bits(got), _bits(want))
+
+
+@settings(deadline=None, max_examples=100)
+@given(f=st.sampled_from((1, 2, 3, 4, 8)), n=_EXTENT, h=_EXTENT, w=_EXTENT,
+       c=st.integers(2, 6), strided=st.booleans(), scale=st.floats(1e-3, 1e3),
+       neg_zero=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_pool_equals_ordered_loop(f, n, h, w, c, strided, scale, neg_zero, seed):
+    # codec.pool adds each cell's taps in row-major order from +0.0, for
+    # C-contiguous frames and for a channel slice of wider pixels alike, and
+    # over clips long enough to pool in several groups of frames
+    rng = np.random.default_rng(seed)
+    n, h, w = _fit(n, h, w, f * f * (c + strided))
+    v = _values(rng, (n, h * f, w * f, c + strided), scale, neg_zero)
+    if neg_zero:
+        v[:, :f, :f] = -0.0  # one cell of -0.0 only
+    frames = v[..., :c] if strided else v
+    want = oracles.cell_means(frames.reshape(n, h, f, w, f, c))
+    got = pool(frames, CodecConfig(f_s=f))
+    assert got.shape == (n, h, w, c)
+    npt.assert_array_equal(_bits(got), _bits(want))
+
+
+def test_plane_means_adds_eight_or_more_one_element_planes_pairwise():
+    # the one reduction that is not in order: one-element planes are a single
+    # reduction axis, which numpy adds pairwise from 8 values on. In order,
+    # every 1 added to 2**24 rounds away; pairwise, 1 + 1 pairs add up first.
+    x = np.array([2.0**24] + [1.0] * 7, FLOAT)
+    assert grid.plane_means(x[:7, None])[0] == oracles.stack_means(
+        x[:7, None, None, None, None])[0, 0, 0, 0] == FLOAT(2.0**24 / 7)
+    assert oracles.stack_means(x[:, None, None, None, None])[0, 0, 0, 0] == FLOAT(2.0**21)
+    assert grid.plane_means(x[:, None])[0] == FLOAT(2.0**21 + 0.75)
+    # stride-0 one-element planes too; two-element planes stay in order
+    one = np.broadcast_to(FLOAT(0.1), (8, 1, 1, 1, 1))
+    assert not np.array_equal(_bits(grid.plane_means(one)), _bits(oracles.stack_means(one)))
+    two = np.repeat(x[:, None, None, None, None], 2, axis=-1)
+    npt.assert_array_equal(_bits(grid.plane_means(two)), _bits(oracles.stack_means(two)))
+
+
+def test_pool_copies_a_long_clip_in_bounded_groups():
+    # an (81, 32, 32, 3) clip takes 995 KB; its taps are copied tap-major a
+    # bounded group of frames at a time, never the whole clip
+    v = np.random.default_rng(0).random((81, 32, 32, 3), dtype=FLOAT)
+    cfg = CodecConfig()
+    pool(v, cfg)
+    tracemalloc.start()
+    try:
+        got = pool(v, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < v.nbytes * 2 // 5, f"{peak} bytes at peak to pool a {v.nbytes}-byte clip"
+    npt.assert_array_equal(_bits(got), _bits(oracles.cell_means(v.reshape(81, 8, 4, 8, 4, 3))))
+
+
 def test_siv1_roundtrip_bit_exact(tmp_path):
     rng = np.random.default_rng(1)
     arr = rng.standard_normal((3, 4, 5, 2)).astype(FLOAT)
@@ -349,6 +450,28 @@ def test_as_f32_and_require_finite():
         as_f32([np.inf])
     with pytest.raises(ValueError):
         require_finite(np.array([np.nan]))
+
+
+@settings(deadline=None, max_examples=200)
+@given(shape=st.lists(st.integers(0, 4), max_size=4),
+       bad=st.sampled_from((np.nan, np.inf, -np.inf)),
+       n_bad=st.integers(0, 2), dtype=st.sampled_from((np.float32, np.float64)),
+       step=st.sampled_from((1, 2)), seed=st.integers(0, 2**32 - 1))
+def test_require_finite_rejects_exactly_the_non_finite_arrays(shape, bad, n_bad, dtype, step,
+                                                              seed):
+    # any non-finite value anywhere, in 0-d, empty, strided and float64
+    # arrays alike, and nothing else
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(shape).astype(dtype)
+    for _ in range(n_bad if a.size else 0):
+        a.flat[rng.integers(a.size)] = bad
+    if a.ndim:
+        a = a[::step]
+    if all(math.isfinite(x) for x in a.ravel().tolist()):
+        assert require_finite(a, "x") is a
+    else:
+        with pytest.raises(ValueError, match="^x contains non-finite values$"):
+            require_finite(a, "x")
 
 
 def test_canon_oracle_self_check():
