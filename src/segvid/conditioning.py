@@ -17,9 +17,9 @@ pooling would change bits), so this equals encoding the HR hybrid video (the
 tests check it against that construction).
 
 The denoiser's input puts the reference beside the noisy latents along
-channels, with the anchor as block 1: stage 2 packs each block's reference
-into the request's [z | ref] buffer when its segment reaches it
-(``stage2.infer_csg``), and the full-window path concatenates them.
+channels, with the anchor as block 1: the segment loop packs each block's
+reference into the request's [z | ref] buffer when its segment reaches it
+(``mixer.denoise_segments``).
 """
 
 from __future__ import annotations

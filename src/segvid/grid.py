@@ -17,9 +17,8 @@ of the format of any seeded artifact. A stream seeds its generator on its
 first draw, so a stream that is only split never builds one.
 
 The initial latent noise of a request's stage is one stream, drawn in block
-order: ``noise_filler`` hands out consecutive runs of blocks, which is how
-every denoising path visits them, and ``init_noise_blocks`` draws every block
-at once with the same bits.
+order: ``noise_filler`` hands out consecutive runs of blocks, the order in
+which the one denoising loop (``mixer.denoise_segments``) visits them.
 
 ``write_siv1`` rewrites an existing file in place rather than truncating it
 first, and writes the header last.
@@ -129,8 +128,8 @@ def noise_filler(rng: Rng, t: int):
 
     The noise is one float32 standard-normal stream,
     rng.split(SUB_INIT_NOISE), drawn in block order. Any chunking of it into
-    consecutive draws has the bits of one draw, so the windowed,
-    full-sequence and streaming paths see the same noise per block. A gap, a
+    consecutive draws has the bits of one draw, so every segment plan over
+    the t blocks, streamed or not, sees the same noise per block. A gap, a
     repeat or a block past t raises ValueError, so a traversal that skipped
     ahead fails instead of shifting the noise.
     """
@@ -149,14 +148,6 @@ def noise_filler(rng: Rng, t: int):
     return fill
 
 
-def init_noise_blocks(rng: Rng, t: int, h: int, w: int, c: int) -> np.ndarray:
-    """Initial latents: blocks 2..t at their noise (see noise_filler), block 1
-    zeroed (the caller installs the anchor there)."""
-    z = np.zeros(_check_dims((t, h, w, c)), FLOAT)
-    noise_filler(rng, t)(z[1:], 2)
-    return z
-
-
 def pixel_views(dst: np.ndarray, src: np.ndarray):
     """(dst, src) views for the copy dst[...] = src between arrays of
     (..., c) pixels. When both hold one dtype with unit-strided channels, the
@@ -170,6 +161,15 @@ def pixel_views(dst: np.ndarray, src: np.ndarray):
         pixel = f"V{c * dst.itemsize}"
         return dst.view(pixel), src.view(pixel)
     return dst, src
+
+
+def pixel_copy(src: np.ndarray) -> np.ndarray:
+    """A new C-contiguous FLOAT copy of an array of (..., c) pixels, such as
+    the z half of a [z | ref] buffer, copied through ``pixel_views``."""
+    out = np.empty(src.shape, FLOAT)
+    put, got = pixel_views(out, src)
+    put[...] = got
+    return out
 
 
 def plane_means(planes: np.ndarray) -> np.ndarray:

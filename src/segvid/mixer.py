@@ -32,32 +32,34 @@ residual stream and the readout, and for loss_and_grad the backward buffers
 and the gradient buffer. Every product writes into them with out= and every
 reduction into its buffer, and the embedding and softmax work in place. A
 forward or loss_and_grad call without one gets a fresh one, so its result
-is its own; the loops own theirs: stage2.infer_csg one per window length
-per request, denoise_full one per call, train_windows and eval_windows one
-per window length per run, all of a run's sharing one gradient buffer. The
-stacked and out= products give the bits of separate, fresh per-matrix
-products, which a test checks for the BLAS in use. No workspace or buffer
-is kept at module level: the streamer's producer thread runs windows too,
-and so may concurrent requests.
+is its own; the loops own theirs: denoise_segments one per window length
+per call, train_windows and eval_windows one per window length per run,
+all of a run's sharing one gradient buffer. The stacked and out= products
+give the bits of separate, fresh per-matrix products, which a test checks
+for the BLAS in use. No workspace or buffer is kept at module level: the
+streamer's producer thread runs windows too, and so may concurrent
+requests.
 
 denoise_window runs a window in place in a caller's [z | ref] input buffer,
 checked once per window: each step writes the window's tail back into the
 buffer's z channels as whole pixels (grid.pixel_views), and the
 conditioning prefix and the reference half stay as the caller built them.
-A stage-2 request's latents live in the z half of one packed (t, h, w, 2c)
-buffer of this layout, and a training pair is packed the same way, [clean |
-ref], before its run. An inference segment and a training draw are one thing,
-segment s of a plan over such a buffer, and scheduler.window_gather is the
-one gather of its window: into a request's buffer of that length (see
-stage2.infer_csg), or into a run's Window, whose step noises only the tail.
-Stage 1's window is segment 1 of plan(t, t - 1, 0), the whole clip.
-denoise_full builds its one window by concatenation.
+denoise_segments is the one denoising loop, and the only caller of
+denoise_window: an inference request's latents live in the z half of one
+packed (t, h, w, 2c) buffer of this layout, and a training pair is packed
+the same way, [clean | ref], before its run. An inference segment and a
+training draw are one thing, segment s of a plan over such a buffer, and
+scheduler.window_gather is the one gather of its window: into the loop's
+buffer of that length, or into a run's Window, whose step noises only the
+tail. A window that is the whole buffer, the one segment of a plan with
+M >= t - 1, is run in place instead. Stage 1's window is segment 1 of
+plan(t, t - 1, 0), the whole clip.
 
 Both pipeline stages are this denoiser. A stage model is the mixer parameters
 plus the codec and sigma schedule it was trained with; a stage differs from
-the other only in its window policy (which blocks, which reference). The
-shared pieces live here: the seeded initial latents, the full-window denoise,
-the teacher-forced window loss that is `denoise_window`'s training twin, the
+the other only in its window policy (which blocks, which reference, which
+initial latents). The shared pieces live here: the segment loop, the
+teacher-forced window loss that is `denoise_window`'s training twin, the
 training loop with its divergence guard, the evaluation loss, and the
 checkpoint files.
 """
@@ -74,8 +76,7 @@ import numpy as np
 
 from . import scheduler
 from .codec import CodecConfig, latent_shape
-from .grid import (FLOAT, SUB_TRAIN, Rng, init_noise_blocks, pixel_views, read_siv1,
-                   require_finite, write_siv1)
+from .grid import FLOAT, SUB_TRAIN, Rng, pixel_views, read_siv1, require_finite, write_siv1
 
 MASK_MODES = ("bidirectional", "causal")
 
@@ -459,9 +460,8 @@ def denoise_window(p: MixerParams, sigmas, zr: np.ndarray, tail: np.ndarray, ind
     ladder). The tail is written into zr's z channels, then each step makes
     one forward pass over zr, applies the Euler update to the tail only and
     writes it back, whole pixels at a time (grid.pixel_views); the prefix and
-    the reference half are never written. Every denoising path in the
-    package funnels through here, which is what makes the sequential /
-    streaming / single-window variants bit-identical.
+    the reference half are never written. Its one caller in the package is
+    denoise_segments.
 
     on_step(k, z, idx), if given, observes zr's z channels (a view) after
     each step.
@@ -489,6 +489,56 @@ def denoise_window(p: MixerParams, sigmas, zr: np.ndarray, tail: np.ndarray, ind
         put[...] = got
         if on_step is not None:
             on_step(k, zr[..., :c], idx)
+
+
+def denoise_segments(p: MixerParams, sigmas, plan, anchor: np.ndarray, ref: np.ndarray, fill,
+                     on_step=None, on_segment=None) -> np.ndarray:
+    """The package's one denoising loop: the plan's segments in order, each
+    over the whole sigma ladder, in one packed (t, h, w, 2c) [z | ref] buffer
+    of p's dtype, the call's own, whose block 1 is [anchor | ref[0]] and whose
+    other blocks stay zero until their segment. A segment packs its blocks'
+    rows of ref (t, h, w, c), takes their initial latents from
+    fill(out, first_block) (grid.noise_filler's interface) into a tail
+    buffer, and runs denoise_window on its window: in place when the window
+    is the whole buffer (a one-segment plan), else gathered once into the
+    call's buffer and Workspace of its length (a plan has at most three),
+    its tail then stored in the z half. Conditioning content is never
+    written. on_step(s, k, window, idx) observes each step, the window's z
+    channels (a view valid until the next step); on_segment(s, z) the z half
+    after each segment. Returns the z half, a view of the buffer."""
+    t = plan.t
+    if ref.shape[0] != t:
+        raise ValueError(f"reference has {ref.shape[0]} blocks, plan expects {t}")
+    h, w, c = anchor.shape
+    packed = np.zeros((t, h, w, 2 * c), p.flat.dtype)
+    packed[0, ..., :c], packed[0, ..., c:] = anchor, ref[0]
+    z = packed[..., :c]
+    tails = np.empty((min(plan.M, t - 1), h, w, c), FLOAT)
+    put_ref, got_ref = pixel_views(packed[..., c:], ref)
+    gather = plan.S > 1  # else segment 1's window is the whole buffer
+    if gather:
+        put_z, got_z = pixel_views(z, tails)
+    windows = {}
+    for s in range(1, plan.S + 1):
+        a, m = plan.a[s - 1], len(plan.I[s - 1])
+        rows = slice(a - 1, a - 1 + m)
+        put_ref[rows] = got_ref[rows]
+        tail = tails[:m]
+        fill(tail, a)
+        n = len(plan.W[s - 1])
+        if n not in windows:
+            windows[n] = (np.empty((n, h, w, 2 * c), packed.dtype) if gather else packed,
+                          Workspace(p, n))
+        win, ws = windows[n]
+        if gather:
+            scheduler.window_gather(packed, plan, s, out=win)
+        hook = None if on_step is None else (lambda k, zw, idx, _s=s: on_step(_s, k, zw, idx))
+        denoise_window(p, sigmas, win, tail, plan.W[s - 1], ws, on_step=hook)
+        if gather:
+            put_z[rows] = got_z[:m]
+        if on_segment is not None:
+            on_segment(s, z)
+    return z
 
 
 def save_params(p: MixerParams, out_dir: str) -> None:
@@ -552,25 +602,6 @@ def new_model(seed: int, height: int, width: int, codec_cfg: CodecConfig, d: int
                         mask_mode=mask_mode,
                         zero_rows=ref_rows(h, w, c) if inert_ref else None)
     return StageModel(params=params, codec_cfg=codec_cfg, schedule=default_schedule(K))
-
-
-def init_latents(z_x: np.ndarray, t: int, seed: int, key: int) -> np.ndarray:
-    """Anchor z_x installed at block 1, blocks 2..t at their seeded initial
-    noise. Each stage draws under its own `key`, so the streams never collide."""
-    z = init_noise_blocks(Rng(seed).split(key), t, *z_x.shape)
-    z[0] = z_x
-    return z
-
-
-def denoise_full(p: MixerParams, sigmas, z: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """All t blocks in one window, block 1 (the anchor) held fixed. The
-    window, its tail and its Workspace are this call's own; the inputs are
-    only read, and the result is a new contiguous array."""
-    t = z.shape[0]
-    zr = np.concatenate([z, ref], axis=-1, dtype=p.flat.dtype)
-    tail = np.array(z[1:])
-    denoise_window(p, sigmas, zr, tail, range(1, t + 1), Workspace(p, t))
-    return np.concatenate([z[:1], tail])
 
 
 class Window:

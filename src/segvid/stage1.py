@@ -3,12 +3,13 @@ denoiser.
 
 Its LR video is the HR video pooled once by the codec's f_s (``low_res``),
 which it encodes, pooling by f_s again; ``lr_size`` checks that both divide.
-Stage 1 is the segment plan with M = t-1 and N = 0: a single window that
-holds every block, conditioned by channel-concatenating the broadcast anchor
-latent (the encoded first frame) to every block. Block 1 holds the anchor
-content and is never updated by the sampler. Also exposes partial denoising
-from an intermediate noise level, which the stage-transition synthesizer
-drives.
+Stage 1 is the segment loop (``mixer.denoise_segments``) over the plan with
+M = t-1 and N = 0: one window, run in place, that holds every block,
+conditioned by the broadcast anchor latent (the encoded first frame) as
+every block's reference. Block 1 holds the anchor content and is never
+updated by the sampler. Partial denoising from an intermediate noise level,
+which the stage-transition synthesizer drives, is the same loop from the
+caller's latents, with a sigma ladder of its own.
 
 Stage 1 hands its rollout to stage 2 as latents (``generate_lr``), not as a
 decoded LR video: stage 2 only needs each block's mean frame, which
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import mixer, scheduler
 from .codec import CodecConfig, encode, latent_shape, pool
-from .grid import as_f32
+from .grid import Rng, as_f32, noise_filler, pixel_copy
 
 NOISE_KEY = 1  # initial-noise key of this stage; stage 2 uses 2
 
@@ -62,6 +63,20 @@ def load_stage1(in_dir: str) -> mixer.StageModel:
     return mixer.load_model(in_dir, "stage1")
 
 
+def _rollout(model: mixer.StageModel, sigmas, anchor: np.ndarray, z_x: np.ndarray, t: int,
+             fill) -> np.ndarray:
+    """The t latents of plan(t, t - 1, 0) from anchor and fill, with the
+    broadcast anchor latent z_x as the reference, as a new array; for t = 1,
+    a copy of the anchor (there is nothing to denoise)."""
+    if t == 1:
+        return anchor[None].copy()
+    # np.broadcast_to's stride-0 view of the contiguous z_x, without its nditer
+    ref = np.ndarray((t, *z_x.shape), z_x.dtype, z_x, 0, (0, *z_x.strides))
+    z = mixer.denoise_segments(model.params, sigmas, scheduler.plan(t, t - 1, 0), anchor, ref,
+                               fill)
+    return pixel_copy(z)
+
+
 def generate_lr(model: mixer.StageModel, x_lr: np.ndarray, T: int, seed: int) -> np.ndarray:
     """Latents (t, h, w, c) of a T-frame LR video whose first frame
     reconstructs x_lr; ``codec.decode`` turns them into the video."""
@@ -71,9 +86,8 @@ def generate_lr(model: mixer.StageModel, x_lr: np.ndarray, T: int, seed: int) ->
     cfg = model.codec_cfg
     t = latent_shape(T, x.shape[0], x.shape[1], cfg)[0]
     z_x = encode(x[None], cfg)[0]
-    z = mixer.init_latents(z_x, t, seed, NOISE_KEY)
-    ref = np.broadcast_to(z_x, z.shape)
-    return mixer.denoise_full(model.params, model.schedule.sigmas, z, ref)
+    return _rollout(model, model.schedule.sigmas, z_x, z_x, t,
+                    noise_filler(Rng(seed).split(NOISE_KEY), t))
 
 
 def denoise_from(model: mixer.StageModel, z_noisy: np.ndarray, x_lr: np.ndarray,
@@ -86,7 +100,8 @@ def denoise_from(model: mixer.StageModel, z_noisy: np.ndarray, x_lr: np.ndarray,
     if z_noisy.shape[1:] != z_x.shape:
         raise ValueError(f"latent blocks {z_noisy.shape[1:]} do not match anchor {z_x.shape}")
     z = as_f32(z_noisy, "z_noisy")
-    return mixer.denoise_full(model.params, sigmas, z, np.broadcast_to(z_x, z.shape))
+    return _rollout(model, sigmas, z[0], z_x, len(z),
+                    lambda out, a: np.copyto(out, z[a - 1:a - 1 + len(out)]))
 
 
 def _draws(latents):

@@ -1,21 +1,17 @@
 """Segment-wise denoising for the high-resolution stage.
 
-Inference walks the segment plan in order. A request's latents live in the
-z half of one packed (t, h, w, 2c) [z | ref] buffer, the denoiser's input
-layout, whose blocks stay zero until their segment. Each segment packs the
-reference of its own blocks, draws their initial noise into a contiguous
-tail buffer, gathers its window (scheduler.window_gather), a conditioning
-prefix (anchor, up to N finalized neighbors) followed by a noisy tail (the
-segment's own blocks), into the request's window buffer of that length, runs
-the full sigma ladder there, and stores the tail in the z half as one
-contiguous run of global blocks. Conditioning content is never written, so
-the anchor and all finalized history are bit-stable for the rest of the run,
-and a finished segment can be decoded immediately.
+Inference is the package's one denoising loop, mixer.denoise_segments, over
+a segment plan: a conditioning prefix (anchor, up to N finalized neighbors)
+followed by a noisy tail (the segment's own blocks) per window, with the
+hybrid reference and this stage's initial-noise stream. Conditioning
+content is never written, so the anchor and all finalized history are
+bit-stable for the rest of the run, and a finished segment can be decoded
+immediately.
 
-Stage 1 is the one-window case of the same denoiser; the stages share the
-model type, the window loss and the training loop (see mixer). What is this
-stage's own is its policy: (M, N) drawn from MN_CHOICES, a seeded segment of
-that plan as the training window, the hybrid reference, reference input rows
+Stage 1 is the one-window case of the same loop; the stages share the
+model type, that loop, the window loss and the training loop (see mixer).
+What is this stage's own is its policy: (M, N) drawn from MN_CHOICES, a
+seeded segment of that plan as the training window, the hybrid reference, reference input rows
 that start zero-initialized (a fresh model ignores reference content until
 training moves those weights), and a 7:3 mix of transition and plain
 downsampled pairs (`stage1.low_res(v, cfg)`, v). Training and evaluation take
@@ -32,7 +28,7 @@ import numpy as np
 from . import mixer, scheduler, stage1 as stage1_mod
 from .codec import CodecConfig, decode_group_means, group_means, lift
 from .conditioning import StageTwoInput, encode_reference
-from .grid import FLOAT, Rng, as_f32, noise_filler, pixel_views
+from .grid import Rng, as_f32, noise_filler, pixel_copy
 
 MN_CHOICES = ((2, 1), (2, 2), (3, 1), (3, 2))
 TRANSITION_SHARE = 0.7  # transition pairs vs plain downsampled pairs
@@ -53,61 +49,13 @@ def load_stage2(in_dir: str) -> mixer.StageModel:
 
 def infer_csg(model: mixer.StageModel, inp: StageTwoInput, p: scheduler.SegmentPlan,
               seed: int, on_step=None, on_segment=None) -> np.ndarray:
-    """Sequential segment-wise inference. Deterministic per seed.
-
-    The packed [z | ref] buffer (see the module docstring) is in the
-    parameters' dtype. A segment packs the reference of its own blocks and
-    draws their initial noise from the request's one noise stream when the
-    loop reaches it, with the same bits as mixer.init_latents (see
-    grid.noise_filler), so no per-block work precedes segment 1. It gathers
-    its window's rows once (scheduler.window_gather with out=) and runs the
-    ladder with the request's Workspace of that length. A plan has at most
-    three window lengths, so a request builds at most three window buffers
-    and Workspaces; every buffer is the request's own.
-
-    on_step(s, k, window, idx) observes each denoise step, the window's z
-    channels (a view valid until the next step); on_segment(s, z) observes
-    the z half after each segment. Returns the latents as a new (t, h, w, c)
-    float32 array.
-    """
-    if inp.z_ref.shape[0] != p.t:
-        raise ValueError(f"reference has {inp.z_ref.shape[0]} blocks, plan expects {p.t}")
-    params, sigmas = model.params, model.schedule.sigmas
-    h, w, c = inp.z_x.shape
-    packed = np.zeros((p.t, h, w, 2 * c), params.flat.dtype)
-    packed[0, ..., :c], packed[0, ..., c:] = inp.z_x, inp.z_ref[0]
-    z = packed[..., :c]
-    tails = np.empty((min(p.M, p.t - 1), h, w, c), FLOAT)
-    put_ref, got_ref = pixel_views(packed[..., c:], inp.z_ref)
-    put_z, got_z = pixel_views(z, tails)
-    windows = {}
+    """mixer.denoise_segments over the plan from the anchor latent, with the
+    hybrid reference and this stage's initial-noise stream, drawn as the
+    loop reaches each segment; on_step and on_segment are the loop's.
+    Returns the latents as a new (t, h, w, c) float32 array."""
     fill = noise_filler(Rng(seed).split(NOISE_KEY), p.t)
-    for s in range(1, p.S + 1):
-        a, m = p.a[s - 1], len(p.I[s - 1])
-        rows = slice(a - 1, a - 1 + m)
-        put_ref[rows] = got_ref[rows]
-        tail = tails[:m]
-        fill(tail, a)
-        n = len(p.W[s - 1])
-        if n not in windows:
-            windows[n] = (np.empty((n, h, w, 2 * c), packed.dtype), mixer.Workspace(params, n))
-        buf, ws = windows[n]
-        win, idx = scheduler.window_gather(packed, p, s, out=buf)
-        hook = None if on_step is None else (lambda k, zw, idx, _s=s: on_step(_s, k, zw, idx))
-        mixer.denoise_window(params, sigmas, win, tail, idx, ws, on_step=hook)
-        put_z[rows] = got_z[:m]
-        if on_segment is not None:
-            on_segment(s, z)
-    out = np.empty((p.t, h, w, c), FLOAT)
-    put, got = pixel_views(out, z)
-    put[...] = got
-    return out
-
-
-def infer_full(model: mixer.StageModel, inp: StageTwoInput, seed: int) -> np.ndarray:
-    """Whole-sequence denoising in one window (no segmentation), anchor fixed."""
-    z = mixer.init_latents(inp.z_x, inp.z_ref.shape[0], seed, NOISE_KEY)
-    return mixer.denoise_full(model.params, model.schedule.sigmas, z, inp.z_ref)
+    return pixel_copy(mixer.denoise_segments(model.params, model.schedule.sigmas, p, inp.z_x,
+                                             inp.z_ref, fill, on_step, on_segment))
 
 
 def pair_latents(cfg: CodecConfig, v_ref_lr: np.ndarray, z0: np.ndarray) -> np.ndarray:

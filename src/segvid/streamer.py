@@ -1,19 +1,20 @@
 """Streaming runtime: overlap segment denoising with block decoding.
 
-Streaming is the sequential segment loop, `stage2.infer_csg`, plus a consumer
-that decodes each finished segment's blocks and emits its frame groups
-immediately (the anchor frame rides with the first group). The consumer
-decodes each block straight into its frames of the one (T, H, W, 3) video
-array, allocated up front, so the video is held once. Because a segment's
-blocks are final the moment its window finishes, the emitted video is
-bit-identical to running the sequential loop followed by a full decode, for
-any queue capacity and any interleaving. Threads mode runs the loop on a
-producer thread and hands each segment to the consumer through a bounded
-FIFO queue; a hand-off to an idle consumer waits until the consumer holds
-the segment, so the consumer gets the GIL as soon as a segment lands, and
-the producer runs ahead only while the consumer is busy. Serial mode decodes
-each segment from inside the loop, in a deterministic denoise-one/decode-one
-interleave.
+Streaming is the sequential segment loop, `mixer.denoise_segments` run as
+`stage2.infer_csg` runs it but without copying out the latents, plus a
+consumer that decodes each finished segment's blocks and emits its frame
+groups immediately (the anchor frame rides with the first group). The
+consumer decodes each block straight into its frames of the one
+(T, H, W, 3) video array, allocated up front, so the video is held once.
+Because a segment's blocks are final the moment its window finishes, the
+emitted video is bit-identical to running the sequential loop followed by a
+full decode, for any queue capacity and any interleaving. Threads mode runs
+the loop on a producer thread and hands each segment to the consumer
+through a bounded FIFO queue; a hand-off to an idle consumer waits until the
+consumer holds the segment, so the consumer gets the GIL as soon as a
+segment lands, and the producer runs ahead only while the consumer is busy.
+Serial mode decodes each segment from inside the loop, in a deterministic
+denoise-one/decode-one interleave.
 
 predict_timing is the idealized pipelining model: decoding of segment s can
 start once segment s is denoised and segment s-1 is decoded. It ignores
@@ -31,10 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import stage2
+from . import mixer, stage2
 from .codec import decode_block, frames_for_block, video_shape
 from .conditioning import StageTwoInput
-from .grid import FLOAT
+from .grid import FLOAT, Rng, noise_filler
 from .mixer import StageModel
 from .scheduler import SegmentPlan
 
@@ -133,7 +134,9 @@ def run_streaming(model: StageModel, inp: StageTwoInput, p: SegmentPlan,
         mark = time.monotonic()
 
     def produce():
-        stage2.infer_csg(model, inp, p, seed, on_segment=on_segment)
+        mixer.denoise_segments(model.params, model.schedule.sigmas, p, inp.z_x, inp.z_ref,
+                               noise_filler(Rng(seed).split(stage2.NOISE_KEY), p.t),
+                               on_segment=on_segment)
 
     if mode == "serial":
         hand_off = consume

@@ -11,8 +11,10 @@ one buffer (one array per matrix, separate projections, np.where and
 concatenation: the bit-for-bit references for the packed forms), the stage-1
 loss and LR rollout as they were before stage 1 became the one-window case
 of the shared denoiser (the bit-for-bit references for that fold), the
-per-step `train_step`s of both stages, the zero-parameter null models, the
-stage-2 input layout as one tensor, and the transition-pair reader. It also
+initial latents as the retired full-window path drew them, all blocks in
+one draw (`init_noise_blocks`, `init_latents`), the per-step `train_step`s
+of both stages, the zero-parameter null models, the stage-2 input layout as
+one tensor, and the transition-pair reader. It also
 keeps the stage-2 conditioning built the obvious way, by encoding the HR
 hybrid video with `encode_loop` (numpy's mean, not the package's pooling),
 the reference for `conditioning.encode_reference`; the stage-2 inputs built
@@ -36,7 +38,7 @@ import numpy as np
 from segvid import mixer, stage1, stage2
 from segvid.codec import CodecConfig, channel_lift, decode, encode, lift
 from segvid.conditioning import StageTwoInput
-from segvid.grid import FLOAT, _check_dims, as_f32, read_siv1
+from segvid.grid import FLOAT, SUB_INIT_NOISE, Rng, _check_dims, as_f32, read_siv1
 
 
 def plan_bruteforce(t, M, N):
@@ -399,6 +401,23 @@ def stage1_loss_terms(params, z0, rng):
     mask[0] = False
     return mixer.loss_and_grad(params, x, z0.reshape(t, -1), mask, sigma,
                                eps.reshape(t, -1), indices=range(1, t + 1))
+
+
+def init_noise_blocks(rng, t, h, w, c):
+    """Initial latents as the retired full-window path drew them: block 1
+    zeroed, blocks 2..t from one draw of the stream rng.split(SUB_INIT_NOISE),
+    the bits of every chunking of `grid.noise_filler`."""
+    z = np.zeros((t, h, w, c), FLOAT)
+    z[1:] = rng.split(SUB_INIT_NOISE).normal((t - 1, h, w, c))
+    return z
+
+
+def init_latents(z_x, t, seed, key):
+    """The anchor z_x at block 1 and blocks 2..t at a stage's initial noise,
+    drawn under its key (stage1.NOISE_KEY or stage2.NOISE_KEY)."""
+    z = init_noise_blocks(Rng(seed).split(key), t, *z_x.shape)
+    z[0] = z_x
+    return z
 
 
 def anchored_denoise(params, sigmas, z, z_x):

@@ -6,7 +6,10 @@ request makes K1 + K2·S `mixer.forward` calls, that each `codec.decode` and
 each `streamer.run_streaming` decodes through t direct `decode_block` calls,
 and that every stage-2 window is gathered by `scheduler.window_gather` within
 the (1 + N + M)·h·w token budget. These tests count the same calls the same
-way, so a refactor that would break those checks fails here first. They also
+way, so a refactor that would break those checks fails here first. A
+window that is the whole request buffer (stage 1's, and a one-segment
+stage-2 plan's) is denoised in place, not gathered, so stage 1's window
+stays out of that budget check. They also
 pin that stage 1 hands stage 2 its latents: the LR video is never decoded,
 so a generate request's one `codec.decode` is the HR video's, and a streamed
 request makes none. A train command makes one `mixer.loss_and_grad` call per
@@ -86,14 +89,18 @@ def _decodes_per_call(monkeypatch, counters):
     return per_call
 
 
-@pytest.mark.parametrize("T, M, N", [(17, 3, 1), (49, 2, 2), (33, 3, 2)])
+@pytest.mark.parametrize("T, M, N", [(17, 3, 1), (49, 2, 2), (33, 3, 2), (17, 4, 0)])
 def test_generate_request_call_counts(monkeypatch, request_parts, counters, T, M, N):
     s1, s2, image = request_parts
     decodes = _decodes_per_call(monkeypatch, counters)
+    workspaces = Counter(monkeypatch, [mixer], "Workspace")
     inp = stage2.pipeline_inputs(s1, s2, image, T, seed=5)
     p = scheduler.plan(inp.z_ref.shape[0], M, N)
-    assert len(counters["forward"]) == s1.schedule.K  # stage 1: one window
-    workspaces = Counter(monkeypatch, [mixer], "Workspace")
+    # stage 1: one window, the whole buffer, denoised in place, not gathered
+    assert len(counters["forward"]) == s1.schedule.K
+    assert [args[1] for args, _ in workspaces.calls] == [inp.z_ref.shape[0]]
+    assert len(counters["window_gather"]) == 0
+    workspaces.calls.clear()
     codec.decode(stage2.infer_csg(s2, inp, p, seed=5), s2.codec_cfg)
     assert len(counters["forward"]) == s1.schedule.K + s2.schedule.K * p.S
     lengths = [args[1] for args, _ in workspaces.calls]
@@ -101,10 +108,11 @@ def test_generate_request_call_counts(monkeypatch, request_parts, counters, T, M
     assert decodes == [p.t]  # the HR video's; stage 1 hands over latents
     h, w = inp.z_x.shape[:2]
     gathered = [args[2] for args, _ in counters["window_gather"].calls]
-    assert sorted(set(gathered)) == list(range(1, p.S + 1))
+    # a one-segment plan's window is the whole buffer too
+    assert sorted(set(gathered)) == (list(range(1, p.S + 1)) if p.S > 1 else [])
     tokens = [args[0].shape[1] * args[0].shape[2] * len(p.W[args[2] - 1])
               for args, _ in counters["window_gather"].calls]
-    assert max(tokens) <= (1 + N + M) * h * w
+    assert max(tokens, default=0) <= (1 + N + M) * h * w
 
 
 def test_concurrent_requests_each_get_their_own_bits(request_parts):

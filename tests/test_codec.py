@@ -1,8 +1,10 @@
 """Codec tests: block arithmetic, pooling fidelity, channel lift."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -239,3 +241,32 @@ def test_no_public_function_takes_a_pooling_factor():
                       for p in inspect.signature(f).parameters
                       if "factor" in p or p in ("f", "f_s", "scale")]
     assert found == []
+
+
+def test_only_the_segment_loop_calls_denoise_window():
+    # the package has one denoising loop, mixer.denoise_segments: no other
+    # function in src/segvid names mixer.denoise_window, to call it or to
+    # hand it on
+    found = []
+    for path in sorted(Path(segvid.__file__).parent.glob("*.py")):
+        scope = []
+
+        class Refs(ast.NodeVisitor):
+            def visit_FunctionDef(self, node):
+                scope.append(node.name)
+                self.generic_visit(node)
+                scope.pop()
+
+            visit_AsyncFunctionDef = visit_ClassDef = visit_FunctionDef
+
+            def visit_Name(self, node):
+                if node.id == "denoise_window":
+                    found.append(".".join([path.stem, *scope]))
+
+            def visit_Attribute(self, node):
+                if node.attr == "denoise_window":
+                    found.append(".".join([path.stem, *scope]))
+                self.generic_visit(node)
+
+        Refs().visit(ast.parse(path.read_text(), str(path)))
+    assert found == ["mixer.denoise_segments"]

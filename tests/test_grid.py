@@ -24,8 +24,8 @@ from hypothesis import given, settings, strategies as st
 
 from segvid import grid
 from segvid.codec import CodecConfig, pool
-from segvid.grid import (FLOAT, SUB_INIT_NOISE, Rng, as_f32, init_noise_blocks, noise_filler,
-                         read_siv1, require_finite, write_siv1)
+from segvid.grid import (FLOAT, SUB_INIT_NOISE, Rng, as_f32, noise_filler, read_siv1,
+                         require_finite, write_siv1)
 
 import oracles
 
@@ -74,12 +74,13 @@ def test_rng_rejects_bad_seeds():
         Rng("7")
 
 
-def test_init_noise_blocks_keyed_per_block():
-    z = init_noise_blocks(Rng(3), 5, 2, 2, 3)
-    assert np.array_equal(z[0], np.zeros((2, 2, 3), FLOAT))
+def test_noise_filler_keyed_per_block():
     # block content depends only on (seed, block index), not on t
-    z9 = init_noise_blocks(Rng(3), 9, 2, 2, 3)
-    npt.assert_array_equal(z9[:5], z)
+    z = np.empty((4, 2, 2, 3), FLOAT)
+    noise_filler(Rng(3), 5)(z, 2)
+    z9 = np.empty((8, 2, 2, 3), FLOAT)
+    noise_filler(Rng(3), 9)(z9, 2)
+    npt.assert_array_equal(z9[:4], z)
 
 
 EDGE_SEEDS = (0, 2**32 - 1, 2**32, 2**64 - 1)
@@ -92,11 +93,9 @@ EDGE_SEEDS = (0, 2**32 - 1, 2**32, 2**64 - 1)
        data=st.data())
 def test_noise_filler_chunkings_equal_init_noise_blocks(seed, key, t, block, data):
     # any chunking of blocks 2..t into consecutive fills draws the bits of
-    # init_noise_blocks, which draws them all at once from the one stream
-    # rng.split(SUB_INIT_NOISE)
+    # one draw of them all from the stream rng.split(SUB_INIT_NOISE)
     rng = Rng(seed).split(*key)
-    want = init_noise_blocks(rng, t, *block)
-    assert want[1:].tobytes() == rng.split(SUB_INIT_NOISE).normal((t - 1,) + block).tobytes()
+    want = oracles.init_noise_blocks(rng, t, *block)
     fill = noise_filler(rng, t)
     got = np.full((t,) + block, np.nan, FLOAT)
     first = 2
@@ -129,7 +128,7 @@ def test_noise_filler_rejects_blocks_outside_its_range():
     fill(out[3:6], 4)
     fill(out[6:], 7)  # an empty run at the next block draws nothing
     rejects(7, 1, "blocks 7..7")
-    assert out[1:].tobytes() == init_noise_blocks(Rng(1), 6, *blk)[1:].tobytes()
+    assert out[1:].tobytes() == oracles.init_noise_blocks(Rng(1), 6, *blk)[1:].tobytes()
 
 
 def test_noise_filler_threads_draw_on_their_own_generators():
@@ -138,7 +137,7 @@ def test_noise_filler_threads_draw_on_their_own_generators():
     # give alone on one thread
     t, block, runs = 161, (2, 2, 4), 30
     rngs = [Rng(seed).split(9) for seed in range(2)]
-    want = [init_noise_blocks(r, t, *block)[1:].tobytes() for r in rngs]
+    want = [oracles.init_noise_blocks(r, t, *block)[1:].tobytes() for r in rngs]
     got = [[] for _ in rngs]
     start = threading.Barrier(len(rngs))
 
@@ -178,7 +177,7 @@ def test_rng_seeds_its_generator_on_first_draw(monkeypatch):
     g = Rng(5)
     child = g.split(1).split(2, 3)
     assert made == []  # split-only streams seed no SeedSequence
-    init_noise_blocks(g.split(7), 9, 2, 2, 3)
+    noise_filler(g.split(7), 9)(np.empty((8, 2, 2, 3), FLOAT), 2)
     assert made == [{"entropy": 5, "spawn_key": (7, SUB_INIT_NOISE)}]  # one for all blocks
     made.clear()
     a = child.normal((4,))

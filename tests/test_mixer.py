@@ -337,7 +337,7 @@ def _readonly(a):
 
 
 @pytest.mark.parametrize("broadcast_ref", [False, True])
-def test_denoise_full_never_writes_its_inputs_or_returns_its_buffer(broadcast_ref):
+def test_denoise_segments_never_writes_its_inputs_or_shares_its_buffer(broadcast_ref):
     p = mixer.init_mixer(Rng(14), d_in=2 * 2 * 2 * 3, d_out=2 * 2 * 3, d=8)
     g = np.random.default_rng(8)
     z = _readonly(g.standard_normal((4, 2, 2, 3)).astype(FLOAT))
@@ -347,19 +347,27 @@ def test_denoise_full_never_writes_its_inputs_or_returns_its_buffer(broadcast_re
     assert not z.flags.writeable and not ref.flags.writeable
     z0, ref0 = z.tobytes(), np.ascontiguousarray(ref).tobytes()
     sigmas = mixer.default_schedule(3).sigmas
-    a = mixer.denoise_full(p, sigmas, z, ref)
-    a_bytes = a.tobytes()
-    assert z.tobytes() == z0 and np.ascontiguousarray(ref).tobytes() == ref0
-    assert a.flags.c_contiguous and a.flags.writeable and a.flags.owndata
-    assert not np.shares_memory(a, z) and not np.shares_memory(a, ref)
-    assert a[0].tobytes() == z[0].tobytes()  # the anchor is held
-    want = oracles.denoise_window_concat(lambda x, s: mixer.forward(p, x, s, (1, 2, 3, 4)),
-                                         sigmas, z, ref, np.arange(4) >= 1)
-    assert a_bytes == want.tobytes()
-    b = mixer.denoise_full(p, sigmas, z, ref)
-    assert a.tobytes() == a_bytes == b.tobytes()  # a later call leaves it alone
-    b[:] = 0.0  # and writing one result changes no other
-    assert a.tobytes() == a_bytes
+
+    def fill(out, a):
+        out[...] = z[a - 1:a - 1 + len(out)]
+
+    # the whole buffer as one window, run in place, and gathered windows
+    for plan in (scheduler.plan(4, 3, 0), scheduler.plan(4, 1, 1)):
+        a = mixer.denoise_segments(p, sigmas, plan, z[0], ref, fill)
+        a_bytes = a.tobytes()
+        assert z.tobytes() == z0 and np.ascontiguousarray(ref).tobytes() == ref0
+        assert a.flags.writeable and a.shape == z.shape
+        assert not np.shares_memory(a, z) and not np.shares_memory(a, ref)
+        assert a[0].tobytes() == z[0].tobytes()  # the anchor is held
+        if plan.S == 1:
+            want = oracles.denoise_window_concat(
+                lambda x, s: mixer.forward(p, x, s, (1, 2, 3, 4)), sigmas, z, ref,
+                np.arange(4) >= 1)
+            assert a_bytes == want.tobytes()
+        b = mixer.denoise_segments(p, sigmas, plan, z[0], ref, fill)
+        assert a.tobytes() == a_bytes == b.tobytes()  # a later call leaves it alone
+        b[:] = 0.0  # and writing one result changes no other
+        assert a.tobytes() == a_bytes
 
 
 def _address(a):

@@ -7,10 +7,11 @@ import copy
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from segvid import cli, mixer, scheduler, stage1, synth
 from segvid.codec import CodecConfig, decode, encode
-from segvid.grid import SUB_TRAIN, Rng, init_noise_blocks
+from segvid.grid import FLOAT, SUB_TRAIN, Rng, noise_filler
 
 import oracles
 
@@ -69,7 +70,7 @@ def test_denoise_from_schedule_equivalence():
     T, seed = 17, 5
     via_generate = stage1.generate_lr(model, x, T, seed)
     cfg = model.codec_cfg
-    z = init_noise_blocks(Rng(seed).split(1), 5, 2, 2, 4)
+    z = oracles.init_noise_blocks(Rng(seed).split(1), 5, 2, 2, 4)
     z[0] = encode(x[None], cfg)[0]
     via_partial = stage1.denoise_from(model, z, x, 1.0, model.schedule.K)
     npt.assert_array_equal(via_partial, via_generate)
@@ -210,7 +211,55 @@ def test_generate_lr_equals_retired_rollout(T):
         model = stage1.new_stage1(seed)
         x = np.random.default_rng(seed).random((8, 8, 3), dtype=np.float32)
         z_x = encode(x[None], cfg)[0]
-        z = init_noise_blocks(Rng(seed).split(1), 1 + (T - 1) // cfg.f_t, *z_x.shape)
-        z[0] = z_x
+        z = oracles.init_latents(z_x, 1 + (T - 1) // cfg.f_t, seed, stage1.NOISE_KEY)
         want = oracles.anchored_denoise(model.params, model.schedule.sigmas, z, z_x)
         npt.assert_array_equal(stage1.generate_lr(model, x, T, seed), want)
+
+
+@settings(deadline=None, max_examples=40)
+@given(t=st.integers(2, 40), seed=st.integers(0, 2**64 - 1),
+       sigma_start=st.floats(0.0, 1.0, exclude_min=True), steps=st.integers(1, 6))
+def test_rollouts_equal_anchored_denoise(t, seed, sigma_start, steps):
+    # both stage-1 rollouts, run by the segment loop in place over the one
+    # window of plan(t, t - 1, 0), give the bits of the whole clip in one
+    # concatenating window, with the initial noise drawn through noise_filler
+    model = stage1.new_stage1(seed % 5)
+    cfg = model.codec_cfg
+    x = np.random.default_rng(seed).random((8, 8, 3), dtype=np.float32)
+    z_x = encode(x[None], cfg)[0]
+    z = np.empty((t, *z_x.shape), FLOAT)
+    z[0] = z_x
+    noise_filler(Rng(seed).split(stage1.NOISE_KEY), t)(z[1:], 2)
+    want = oracles.anchored_denoise(model.params, model.schedule.sigmas, z, z_x)
+    got = stage1.generate_lr(model, x, 1 + (t - 1) * cfg.f_t, seed)
+    npt.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
+
+    z[0] = np.random.default_rng(seed).standard_normal(z_x.shape)  # the caller's block 1
+    sigmas = mixer.uniform_sigmas(sigma_start, steps)
+    if any(b >= a for a, b in zip(sigmas, sigmas[1:])):  # a subnormal start
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            stage1.denoise_from(model, z, x, sigma_start, steps)
+        return
+    want = oracles.anchored_denoise(model.params, sigmas, z, z_x)
+    got = stage1.denoise_from(model, z, x, sigma_start, steps)
+    npt.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
+
+
+def test_one_block_rollouts_return_a_copy_of_the_anchor(monkeypatch):
+    # t = 1 leaves nothing to denoise: no forward pass, and a new array
+    # holding block 1 (the plan stays strict: it has no segment)
+    model = stage1.new_stage1(6)
+    x = lr_clips(1)[0][0]
+    z_x = encode(x[None], model.codec_cfg)
+    passes = []
+    monkeypatch.setattr(mixer, "forward", lambda *args, **kwargs: passes.append(args))
+    a = stage1.generate_lr(model, x, 1, seed=0)
+    b = stage1.generate_lr(model, x, 1, seed=0)
+    z1 = np.random.default_rng(0).standard_normal(z_x.shape).astype(FLOAT)
+    c = stage1.denoise_from(model, z1, x, 0.5, 2)
+    assert passes == []
+    assert a.tobytes() == b.tobytes() == z_x.tobytes() and a.shape == z_x.shape
+    assert c.tobytes() == z1.tobytes() and c.shape == z1.shape
+    assert not np.shares_memory(a, b) and not np.shares_memory(c, z1)
+    with pytest.raises(scheduler.EmptySequenceError):
+        scheduler.plan(1, 1, 0)

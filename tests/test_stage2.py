@@ -60,7 +60,7 @@ def test_write_set_discipline(monkeypatch):
     t = inp.z_ref.shape[0]
     c = inp.z_x.shape[-1]
     p = scheduler.plan(t, 3, 1)
-    init = mixer.init_latents(inp.z_x, t, 5, stage2.NOISE_KEY)
+    init = oracles.init_latents(inp.z_x, t, 5, stage2.NOISE_KEY)
     real = mixer.denoise_window
     windows = []
 
@@ -110,7 +110,7 @@ def test_infer_csg_equals_concat_oracle(t, data, K, mask_mode, dtype, seed):
                            on_step=lambda s, k, zw, idx: steps.append((s, k, idx, zw.copy())),
                            on_segment=lambda s, z: states.append(z.copy()))
 
-    init = mixer.init_latents(inp.z_x, t, seed, stage2.NOISE_KEY)
+    init = oracles.init_latents(inp.z_x, t, seed, stage2.NOISE_KEY)
     z = np.zeros_like(init)
     z[0] = init[0]
     want_steps, want_states = [], []
@@ -135,13 +135,18 @@ def test_infer_csg_equals_concat_oracle(t, data, K, mask_mode, dtype, seed):
 
 
 def test_single_segment_plan_equals_full_window():
+    # the one window of plan(t, t - 1, 0), run in place in the request
+    # buffer, against the whole sequence in one concatenating window
     model = stage2.new_stage2(3)
     _, inp = truth_and_input(seed=2)
     t = inp.z_ref.shape[0]
     p = scheduler.plan(t, t - 1, 0)
     assert p.S == 1
-    npt.assert_array_equal(stage2.infer_csg(model, inp, p, 11),
-                           stage2.infer_full(model, inp, 11))
+    idx = p.W[0]
+    want = oracles.denoise_window_concat(
+        lambda x, sigma: mixer.forward(model.params, x, sigma, idx), model.schedule.sigmas,
+        oracles.init_latents(inp.z_x, t, 11, stage2.NOISE_KEY), inp.z_ref, np.arange(t) >= 1)
+    npt.assert_array_equal(stage2.infer_csg(model, inp, p, 11), want)
 
 
 def test_zero_init_reference_invariance():
