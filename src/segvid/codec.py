@@ -34,6 +34,8 @@ class CodecConfig:
             raise ValueError(f"factors must be >= 1, got f_s={self.f_s} f_t={self.f_t}")
         if self.c < 3:
             raise ValueError(f"latent channels must be >= 3, got {self.c}")
+        if not 0 <= self.lift_seed < 2**64:
+            raise ValueError(f"lift_seed must fit in u64, got {self.lift_seed}")
 
 
 @lru_cache(maxsize=None)

@@ -59,9 +59,9 @@ Both pipeline stages are this denoiser. A stage model is the mixer parameters
 plus the codec and sigma schedule it was trained with; a stage differs from
 the other only in its window policy (which blocks, which reference, which
 initial latents). The shared pieces live here: the segment loop, the
-teacher-forced window loss that is `denoise_window`'s training twin, the
-training loop with its divergence guard, the evaluation loss, and the
-checkpoint files.
+training loop with its divergence guard and its teacher-forced window step
+(`_Spaces.step`, `denoise_window`'s training twin), the evaluation loss,
+and the checkpoint files.
 """
 
 from __future__ import annotations
@@ -116,8 +116,8 @@ class MixerParams:
         d = self.d
         mats = [np.asarray(getattr(self, name)) for name in _MATS]
         if mats[0].shape[1] != d or mats[4].shape[0] != d:
-            raise ValueError(f"embedding/readout width {mats[0].shape[1]}/"
-                             f"{mats[4].shape[0]} disagrees with d={d}")
+            raise ValueError(f"embedding/readout width {mats[0].shape[1]}/{mats[4].shape[0]} "
+                             f"disagrees with d={d} (w_in {mats[0].shape}, w_out {mats[4].shape})")
         for name, m in zip(_MATS[1:4], mats[1:4]):
             if m.shape != (d, d):
                 raise ValueError(f"{name} must be ({d},{d})")
@@ -189,7 +189,7 @@ def ref_rows(h: int, w: int, c: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _freqs(half: int) -> np.ndarray:
     freqs = 10000.0 ** (-np.arange(half, dtype=np.float64) / half)
-    freqs.flags.writeable = False
+    freqs.setflags(write=False)
     return freqs
 
 
@@ -201,9 +201,11 @@ def sin_code(x: float, d: int, dtype=FLOAT) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _level_code(x: float, d: int, dtype) -> np.ndarray:
-    # Bounded: training draws a fresh continuous sigma every step.
+    # Bounded: training draws a fresh continuous sigma every step. Under numpy
+    # 2.4, `code.flags.writeable = False` leaves a few bytes per call behind
+    # (seen with tracemalloc); setflags does not.
     code = sin_code(x, d, dtype)
-    code.flags.writeable = False
+    code.setflags(write=False)
     return code
 
 
@@ -213,7 +215,7 @@ def _pos_table(rows: int, d: int, dtype) -> np.ndarray:
     # longer video gets a new, larger table and a published table never
     # changes under the streamer's producer thread.
     table = np.stack([sin_code(float(i), d, dtype) for i in range(1, rows + 1)], axis=0)
-    table.flags.writeable = False
+    table.setflags(write=False)
     return table
 
 
@@ -225,7 +227,7 @@ def _window_pos_codes(indices: tuple, d: int, dtype) -> np.ndarray:
         raise ValueError(f"block indices must be integers >= 1, got {indices}")
     rows = 1 << max(6, (int(ix.max()) - 1).bit_length())
     codes = _pos_table(rows, d, dtype)[ix - 1]
-    codes.flags.writeable = False
+    codes.setflags(write=False)
     return codes
 
 
@@ -255,7 +257,7 @@ def _future_mask(n: int) -> np.ndarray:
     # The entries a causal row may not attend to: the complement of
     # np.tril(np.ones((n, n), bool)). Bounded: training windows reach t rows.
     mask = ~np.tril(np.ones((n, n), dtype=bool))
-    mask.flags.writeable = False
+    mask.setflags(write=False)
     return mask
 
 
@@ -557,7 +559,10 @@ def _read_doc(path: str, types: dict) -> dict:
     """The JSON object at path, whose keys hold values of the given types (a
     bool is no int); an error names the file and the key."""
     with open(path) as f:
-        doc = json.load(f)
+        try:
+            doc = json.load(f)
+        except json.JSONDecodeError as e:
+            raise ValueError(f"{path}: not JSON: {e}") from None
     for key, want in types.items():
         v = doc.get(key) if isinstance(doc, dict) else None
         if type(v) is not want:
@@ -567,7 +572,10 @@ def _read_doc(path: str, types: dict) -> dict:
 
 def load_params(in_dir: str) -> MixerParams:
     doc = os.path.join(in_dir, "mixer.json")
-    side = _read_doc(doc, {"d": int, "mask_mode": str})
+    side = _read_doc(doc, {"d": int, "mask_mode": str, "matrices": list})
+    if side["matrices"] != list(_MATS):
+        raise ValueError(f"{doc}: key 'matrices' expects {json.dumps(_MATS)}, "
+                         f"got {json.dumps(side['matrices'])}")
     mats = {}
     for name in _MATS:
         path = os.path.join(in_dir, f"{name}.siv1")
@@ -672,19 +680,6 @@ class _Spaces(dict):
                              win.indices, self[n])
 
 
-def window_loss(p: MixerParams, packed: np.ndarray, plan, s: int, rng: Rng):
-    """Teacher-forced loss and gradients on one window: the training twin of
-    denoise_window, in buffers of its own (train_windows runs the same step
-    in the run's).
-
-    packed: a (t, h, w, 2c) [clean | ref] pair, of which the window is
-    segment s of the plan. The window's noisy tail moves to a drawn sigma on
-    the path to a drawn eps; the conditioning prefix keeps its clean
-    latents. Draws sigma, then eps, from rng. Returns (loss, grads).
-    """
-    return _Spaces(p).step(packed, plan, s, rng)
-
-
 def train_windows(p: MixerParams, windows, steps: int, seed: int, lr: float, stage: int):
     """SGD, one window per step. windows(step, rng) names the step's window
     as inference names a segment, (packed, plan, s): segment s of the plan
@@ -742,4 +737,9 @@ def load_model(in_dir: str, name: str) -> StageModel:
         schedule = SigmaSchedule(tuple(doc["sigmas"]))
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
-    return StageModel(params=load_params(in_dir), codec_cfg=cfg, schedule=schedule)
+    params = load_params(in_dir)
+    if params.d_in != 2 * params.d_out or params.d_out % cfg.c:
+        raise ValueError(f"{os.path.join(in_dir, 'w_in.siv1')}: {params.d_in} rows, but a stage "
+                         f"reads twice the {params.d_out} columns of w_out.siv1, [noisy | "
+                         f"reference] pixels of c={cfg.c} channels")
+    return StageModel(params=params, codec_cfg=cfg, schedule=schedule)

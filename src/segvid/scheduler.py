@@ -74,7 +74,7 @@ def _build_plan(t: int, M: int, N: int) -> SegmentPlan:
         Nbr.append(n_s)
         W.append((1,) + n_s + i_s)
         rows.append(np.subtract(W[-1], 1))
-        rows[-1].flags.writeable = False
+        rows[-1].setflags(write=False)
     return SegmentPlan(t=t, M=M, N=N, S=S, a=tuple(a), I=tuple(I), Nbr=tuple(Nbr), W=tuple(W),
                        rows=tuple(rows))
 

@@ -204,46 +204,23 @@ def run_streaming(model: StageModel, inp: StageTwoInput, p: SegmentPlan,
     return video, events, TimingModel(tuple(denoise_ms), tuple(decode_ms))
 
 
-def _schedule(tm: TimingModel):
-    """Completion times per segment under the idealized model: the cumulative
-    denoise times, and end_decode(s) = max(end_denoise(s), end_decode(s-1))
-    + decode(s)."""
-    end_denoise = [float(x) for x in np.cumsum(tm.denoise_s)]
-    end_decode, last = [], 0.0
-    for den, dec in zip(end_denoise, tm.decode_s):
-        last = max(den, last) + dec
-        end_decode.append(last)
-    return end_denoise, end_decode
-
-
 def predict_timing(tm: TimingModel) -> dict:
-    """Idealized pipeline schedule.
+    """Idealized pipeline schedule: segment s is denoised at the cumulative
+    denoise time, and decoded at end_decode(s) = max(end_denoise(s),
+    end_decode(s-1)) + decode(s).
 
     Returns first_output (first segment decoded), full_output (last segment
     decoded), and the no-overlap sequential_total.
     """
-    _, end_decode = _schedule(tm)
+    end_decode, last = [], 0.0
+    for den, dec in zip(np.cumsum(tm.denoise_s), tm.decode_s):
+        last = max(float(den), last) + dec
+        end_decode.append(last)
     return {
         "first_output": end_decode[0] if end_decode else None,
         "full_output": end_decode[-1] if end_decode else 0.0,
         "sequential_total": float(sum(tm.denoise_s) + sum(tm.decode_s)),
     }
-
-
-def predicted_order(tm: TimingModel) -> list:
-    """(kind, index) sequence of denoise/decode completions under the model.
-
-    Ties resolve denoise-first (a decode can only consume already-denoised
-    work).
-    """
-    end_denoise, end_decode = _schedule(tm)
-    evs = sorted([(t, 0, s) for s, t in enumerate(end_denoise, 1)]
-                 + [(t, 1, s) for s, t in enumerate(end_decode, 1)])
-    return [("segment_denoised" if k == 0 else "segment_decoded", i) for _, k, i in evs]
-
-
-def observed_order(events) -> list:
-    return [(e.kind, e.index) for e in events if e.kind != "frames_emitted"]
 
 
 def check_events(events, p: SegmentPlan) -> None:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import segvid
 from segvid import cli, stage2, synth
@@ -591,33 +591,6 @@ def test_synth_refuses_clips_of_two_frame_sizes(monkeypatch, tmp_path, capsys):
     assert not corpus.exists()
 
 
-def test_pipeline_at_a_non_default_codec(tmp_path):
-    # f_s=2, f_t=2 on 16x16 frames end to end; stage 1 needs a smaller step
-    # size there (at the default it diverges and exits 3)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"f_s": 2, "f_t": 2, "height": 16, "width": 16, "frames": 17}))
-    corpus, s1, s2 = (str(tmp_path / n) for n in ("corpus", "s1", "s2"))
-    common = ["--config", str(cfg)]
-    assert cli.main(["synth", *common, "--out", corpus]) == 0
-    assert cli.main(["train-stage1", *common, "--corpus", corpus, "--lr", "1e-3",
-                     "--out", s1]) == 0
-    assert cli.main(["train-stage2", *common, "--corpus", corpus, "--stage1", s1,
-                     "--out", s2]) == 0
-    image = tmp_path / "image.siv1"
-    write_siv1(image, synth.render_scene(synth.SceneSpec(seed=5, T=1, H=16, W=16)))
-    videos = []
-    for extra in ([], ["--stream"]):
-        out = tmp_path / f"gen{len(extra)}"
-        assert cli.main(["generate", *common, "--stage1", s1, "--stage2", s2,
-                         "--image", str(image), "--out", str(out), *extra]) == 0
-        videos.append((out / "video.siv1").read_bytes())
-    assert read_siv1(out / "video.siv1").shape == (17, 16, 16, 3)
-    assert videos[0] == videos[1]
-    for d, name, d_in in ((s1, "stage1", 2 * 4 * 4 * 4), (s2, "stage2", 2 * 4 * 8 * 8)):
-        assert json.loads((Path(d) / f"{name}.json").read_text())["f_s"] == 2
-        assert read_siv1(Path(d) / "w_in.siv1").shape[1] == d_in
-
-
 def test_train_stage2_rejects_stage1_of_other_size(pipeline, tmp_path, capsys):
     # a 32x32 stage-1 checkpoint on a 64x64 corpus
     corpus = _corpus_64(tmp_path)
@@ -670,24 +643,91 @@ def _two_w_q_slices(ckpt):
     write_siv1(ckpt / "w_q.siv1", np.concatenate([w, w]))
 
 
-@pytest.mark.parametrize("corrupt, want", [
-    (_set_key("stage1.json", "f_s", "4"), "stage1.json: key 'f_s' expects int, got \"4\""),
-    (_set_key("mixer.json", "d", None), "mixer.json: key 'd' expects int, got null"),
+@pytest.mark.parametrize("corrupt, want, cmd", [
+    (_set_key("stage1.json", "f_s", "4"), "stage1.json: key 'f_s' expects int, got \"4\"",
+     "generate"),
+    (_set_key("mixer.json", "d", None), "mixer.json: key 'd' expects int, got null", "generate"),
     (_set_key("stage1.json", "sigmas", [1.0, "x", 0.0]),
-     "stage1.json: sigmas must be finite numbers, got (1.0, 'x', 0.0)"),
-    (_two_w_q_slices, "w_q.siv1: a matrix is stored as (1, rows, cols, 1), got (2, 32, 32, 1)"),
+     "stage1.json: sigmas must be finite numbers, got (1.0, 'x', 0.0)", "generate"),
+    (_two_w_q_slices, "w_q.siv1: a matrix is stored as (1, rows, cols, 1), got (2, 32, 32, 1)",
+     "generate"),
     (_set_key("mixer.json", "d", 16),
-     "mixer.json: embedding/readout width 32/32 disagrees with d=16"),
-], ids=["f_s-string", "d-null", "sigmas-string", "w_q-two-slices", "d-not-matrix-width"])
-def test_corrupt_checkpoint_exits_2_naming_file(pipeline, tmp_path, capsys, corrupt, want):
+     "mixer.json: embedding/readout width 32/32 disagrees with d=16", "generate"),
+    (_set_key("stage1.json", "lift_seed", -1), "stage1.json: lift_seed must fit in u64, got -1",
+     "transition"),
+], ids=["f_s-string", "d-null", "sigmas-string", "w_q-two-slices", "d-not-matrix-width",
+        "lift_seed-negative"])
+def test_corrupt_checkpoint_exits_2_naming_file(pipeline, tmp_path, capsys, corrupt, want, cmd):
     s1 = tmp_path / "s1"
     shutil.copytree(pipeline["s1"], s1)
     corrupt(s1)
-    rc = cli.main(["generate", "--stage1", str(s1), "--stage2", pipeline["s2"],
-                   "--image", pipeline["image"], "--out", str(tmp_path / "o"), "--frames", "17"])
+    rest = (["--stage2", pipeline["s2"], "--image", pipeline["image"], "--frames", "17"]
+            if cmd == "generate" else ["--corpus", pipeline["corpus"]])
+    rc = cli.main([cmd, "--stage1", str(s1), "--out", str(tmp_path / "o"), *rest])
     assert rc == 2
     err = capsys.readouterr().err.strip()
     assert "\n" not in err and f"{s1}{os.sep}{want}" in err, err
+
+
+# Values no checkpoint loader may accept for each JSON key, beside values of
+# another JSON type (a bool is no int), which it may accept for none.
+_BAD_VALUES = {"f_s": [0, -4], "f_t": [0, -1], "c": [2, -1], "lift_seed": [-1, 2**64],
+               "sigmas": [[], [0.0, 1.0], [1.0, 0.5, 0.5, 0.0], [1.0, "x", 0.0]],
+               "d": [0, 16, 31], "mask_mode": ["sideways"], "matrices": [[], ["w_in"]]}
+
+
+@st.composite
+def _damage(draw, stage):
+    """(file, damage): damage(path) breaks that file of a checkpoint: a key's
+    value, type or presence, the JSON text, a matrix's shape, or the file."""
+    kind = draw(st.sampled_from(("value", "type", "missing", "garbled", "shape", "deleted")))
+    if kind in ("shape", "deleted") and draw(st.booleans()):
+        name = draw(st.sampled_from(("w_in", "w_q", "w_k", "w_v", "w_out"))) + ".siv1"
+        grow = draw(st.sampled_from(((0, 1, 0, 0), (0, -1, 0, 0), (0, 0, 1, 0), (0, 1, -1, 0))))
+        return name, os.remove if kind == "deleted" else lambda path: write_siv1(
+            path, np.ones(np.add(read_siv1(path).shape, grow), np.float32))
+    name = draw(st.sampled_from((f"{stage}.json", "mixer.json")))
+    if kind in ("deleted", "garbled", "shape"):
+        cut = draw(st.integers(0, 20))
+        return name, os.remove if kind == "deleted" else lambda path: path.write_text(
+            path.read_text()[:cut])
+    key = draw(st.sampled_from(("d", "mask_mode", "matrices") if name == "mixer.json"
+                               else ("f_s", "f_t", "c", "lift_seed", "sigmas")))
+    value = draw(st.sampled_from(_BAD_VALUES[key] if kind == "value"
+                                 else [None, True, 7, 1.5, "4", [1], {"a": 1}]))
+
+    def damage(path):
+        doc = json.loads(path.read_text())
+        if kind == "missing":
+            del doc[key]
+        else:  # a value of the key's own type becomes an object holding it
+            doc[key] = {"a": value} if type(value) is type(doc[key]) else value
+        path.write_text(json.dumps(doc))
+    return name, damage
+
+
+@settings(deadline=None, max_examples=100,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cmd=st.sampled_from(("generate", "transition")), data=st.data())
+def test_damaged_checkpoint_exits_2_naming_the_file(pipeline, tmp_path_factory, capsys, cmd,
+                                                    data):
+    # generate reads both checkpoints and transition stage 1's. One damaged
+    # file, whichever, is refused with exit 2 and one line that names it,
+    # never a traceback or exit 3, and no --out is left behind
+    root = tmp_path_factory.mktemp("damaged")
+    stage = data.draw(st.sampled_from(("stage1", "stage2") if cmd == "generate" else ("stage1",)))
+    name, damage = data.draw(_damage(stage))
+    for s in ("stage1", "stage2"):
+        shutil.copytree(pipeline["s" + s[-1]], root / s)
+    damage(root / stage / name)
+    rest = ([f"--stage2={root / 'stage2'}", "--image", pipeline["image"], "--frames", "17"]
+            if cmd == "generate" else ["--corpus", pipeline["corpus"]])
+    capsys.readouterr()
+    rc = cli.main([cmd, f"--stage1={root / 'stage1'}", "--out", str(root / "o" / "p"), *rest])
+    err = capsys.readouterr().err.strip()
+    assert rc == 2 and "\n" not in err and "Traceback" not in err, err
+    assert str(root / stage) in err and name.split(".")[0] in err, err
+    assert not (root / "o").exists()
 
 
 def test_bench_boundary_rejects_plan_without_seams(pipeline, tmp_path, capsys, monkeypatch):

@@ -17,7 +17,9 @@ from segvid.codec import (CodecConfig, channel_lift, decode, decode_block, decod
                           video_shape)
 from segvid.grid import FLOAT
 
+import golden
 import oracles
+import reference
 
 CFG = CodecConfig()
 
@@ -120,7 +122,7 @@ def test_encode_equals_per_block_loop(T, c):
     cfg = CodecConfig(c=c)
     v = np.random.default_rng(T + c).random((T, 16, 24, 3), dtype=np.float32)
     got = encode(v, cfg)
-    want = oracles.encode_loop(v, cfg.f_s, cfg.f_t, channel_lift(cfg))
+    want = reference.encode(v, cfg.f_s, cfg.f_t, reference.lift_matrix(c))
     assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
@@ -139,8 +141,7 @@ def _check_decode_block_equals_repeat_then_clip(cfg):
     assert (rgb < 0.0).any() and (rgb > 1.0).any() and (rgb == 0.0).any()
     for first in (True, False):
         got = decode_block(z, cfg, first=first)
-        want = oracles.decode_block_repeat_then_clip(z, channel_lift(cfg), cfg.f_s,
-                                                     cfg.f_t, first)
+        want = reference.decode_block(z, cfg.f_s, cfg.f_t, reference.lift_matrix(c), first)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         assert got.flags.writeable and got.flags.c_contiguous
         # into a slice of a larger buffer: exactly the slice is written
@@ -186,7 +187,7 @@ def test_decode_group_means_equals_means_of_decoded_video(f_s, f_t, c, t, h, w, 
 def test_lift_equals_stacked_per_row_products(n, h, w, c, scale, zeros, seed):
     # one 2-D product gives the bits of the per-row products, sign of zero
     # included; tests/test_golden.py runs the same check under each kernel
-    got, want = oracles.lift_bits(n, h, w, c, scale, zeros, seed)
+    got, want = golden.lift_bits(n, h, w, c, scale, zeros, seed)
     assert got.shape == want.shape == (n, h, w, c)
     npt.assert_array_equal(got, want)
 

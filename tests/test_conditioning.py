@@ -7,13 +7,14 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from segvid import mixer, stage1
+from segvid import stage1
 from segvid.codec import CodecConfig, encode, group_means, lift
 from segvid.conditioning import StageTwoInput, encode_reference
 from segvid.grid import FLOAT
 
 import oracles
-from oracles import build_hybrid_reference, build_stage2_input
+import reference
+from reference import hybrid_reference
 
 CFG = CodecConfig()
 
@@ -22,7 +23,7 @@ def test_hybrid_reference_swaps_first_frame():
     rng = np.random.default_rng(0)
     v_hr = rng.random((9, 32, 32, 3)).astype(FLOAT)
     v_lr = stage1.low_res(v_hr, CFG)
-    out = build_hybrid_reference(v_lr, v_hr[0], 4)
+    out = hybrid_reference(v_lr, v_hr[0], 4)
     npt.assert_array_equal(out[0], v_hr[0])
     # later frames are the cell-mean broadcast of the HR frames
     want = oracles.pool_broadcast(v_hr[1:2], 4, 1)[0]
@@ -32,54 +33,14 @@ def test_hybrid_reference_swaps_first_frame():
 def test_hybrid_reference_single_frame():
     rng = np.random.default_rng(1)
     x = rng.random((32, 32, 3)).astype(FLOAT)
-    out = build_hybrid_reference(stage1.low_res(x[None], CFG), x, 4)
+    out = hybrid_reference(stage1.low_res(x[None], CFG), x, 4)
     npt.assert_array_equal(out, x[None])
 
 
 def test_hybrid_reference_extent_mismatch():
     v_lr = np.zeros((3, 8, 8, 3), FLOAT)
     with pytest.raises(ValueError):
-        build_hybrid_reference(v_lr, np.zeros((16, 16, 3), FLOAT), 4)
-
-
-def test_assemble_input_layout():
-    # the layout the mixer consumes, [noisy c | reference c] per pixel
-    rng = np.random.default_rng(2)
-    z = rng.standard_normal((5, 2, 2, 4)).astype(FLOAT)
-    ref = rng.standard_normal((5, 2, 2, 4)).astype(FLOAT)
-    zx = rng.standard_normal((2, 2, 4)).astype(FLOAT)
-    keep = z.copy()
-    u = oracles.assemble_input(z, ref, zx)
-    assert u.shape == (5, 2, 2, 8)
-    npt.assert_array_equal(u[0, ..., :4], zx)
-    npt.assert_array_equal(u[0, ..., 4:], ref[0])
-    npt.assert_array_equal(u[1:, ..., :4], z[1:])
-    npt.assert_array_equal(u[..., 4:], ref)
-    npt.assert_array_equal(z, keep)  # not mutated
-    # split/concat inverse and idempotence
-    npt.assert_array_equal(oracles.assemble_input(z, ref, zx), u)
-    anchored = z.copy()
-    anchored[0] = zx
-    npt.assert_array_equal(u[..., :4], anchored)
-    npt.assert_array_equal(u.reshape(5, -1)[:, mixer.ref_rows(2, 2, 4)], ref.reshape(5, -1))
-
-
-def test_assemble_input_validation():
-    z = np.zeros((5, 2, 2, 4), FLOAT)
-    with pytest.raises(ValueError):
-        oracles.assemble_input(z, np.zeros((4, 2, 2, 4), FLOAT), np.zeros((2, 2, 4), FLOAT))
-    with pytest.raises(ValueError):
-        oracles.assemble_input(z, z, np.zeros((2, 2, 3), FLOAT))
-
-
-def test_build_stage2_input_consistency():
-    rng = np.random.default_rng(3)
-    v_ref = rng.random((9, 32, 32, 3)).astype(FLOAT)
-    inp = build_stage2_input(v_ref, v_ref[0], CFG)
-    assert inp.z_ref.shape == (3, 8, 8, 4)
-    npt.assert_array_equal(inp.z_x, encode(v_ref[:1], CFG)[0])
-    # the hybrid reference holds the input image at frame 1, so both encodes agree
-    npt.assert_array_equal(inp.z_ref[0], inp.z_x)
+        hybrid_reference(v_lr, np.zeros((16, 16, 3), FLOAT), 4)
 
 
 @settings(deadline=None, max_examples=150)
@@ -95,10 +56,10 @@ def test_encode_reference_equals_hybrid_oracle(f_s, f_t, c, groups, h, w, seed):
     v_lr = rng.random((1 + groups * f_t, h * f_s, w * f_s, 3)).astype(FLOAT)
     x = rng.random((h * f_s * f_s, w * f_s * f_s, 3)).astype(FLOAT)
     got = encode_reference(group_means(v_lr, f_t), encode(x[None], cfg)[0], cfg)
-    want = build_stage2_input(build_hybrid_reference(v_lr, x, f_s), x, cfg)
-    assert got.z_ref.shape == want.z_ref.shape == (1 + groups, h * f_s, w * f_s, c)
-    npt.assert_array_equal(got.z_ref, want.z_ref)
-    npt.assert_array_equal(got.z_x, want.z_x)
+    want = reference.encode(hybrid_reference(v_lr, x, f_s), f_s, f_t, reference.lift_matrix(c))
+    assert got.z_ref.shape == want.shape == (1 + groups, h * f_s, w * f_s, c)
+    npt.assert_array_equal(got.z_ref, want)
+    npt.assert_array_equal(got.z_x, want[0])
 
 
 @settings(deadline=None, max_examples=100)

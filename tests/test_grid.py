@@ -28,6 +28,7 @@ from segvid.grid import (FLOAT, SUB_INIT_NOISE, Rng, as_f32, noise_filler, read_
                          require_finite, write_siv1)
 
 import oracles
+import reference
 
 
 def test_rng_determinism():
@@ -95,7 +96,7 @@ def test_noise_filler_chunkings_equal_init_noise_blocks(seed, key, t, block, dat
     # any chunking of blocks 2..t into consecutive fills draws the bits of
     # one draw of them all from the stream rng.split(SUB_INIT_NOISE)
     rng = Rng(seed).split(*key)
-    want = oracles.init_noise_blocks(rng, t, *block)
+    want = rng.split(SUB_INIT_NOISE).normal((t - 1, *block))
     fill = noise_filler(rng, t)
     got = np.full((t,) + block, np.nan, FLOAT)
     first = 2
@@ -103,7 +104,7 @@ def test_noise_filler_chunkings_equal_init_noise_blocks(seed, key, t, block, dat
         count = data.draw(st.integers(1, t + 1 - first), label="count")
         fill(got[first - 1:first - 1 + count], first)
         first += count
-    assert got[1:].tobytes() == want[1:].tobytes()
+    assert got[1:].tobytes() == want.tobytes()
 
 
 def test_noise_filler_rejects_blocks_outside_its_range():
@@ -128,7 +129,7 @@ def test_noise_filler_rejects_blocks_outside_its_range():
     fill(out[3:6], 4)
     fill(out[6:], 7)  # an empty run at the next block draws nothing
     rejects(7, 1, "blocks 7..7")
-    assert out[1:].tobytes() == oracles.init_noise_blocks(Rng(1), 6, *blk)[1:].tobytes()
+    assert out[1:].tobytes() == Rng(1).split(SUB_INIT_NOISE).normal((5, *blk)).tobytes()
 
 
 def test_noise_filler_threads_draw_on_their_own_generators():
@@ -137,7 +138,7 @@ def test_noise_filler_threads_draw_on_their_own_generators():
     # give alone on one thread
     t, block, runs = 161, (2, 2, 4), 30
     rngs = [Rng(seed).split(9) for seed in range(2)]
-    want = [oracles.init_noise_blocks(r, t, *block)[1:].tobytes() for r in rngs]
+    want = [r.split(SUB_INIT_NOISE).normal((t - 1, *block)).tobytes() for r in rngs]
     got = [[] for _ in rngs]
     start = threading.Barrier(len(rngs))
 
@@ -188,12 +189,12 @@ def test_rng_seeds_its_generator_on_first_draw(monkeypatch):
     npt.assert_array_equal(np.concatenate([a, b]), Rng(5).split(1, 2, 3).normal((8,)))
 
 
-def test_resize_constant_invariance():
+def test_pool_constant_invariance():
     v = np.full((3, 8, 8, 3), 0.5, FLOAT)
     npt.assert_array_equal(pool(v, CodecConfig(f_s=4)), np.full((3, 2, 2, 3), 0.5, FLOAT))
 
 
-def test_resize_block_mean():
+def test_pool_block_mean():
     v = np.array([[0.0, 1.0], [1.0, 0.0]], FLOAT).reshape(1, 2, 2, 1)
     out = pool(v, CodecConfig(f_s=2))
     npt.assert_array_equal(out, np.full((1, 1, 1, 1), 0.5, FLOAT))
@@ -216,13 +217,13 @@ def test_down_avg_equals_numpy_mean(c, f, t, h, w, mag, neg_zero, seed):
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
-def test_resize_factor_one_is_copy():
+def test_pool_factor_one_is_copy():
     v = np.zeros((2, 4, 4, 3), FLOAT)
     out = pool(v, CodecConfig(f_s=1))
     assert np.array_equal(out, v) and out is not v
 
 
-def test_resize_errors():
+def test_pool_errors():
     v = np.zeros((1, 6, 6, 3), FLOAT)
     with pytest.raises(ValueError, match="6x6 not divisible by f_s=4"):
         pool(v, CodecConfig(f_s=4))
@@ -344,9 +345,9 @@ def test_siv1_roundtrip_bit_exact(tmp_path):
 def test_siv1_write_in_place_equals_truncating_write(tmp_path_factory, shape, before,
                                                      spare, fill, umask):
     # writing over a missing, shorter, equal-size or longer file gives the
-    # bytes of a truncating write, and a new file its mode; no open truncates
-    d = tmp_path_factory.mktemp("inplace")
-    p, ref = d / "p.siv1", d / "ref.siv1"
+    # bytes of a fresh write, and a new file the mode open(path, "wb") gives
+    # it; no open truncates
+    p = tmp_path_factory.mktemp("inplace") / "p.siv1"
     arr = np.random.default_rng(sum(shape)).standard_normal(shape).astype(FLOAT)
     size = 24 + 4 * arr.size
     if before != "missing":
@@ -356,14 +357,13 @@ def test_siv1_write_in_place_equals_truncating_write(tmp_path_factory, shape, be
     try:
         with mock.patch.object(os, "open", wraps=os.open) as spy:
             write_siv1(p, arr)
-        oracles.write_siv1_truncating(ref, arr)
     finally:
         os.umask(mask)
     assert spy.call_count == 1
     assert not spy.call_args.args[1] & os.O_TRUNC
-    assert p.read_bytes() == ref.read_bytes()
+    assert p.read_bytes() == reference.siv1(arr)
     if before == "missing":
-        assert stat.S_IMODE(p.stat().st_mode) == stat.S_IMODE(ref.stat().st_mode)
+        assert stat.S_IMODE(p.stat().st_mode) == 0o666 & ~umask
 
 
 def test_siv1_writes_to_non_regular_targets(tmp_path):
@@ -371,7 +371,6 @@ def test_siv1_writes_to_non_regular_targets(tmp_path):
     # both take the header, then the payload
     arr = np.arange(12, dtype=FLOAT).reshape(1, 2, 3, 2)
     write_siv1(os.devnull, arr)
-    oracles.write_siv1_truncating(tmp_path / "ref.siv1", arr)
     r, w = os.pipe()
     try:
         write_siv1(f"/proc/self/fd/{w}", arr)
@@ -379,7 +378,7 @@ def test_siv1_writes_to_non_regular_targets(tmp_path):
     finally:
         os.close(r)
         os.close(w)
-    assert got == (tmp_path / "ref.siv1").read_bytes()
+    assert got == reference.siv1(arr)
 
 
 class _TruncateFails(io.BufferedWriter):

@@ -14,12 +14,25 @@ from segvid import mixer, scheduler
 from segvid.grid import FLOAT, SUB_TRAIN, Rng
 
 import oracles
+import reference
 
 MATS = ("w_in", "w_q", "w_k", "w_v", "w_out")
 
 
 def small_params(seed, mask_mode="bidirectional"):
     return mixer.init_mixer(Rng(seed), d_in=10, d_out=4, d=6, mask_mode=mask_mode)
+
+
+def zero_params():
+    """All-zero parameters: they predict v_hat = 0 everywhere."""
+    p = small_params(0)
+    return mixer.MixerParams(**{name: np.zeros_like(getattr(p, name)) for name in MATS}, d=p.d,
+                             mask_mode=p.mask_mode)
+
+
+def codes(idx, d, dtype):
+    """The position-code rows of the blocks idx, each code on its own."""
+    return np.stack([reference.sin_code(i, d) for i in idx]).astype(dtype)
 
 
 def random_instance(seed, n=3):
@@ -90,7 +103,7 @@ def test_ref_rows_layout():
 
 
 def test_loss_at_optimum_is_zero():
-    p = oracles.zero_mixer(10, 4, d=6)
+    p = zero_params()
     g = np.random.default_rng(2)
     x = g.standard_normal((3, 10))
     clean = g.standard_normal((3, 4))
@@ -233,15 +246,14 @@ def test_sin_code():
 def test_position_table_equals_stacked_sin_code_rows(dtype):
     d = 32
     dt = np.dtype(dtype)
-    want = oracles.stacked_codes(mixer.sin_code, range(1, 1025), d, dt)
+    want = codes(range(1, 1025), d, dt)
     got = mixer._pos_codes(range(1, 1025), d, dt)
     assert got.dtype == dt and np.array_equal(got, want)
     # resolved once per window: every step of a window reads the same rows
     assert mixer._pos_codes((1, 4, 5), d, dt) is mixer._pos_codes((1, 4, 5), d, dt)
     assert not got.flags.writeable
     for idx in ([7, 3, 3, 1024, 1, 7], (5,), np.array([2, 2, 900, 1])):
-        npt.assert_array_equal(mixer._pos_codes(idx, d, dt),
-                               oracles.stacked_codes(mixer.sin_code, idx, d, dt))
+        npt.assert_array_equal(mixer._pos_codes(idx, d, dt), codes(idx, d, dt))
     for idx in ([0, 2, 5], [-3, 4], [3.5, 1.0]):  # block indices are integers >= 1
         with pytest.raises(ValueError, match="block indices"):
             mixer._pos_codes(idx, d, dt)
@@ -264,8 +276,8 @@ def test_embed_matches_sin_code_formula_and_level_cache_is_bounded():
     x = np.random.default_rng(5).standard_normal((4, 10)).astype(FLOAT)
     sigmas = [1.0, 0.75, 0.5, 0.25] + list(np.random.default_rng(6).uniform(0, 1, 300))
     for sigma in sigmas:
-        want = ((x @ p.w_in + mixer.sin_code(1000.0 * sigma, p.d, FLOAT)[None, :])
-                + oracles.stacked_codes(mixer.sin_code, (1, 4, 5, 9), p.d, FLOAT))
+        want = ((x @ p.w_in + reference.sin_code(1000.0 * sigma, p.d).astype(FLOAT))
+                + codes((1, 4, 5, 9), p.d, FLOAT))
         npt.assert_array_equal(mixer._embed(p, x, sigma, (1, 4, 5, 9)), want)
     info = mixer._level_code.cache_info()  # training draws a new sigma per step
     assert info.maxsize is not None and info.currsize <= info.maxsize < len(sigmas)
@@ -290,13 +302,12 @@ def test_denoise_window_matches_concat_per_step_and_keeps_inputs(broadcast_ref):
     for n_noisy in range(n + 1):
         zr[...], tail = _packed(p, z, ref, n_noisy)
         prefix = n - n_noisy
-        seen, want_seen = [], []
+        seen = []
         mixer.denoise_window(p, sigmas, zr, tail, idx, ws,
                              on_step=lambda k, zw, i: seen.append((k, zw.copy(), i)))
-        tail_mask = np.arange(n) >= prefix
-        want = oracles.denoise_window_concat(lambda x, s: mixer.forward(p, x, s, idx), sigmas,
-                                             z, ref, tail_mask,
-                                             on_step=lambda k, zw: want_seen.append(zw.copy()))
+        want_seen = [reference.ladder(p, sigmas[:k + 2], z, ref, idx, n_noisy)
+                     for k in range(len(sigmas) - 1)]
+        want = want_seen[-1]
         assert len(seen) == len(want_seen) == len(sigmas) - 1
         for (k, zw, i), zw_want in zip(seen, want_seen):
             assert i == idx and zw.tobytes() == zw_want.tobytes(), k
@@ -307,7 +318,7 @@ def test_denoise_window_matches_concat_per_step_and_keeps_inputs(broadcast_ref):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("mask_mode", ["causal", "bidirectional"])
-def test_attention_equals_uncached_mask_and_softmax(monkeypatch, mask_mode, dtype):
+def test_attention_equals_uncached_mask_and_softmax(mask_mode, dtype):
     # the cached causal mask and the in-place softmax give the bits of a
     # fresh np.tril mask and out-of-place steps, forward and backward
     p = small_params(13, mask_mode).astype(dtype)
@@ -316,10 +327,9 @@ def test_attention_equals_uncached_mask_and_softmax(monkeypatch, mask_mode, dtyp
         x, clean, eps = (a.astype(dtype) for a in (x, clean, eps))
         got_y = mixer.forward(p, x, sigma)
         got_loss, got_grads = mixer.loss_and_grad(p, x, clean, mask, sigma, eps)
-        with monkeypatch.context() as m:
-            m.setattr(mixer, "_attend", oracles.attend_uncached)
-            want_y = mixer.forward(p, x, sigma)
-            want_loss, want_grads = mixer.loss_and_grad(p, x, clean, mask, sigma, eps)
+        want_y = reference.forward(p, x, sigma, range(1, n + 1))
+        want_loss, want_grads = reference.loss_and_grad(p, x, clean, mask, sigma, eps,
+                                                        range(1, n + 1))
         assert got_y.dtype == want_y.dtype and got_y.tobytes() == want_y.tobytes()
         assert got_loss == want_loss
         for name in MATS:
@@ -360,10 +370,7 @@ def test_denoise_segments_never_writes_its_inputs_or_shares_its_buffer(broadcast
         assert not np.shares_memory(a, z) and not np.shares_memory(a, ref)
         assert a[0].tobytes() == z[0].tobytes()  # the anchor is held
         if plan.S == 1:
-            want = oracles.denoise_window_concat(
-                lambda x, s: mixer.forward(p, x, s, (1, 2, 3, 4)), sigmas, z, ref,
-                np.arange(4) >= 1)
-            assert a_bytes == want.tobytes()
+            assert a_bytes == reference.ladder(p, sigmas, z, ref, (1, 2, 3, 4), 3).tobytes()
         b = mixer.denoise_segments(p, sigmas, plan, z[0], ref, fill)
         assert a.tobytes() == a_bytes == b.tobytes()  # a later call leaves it alone
         b[:] = 0.0  # and writing one result changes no other
@@ -402,7 +409,7 @@ def _copies(p, tmp_path):
 def test_params_are_views_of_one_buffer_in_every_copy(tmp_path):
     p = small_params(40)
     _assert_packed(p)
-    _assert_packed(oracles.zero_mixer(10, 4, d=6))
+    _assert_packed(zero_params())
     x, clean, eps, mask, sigma = random_instance(41)
     before = p.flat.copy()
     for how, q in _copies(p, tmp_path).items():
@@ -464,14 +471,15 @@ def test_packed_loss_and_update_equal_unpacked(dtype, mask_mode, shape, n, seed,
     g = np.random.default_rng(seed)
     x, clean, eps = (g.standard_normal((n, k)).astype(dtype) for k in (d_in, d_out, d_out))
     loss, grads = mixer.loss_and_grad(p, x, clean, mask, sigma, eps, indices)
-    want_loss, want = oracles.loss_and_grad_unpacked(q, x, clean, mask, sigma, eps, indices)
+    want_loss, want = reference.loss_and_grad(q, x, clean, mask, sigma, eps,
+                                              indices or range(1, n + 1))
     assert loss == want_loss
     for name in MATS:
         assert grads[name].dtype == want[name].dtype == p.flat.dtype
         assert grads[name].tobytes() == want[name].tobytes(), name
         assert np.shares_memory(grads[name], grads.flat), name
     mixer.sgd_update(p, grads, lr)
-    oracles.sgd_update_unpacked(q, want, lr)
+    q = reference.sgd(q, want, lr)
     for name in MATS:
         assert getattr(p, name).tobytes() == getattr(q, name).tobytes(), name
 
@@ -482,9 +490,10 @@ def test_packed_loss_and_update_equal_unpacked(dtype, mask_mode, shape, n, seed,
        broadcast_ref=st.booleans(), seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_window_loss_equals_where_and_concatenate_build(t, M, N, c, dtype, broadcast_ref, seed,
                                                         data):
-    # slice writes into one [z | ref] buffer, noising only the tail, equal
-    # noising every block, np.where and concatenation, bit for bit; both
-    # leave the stream at the same place
+    # a training step in a run's buffers (slice writes into one [z | ref]
+    # window, only the tail noised, in place) equals the reference's step in
+    # fresh arrays, bit for bit, in float32 and float64; both leave the
+    # stream at the same place
     plan = scheduler.plan(t, M, N)
     s = data.draw(st.integers(0, plan.S - 1))
     h, w = 2, 1
@@ -494,9 +503,8 @@ def test_window_loss_equals_where_and_concatenate_build(t, M, N, c, dtype, broad
              else g.standard_normal((t, h, w, c)).astype(dtype))
     p = mixer.init_mixer(Rng(seed), h * w * 2 * c, h * w * c, d=8)
     ra, rb = Rng(seed).split(SUB_TRAIN), Rng(seed).split(SUB_TRAIN)
-    loss, grads = mixer.window_loss(p, np.concatenate([z0, z_ref], axis=-1), plan, s + 1, ra)
-    want_loss, want = oracles.window_loss_concat(p, z_ref, z0, plan.W[s], len(plan.I[s]), rb,
-                                                 oracles.loss_and_grad_unpacked)
+    loss, grads = mixer._Spaces(p).step(np.concatenate([z0, z_ref], axis=-1), plan, s + 1, ra)
+    want_loss, want = reference.window_step(p, z0, z_ref, plan.W[s], len(plan.I[s]), rb)
     assert loss == want_loss
     for name in MATS:
         assert grads[name].tobytes() == want[name].tobytes(), name
@@ -518,14 +526,16 @@ def test_stacked_and_out_products_equal_separate_fresh_products(dtype, d, d_in):
     g = np.random.default_rng(d * 1000 + d_in)
     mats, w_qkv = mixer._views(g.standard_normal(d_in * d + 3 * d * d + d * d_out).astype(dtype),
                                d_in, d)
-    w_q, w_k, w_v = w_qkv
+    w_in, w_q, w_k, w_v, w_out = mats
     for n in range(1, 162):
-        def check(ok, what):
-            assert ok, _BLAS.format(what=what, n=n, d=d, d_in=d_in, dtype=np.dtype(dtype).name)
+        def same(what, got, want):
+            assert got.tobytes() == want.tobytes(), _BLAS.format(
+                what=what, n=n, d=d, d_in=d_in, dtype=np.dtype(dtype).name)
 
-        def into(shape, product, *args, **kwargs):
+        def into(what, product, *args, **kwargs):
             # the product written into a fresh out= buffer, as a workspace holds it
-            return product(*args, **kwargs, out=np.empty(shape, dtype))
+            want = product(*args, **kwargs)
+            same(f"{what} into out=", product(*args, **kwargs, out=np.empty_like(want)), want)
 
         h, d_r = (g.standard_normal((n, d)).astype(dtype) for _ in range(2))
         x = g.standard_normal((n, d_in)).astype(dtype)
@@ -533,58 +543,41 @@ def test_stacked_and_out_products_equal_separate_fresh_products(dtype, d, d_in):
         attn, d_logits = (g.standard_normal((n, n)).astype(dtype) for _ in range(2))
         # a window's rows, gathered into a buffer of its length (window_gather)
         rows = g.integers(0, n, n)
-        check(into((n, d_in), x.take, rows, axis=0, mode="clip").tobytes()
-              == x[rows].tobytes(), "x.take(rows) into out=")
-        # the forward pass: embedding, projections, logits, readout
-        check(into((n, d), np.matmul, x, mats[0]).tobytes() == (x @ mats[0]).tobytes(),
-              "x @ w_in into out=")
-        qkv = h @ w_qkv                                      # the forward projections
-        qkv_out = into((3, n, d), np.matmul, h, w_qkv)
+        same("x.take(rows) into out=", x.take(rows, axis=0, out=np.empty_like(x), mode="clip"),
+             x[rows])
+        # the forward pass: embedding, projections, logits, readout; then the
+        # backward pass's products into fresh buffers
+        qkv = h @ w_qkv
+        qkv_out = np.matmul(h, w_qkv, out=np.empty_like(qkv))
         for i, w in enumerate((w_q, w_k, w_v)):
-            check(qkv[i].tobytes() == (h @ w).tobytes(), f"h @ w_qkv, slice {i}")
-            check(qkv_out[i].tobytes() == (h @ w).tobytes(), f"h @ w_qkv into out=, slice {i}")
+            same(f"h @ w_qkv, slice {i}", qkv[i], h @ w)
+            same(f"h @ w_qkv into out=, slice {i}", qkv_out[i], h @ w)
         q, k, v = qkv
-        check(into((n, n), np.matmul, q, k.T).tobytes() == (q @ k.T).tobytes(),
-              "q @ k.T into out=")
+        for what, a, b in (("x @ w_in", x, w_in), ("q @ k.T", q, k.T), ("attn @ v", attn, v),
+                           ("r @ w_out", h, w_out), ("d_y @ w_out.T", d_y, w_out.T),
+                           ("d_r @ v.T", d_r, v.T)):
+            into(what, np.matmul, a, b)
         for name, reduce in (("maximum", np.maximum.reduce), ("add", np.add.reduce)):
-            check(into((n, 1), reduce, attn, axis=1, keepdims=True).tobytes()
-                  == reduce(attn, axis=1, keepdims=True).tobytes(),
-                  f"np.{name}.reduce over rows into an out= column")
-        check(into((n, d), np.matmul, attn, v).tobytes() == (attn @ v).tobytes(),
-              "attn @ v into out=")
-        check(into((n, d_out), np.matmul, h, mats[4]).tobytes() == (h @ mats[4]).tobytes(),
-              "r @ w_out into out=")
-        # the backward pass
-        check(into((n, d), np.matmul, d_y, mats[4].T).tobytes() == (d_y @ mats[4].T).tobytes(),
-              "d_y @ w_out.T into out=")
-        check(into((n, n), np.matmul, d_r, v.T).tobytes() == (d_r @ v.T).tobytes(),
-              "d_r @ v.T into out=")
-        g_flat = np.empty_like(mats[0].base)                 # a gradient buffer
-        (g_in, _, _, _, g_out), g_qkv = mixer._views(g_flat, d_in, d)
+            into(f"np.{name}.reduce over rows, a column,", reduce, attn, axis=1, keepdims=True)
+        # the backward pass's products into views of its buffers
+        (g_in, _, _, _, g_out), g_qkv = mixer._views(np.empty_like(mats[0].base), d_in, d)
         d_qkv = np.empty_like(qkv)
-        np.matmul(d_logits, qkv[1], out=d_qkv[0])
-        np.matmul(d_logits.T, qkv[0], out=d_qkv[1])
-        np.matmul(attn.T, d_r, out=d_qkv[2])
-        check(d_qkv[0].tobytes() == (d_logits @ qkv[1]).tobytes(), "d_logits @ k into out=")
-        check(d_qkv[1].tobytes() == (d_logits.T @ qkv[0]).tobytes(), "d_logits.T @ q into out=")
-        check(d_qkv[2].tobytes() == (attn.T @ d_r).tobytes(), "attn.T @ d_r into out=")
+        for i, (what, a, b) in enumerate((("d_logits @ k", d_logits, k),
+                                          ("d_logits.T @ q", d_logits.T, q),
+                                          ("attn.T @ d_r", attn.T, d_r))):
+            same(f"{what} into out=", np.matmul(a, b, out=d_qkv[i]), a @ b)
         np.matmul(h.T, d_qkv, out=g_qkv)
         d_h3 = d_qkv @ w_qkv.transpose(0, 2, 1)
-        d_h3_out = into((3, n, d), np.matmul, d_qkv, w_qkv.transpose(0, 2, 1))
+        d_h3_out = np.matmul(d_qkv, w_qkv.transpose(0, 2, 1), out=np.empty_like(d_h3))
         for i, w in enumerate((w_q, w_k, w_v)):
-            check(g_qkv[i].tobytes() == (h.T @ d_qkv[i]).tobytes(), f"h.T @ d_qkv into out=, {i}")
-            check(d_h3[i].tobytes() == (d_qkv[i] @ w.T).tobytes(), f"d_qkv @ w_qkv^T, slice {i}")
-            check(d_h3_out[i].tobytes() == (d_qkv[i] @ w.T).tobytes(),
-                  f"d_qkv @ w_qkv^T into out=, slice {i}")
+            same(f"h.T @ d_qkv into out=, {i}", g_qkv[i], h.T @ d_qkv[i])
+            same(f"d_qkv @ w_qkv^T, slice {i}", d_h3[i], d_qkv[i] @ w.T)
+            same(f"d_qkv @ w_qkv^T into out=, slice {i}", d_h3_out[i], d_qkv[i] @ w.T)
         d_h = np.add.reduce(d_h3, axis=0)
-        check(d_h.tobytes() == ((d_h3[0] + d_h3[1]) + d_h3[2]).tobytes(),
-              "np.add.reduce over q|k|v in order")
-        check(into((n, d), np.add.reduce, d_h3, axis=0).tobytes() == d_h.tobytes(),
-              "np.add.reduce over q|k|v into out=")
-        np.matmul(x.T, d_h, out=g_in)
-        np.matmul(h.T, d_y, out=g_out)
-        check(g_in.tobytes() == (x.T @ d_h).tobytes(), "x.T @ d_h into out=")
-        check(g_out.tobytes() == (h.T @ d_y).tobytes(), "r.T @ d_y into out=")
+        same("np.add.reduce over q|k|v in order", d_h, (d_h3[0] + d_h3[1]) + d_h3[2])
+        into("np.add.reduce over q|k|v", np.add.reduce, d_h3, axis=0)
+        same("x.T @ d_h into out=", np.matmul(x.T, d_h, out=g_in), x.T @ d_h)
+        same("r.T @ d_y into out=", np.matmul(h.T, d_y, out=g_out), h.T @ d_y)
 
 
 @settings(deadline=None, max_examples=60)
@@ -627,9 +620,8 @@ def test_calls_without_a_workspace_return_arrays_no_later_call_writes():
     ys = [mixer.forward(p, x, sigma) for _ in range(2)]
     passes = [mixer.loss_and_grad(p, x, clean, mask, sigma, eps) for _ in range(2)]
     z = np.zeros((3, 1, 1, 2), FLOAT)
-    losses = [mixer.window_loss(mixer.init_mixer(Rng(46), 4, 2, d=6),
-                                np.concatenate([z, z + 1], axis=-1), scheduler.plan(3, 2, 0), 1,
-                                Rng(46)) for _ in range(2)]
+    losses = [mixer._Spaces(mixer.init_mixer(Rng(46), 4, 2, d=6)).step(
+        np.concatenate([z, z + 1], axis=-1), scheduler.plan(3, 2, 0), 1, Rng(46)) for _ in range(2)]
     outs = [*ys, *(g.flat for _, g in passes), *(g.flat for _, g in losses)]
     before = [a.tobytes() for a in outs]
     for i, a in enumerate(outs):

@@ -1,8 +1,6 @@
 """Stage I tests: generation determinism, anchored partial denoising,
-training, and bit-equality with the stage-1 code that preceded the shared
-window loss and full-window denoise."""
-
-import copy
+training, and bit-equality with the plain reference (tests/reference.py)
+of the stage-1 loss and rollouts."""
 
 import numpy as np
 import numpy.testing as npt
@@ -13,7 +11,7 @@ from segvid import cli, mixer, scheduler, stage1, synth
 from segvid.codec import CodecConfig, decode, encode
 from segvid.grid import FLOAT, SUB_TRAIN, Rng, noise_filler
 
-import oracles
+import reference
 
 
 def lr_clips(n=4, T=17):
@@ -56,7 +54,8 @@ def test_denoise_from_keeps_anchor_slot():
 
 
 def test_denoise_from_null_model_is_identity():
-    model = oracles.null_stage1()
+    model = stage1.new_stage1(0)
+    model.params.flat[...] = 0.0  # predicts zero velocity everywhere
     g = np.random.default_rng(1)
     z = g.standard_normal((5, 2, 2, 4)).astype(np.float32)
     out = stage1.denoise_from(model, z, lr_clips(1)[0][0], 1.0, 4)
@@ -69,9 +68,7 @@ def test_denoise_from_schedule_equivalence():
     x = lr_clips(1)[0][0]
     T, seed = 17, 5
     via_generate = stage1.generate_lr(model, x, T, seed)
-    cfg = model.codec_cfg
-    z = oracles.init_noise_blocks(Rng(seed).split(1), 5, 2, 2, 4)
-    z[0] = encode(x[None], cfg)[0]
+    z = reference.initial_latents(encode(x[None], model.codec_cfg)[0], 5, seed, 1)
     via_partial = stage1.denoise_from(model, z, x, 1.0, model.schedule.K)
     npt.assert_array_equal(via_partial, via_generate)
 
@@ -132,20 +129,6 @@ def _same_params(a, b):
                for n in ("w_in", "w_q", "w_k", "w_v", "w_out"))
 
 
-def test_train_matches_hand_loop_of_train_step():
-    # train() steps through the shared window loss on latents encoded once;
-    # the retired train_step re-encodes and runs the retired stage-1 loss.
-    # Same stream, drawn in the same order, so the log and the final
-    # parameters agree bit for bit.
-    clips = lr_clips(3)
-    a, b = stage1.new_stage1(7), stage1.new_stage1(7)
-    log = stage1.train(a, latents(clips, a), steps=10, seed=5, lr=1e-2)
-    g = Rng(5).split(SUB_TRAIN)
-    hand = [(s, oracles.stage1_train_step(b, clips[s % 3], g, 1e-2)) for s in range(10)]
-    assert log == hand
-    assert _same_params(a.params, b.params)
-
-
 @pytest.mark.parametrize("steps", [10, 50])
 def test_train_encodes_each_clip_once(monkeypatch, tmp_path, steps):
     # train and eval_loss take latents; the train-stage1 command encodes each
@@ -184,22 +167,22 @@ def _same_grads(a, b):
 def test_window_loss_equals_retired_stage1_loss(T):
     # stage 1 is the window of plan (t, t-1, 0) with the broadcast anchor as
     # reference: the shared window loss, stage 1's evaluation loss and its
-    # training step must equal the stage-1 loss that preceded them, bit for bit
+    # training step must equal the reference's plain step, the stage-1 loss
+    # that preceded them, bit for bit
     for seed in range(40):
         model = stage1.new_stage1(seed)
         clip = np.random.default_rng(seed).random((T, 8, 8, 3), dtype=np.float32)
         z0 = encode(clip, model.codec_cfg)
-        want_loss, want_grads = oracles.stage1_loss_terms(model.params, z0,
-                                                          Rng(seed).split(SUB_TRAIN))
+        want_loss, want_grads = reference.window_step(
+            model.params, *reference.stage1_windows([z0])(0, None)[:4], Rng(seed).split(SUB_TRAIN))
         p = scheduler.plan(z0.shape[0], z0.shape[0] - 1, 0)
         packed = np.concatenate([z0, np.broadcast_to(z0[0], z0.shape)], axis=-1)
-        loss, grads = mixer.window_loss(model.params, packed, p, 1, Rng(seed).split(SUB_TRAIN))
+        loss, grads = mixer._Spaces(model.params).step(packed, p, 1, Rng(seed).split(SUB_TRAIN))
         assert loss == want_loss
         assert _same_grads(grads, want_grads)
         if seed < 5:
             assert stage1.eval_loss(model, [z0], seed, draws=1) == want_loss
-            hand = copy.deepcopy(model.params)
-            mixer.sgd_update(hand, want_grads, 1e-2)
+            hand = reference.sgd(model.params, want_grads, 1e-2)
             assert stage1.train(model, [z0], steps=1, seed=seed) == [(0, want_loss)]
             assert _same_params(model.params, hand)
 
@@ -211,8 +194,8 @@ def test_generate_lr_equals_retired_rollout(T):
         model = stage1.new_stage1(seed)
         x = np.random.default_rng(seed).random((8, 8, 3), dtype=np.float32)
         z_x = encode(x[None], cfg)[0]
-        z = oracles.init_latents(z_x, 1 + (T - 1) // cfg.f_t, seed, stage1.NOISE_KEY)
-        want = oracles.anchored_denoise(model.params, model.schedule.sigmas, z, z_x)
+        z = reference.initial_latents(z_x, 1 + (T - 1) // cfg.f_t, seed, stage1.NOISE_KEY)
+        want = reference.rollout(model.params, model.schedule.sigmas, z, z_x)
         npt.assert_array_equal(stage1.generate_lr(model, x, T, seed), want)
 
 
@@ -230,7 +213,7 @@ def test_rollouts_equal_anchored_denoise(t, seed, sigma_start, steps):
     z = np.empty((t, *z_x.shape), FLOAT)
     z[0] = z_x
     noise_filler(Rng(seed).split(stage1.NOISE_KEY), t)(z[1:], 2)
-    want = oracles.anchored_denoise(model.params, model.schedule.sigmas, z, z_x)
+    want = reference.rollout(model.params, model.schedule.sigmas, z, z_x)
     got = stage1.generate_lr(model, x, 1 + (t - 1) * cfg.f_t, seed)
     npt.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
 
@@ -240,7 +223,7 @@ def test_rollouts_equal_anchored_denoise(t, seed, sigma_start, steps):
         with pytest.raises(ValueError, match="strictly decreasing"):
             stage1.denoise_from(model, z, x, sigma_start, steps)
         return
-    want = oracles.anchored_denoise(model.params, sigmas, z, z_x)
+    want = reference.rollout(model.params, sigmas, z, z_x)
     got = stage1.denoise_from(model, z, x, sigma_start, steps)
     npt.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
 

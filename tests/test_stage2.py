@@ -1,5 +1,6 @@
 """Stage II tests: CSG inference discipline, training step, persistence."""
 
+import copy
 import gc
 import tracemalloc
 
@@ -11,9 +12,9 @@ from hypothesis import given, settings, strategies as st
 from segvid import cli, mixer, scheduler, stage1, stage2, synth
 from segvid.codec import CodecConfig, encode
 from segvid.conditioning import StageTwoInput, encode_reference
-from segvid.grid import FLOAT, SUB_TRAIN, Rng
+from segvid.grid import FLOAT, Rng
 
-import oracles
+import reference
 
 
 def down_pair(v):
@@ -60,7 +61,7 @@ def test_write_set_discipline(monkeypatch):
     t = inp.z_ref.shape[0]
     c = inp.z_x.shape[-1]
     p = scheduler.plan(t, 3, 1)
-    init = oracles.init_latents(inp.z_x, t, 5, stage2.NOISE_KEY)
+    init = reference.initial_latents(inp.z_x, t, 5, stage2.NOISE_KEY)
     real = mixer.denoise_window
     windows = []
 
@@ -91,9 +92,9 @@ def test_write_set_discipline(monkeypatch):
        seed=st.integers(0, 2**32 - 1))
 def test_infer_csg_equals_concat_oracle(t, data, K, mask_mode, dtype, seed):
     # the packed request buffer, the reused window buffers and workspaces and
-    # the pixel write-backs give, per step and per segment, the bits of a
-    # segment loop that gathers each window afresh and concatenates [z | ref]
-    # at every step (N = 0 and M = t - 1 included)
+    # the pixel write-backs give, per step and per segment, the bits of the
+    # reference's loop, which gathers each window afresh and concatenates
+    # [z | ref] at every step (N = 0 and M = t - 1 included)
     M = data.draw(st.integers(1, t - 1))
     N = data.draw(st.integers(0, 3))
     p = scheduler.plan(t, M, N)
@@ -110,43 +111,21 @@ def test_infer_csg_equals_concat_oracle(t, data, K, mask_mode, dtype, seed):
                            on_step=lambda s, k, zw, idx: steps.append((s, k, idx, zw.copy())),
                            on_segment=lambda s, z: states.append(z.copy()))
 
-    init = oracles.init_latents(inp.z_x, t, seed, stage2.NOISE_KEY)
+    init = reference.initial_latents(inp.z_x, t, seed, stage2.NOISE_KEY)
     z = np.zeros_like(init)
     z[0] = init[0]
     want_steps, want_states = [], []
-    for s in range(1, p.S + 1):
-        idx, m = p.W[s - 1], len(p.I[s - 1])
+    for s, (idx, m) in enumerate(reference.segments(t, M, N), 1):
         rows = np.asarray(idx) - 1
         z[rows[-m:]] = init[rows[-m:]]
-        win = oracles.denoise_window_concat(
-            lambda x, sigma: mixer.forward(params, x, sigma, idx), sigmas, z[rows],
-            inp.z_ref[rows], np.arange(len(idx)) >= len(idx) - m,
-            on_step=lambda k, zw: want_steps.append((s, k, idx, zw.copy())))
+        for k in range(K):
+            win = reference.ladder(params, sigmas[:k + 2], z[rows], inp.z_ref[rows], idx, m)
+            want_steps.append((s, k, tuple(idx), win.tobytes()))
         z[rows[-m:]] = win[-m:]
-        want_states.append(z.copy())
+        want_states.append(z.tobytes())
     assert got.dtype == FLOAT and got.tobytes() == z.tobytes()
-    assert len(steps) == len(want_steps) == p.S * K
-    for (s, k, idx, zw), (s_, k_, idx_, zw_) in zip(steps, want_steps):
-        assert (s, k, idx) == (s_, k_, idx_)
-        assert zw.astype(FLOAT).tobytes() == zw_.tobytes(), (s, k)
-    assert len(states) == p.S
-    for s, (state, want) in enumerate(zip(states, want_states), 1):
-        assert state.astype(FLOAT).tobytes() == want.tobytes(), s
-
-
-def test_single_segment_plan_equals_full_window():
-    # the one window of plan(t, t - 1, 0), run in place in the request
-    # buffer, against the whole sequence in one concatenating window
-    model = stage2.new_stage2(3)
-    _, inp = truth_and_input(seed=2)
-    t = inp.z_ref.shape[0]
-    p = scheduler.plan(t, t - 1, 0)
-    assert p.S == 1
-    idx = p.W[0]
-    want = oracles.denoise_window_concat(
-        lambda x, sigma: mixer.forward(model.params, x, sigma, idx), model.schedule.sigmas,
-        oracles.init_latents(inp.z_x, t, 11, stage2.NOISE_KEY), inp.z_ref, np.arange(t) >= 1)
-    npt.assert_array_equal(stage2.infer_csg(model, inp, p, 11), want)
+    assert [(s, k, i, zw.astype(FLOAT).tobytes()) for s, k, i, zw in steps] == want_steps
+    assert [state.astype(FLOAT).tobytes() for state in states] == want_states
 
 
 def test_zero_init_reference_invariance():
@@ -182,12 +161,10 @@ def test_train_step_draws_mn_from_choices():
     pair = encoded(model, [down_pair(truth)])
     log = stage2.train(model, [], pair, steps=60, seed=0, lr=1e-4)
     assert {(M, N) for _, _, M, N, _ in log} == set(stage2.MN_CHOICES)
-    # a given (M, N) is the one used: eval_loss at (3, 2) is the retired
-    # stage-2 loss at (3, 2) over the same draws
-    g = Rng(1).split(SUB_TRAIN)
-    z0, z_ref = np.split(pair[0], 2, axis=-1)
-    want = sum(oracles.stage2_loss_terms(model.params, z_ref, z0, g, 3, 2)[0]
-               for _ in range(4)) / 4
+    # a given (M, N) is the one used: eval_loss at (3, 2) is the
+    # reference's loss at (3, 2) over the same draws
+    windows = reference.stage2_eval_windows([np.split(pair[0], 2, axis=-1)], 3, 2)
+    want = reference.evaluate(model.params, windows, 1, draws=4)
     assert stage2.eval_loss(model, pair, seed=1, draws=4, M=3, N=2) == want
 
 
@@ -246,19 +223,6 @@ def test_pipeline_inputs_shapes():
     npt.assert_array_equal(inp.z_x, inp.z_ref[0])
 
 
-@pytest.mark.parametrize("T", [17, 81])
-def test_pipeline_inputs_equal_decoded_lr_video_oracle(T):
-    # the block means read off the stage-1 latents give the bits of decoding
-    # the LR video and encoding its HR hybrid reference
-    for seed in range(3):
-        s1, s2 = stage1.new_stage1(seed), stage2.new_stage2(seed)
-        x = synth.render_scene(synth.SceneSpec(seed=20 + seed, T=1))[0]
-        got = stage2.pipeline_inputs(s1, s2, x, T, seed)
-        want = oracles.pipeline_inputs_via_lr_video(s1, s2, x, T, seed)
-        npt.assert_array_equal(got.z_ref, want.z_ref)
-        npt.assert_array_equal(got.z_x, want.z_x)
-
-
 def test_pipeline_inputs_rejects_stage_f_t_mismatch():
     s1 = stage1.new_stage1(0, codec_cfg=CodecConfig(f_t=2))
     x = synth.render_scene(synth.SceneSpec(seed=8, T=1))[0]
@@ -271,31 +235,23 @@ def _pairs(seed, n=2, T=17):
     return [down_pair(v) for v in clips]
 
 
-def _same_params(a, b):
-    return all(np.array_equal(getattr(a, n), getattr(b, n))
-               for n in ("w_in", "w_q", "w_k", "w_v", "w_out"))
-
-
 @pytest.mark.parametrize("with_transition", [True, False])
 def test_train_matches_hand_loop_of_train_step(with_transition):
-    # train() steps through the shared window loss on pairs encoded once; the
-    # retired train_step re-encodes and runs the retired stage-2 loss. Same
-    # stream, drawn in the same order (source, (M, N), segment, sigma, eps),
-    # so the log and the final parameters agree bit for bit.
+    # train() steps through the shared window loss on pairs packed once; the
+    # reference's loop encodes each pair itself and takes each step in fresh
+    # arrays. Same stream, drawn in the same order (source, (M, N), segment,
+    # sigma, eps), so the log and the final parameters agree bit for bit.
     down = _pairs(70)
     trans = [(0.5 * v_lr + 0.25, v_hr) for v_lr, v_hr in _pairs(80, n=3)]
     trans = trans if with_transition else []
-    a, b = stage2.new_stage2(3), stage2.new_stage2(3)
+    a = stage2.new_stage2(3)
+    codec = (4, 4, reference.lift_matrix(4))
+    windows = reference.stage2_windows([reference.pair(*q, codec) for q in trans],
+                                       [reference.pair(*q, codec) for q in down])
+    b, hand = reference.train(copy.deepcopy(a.params), windows, 20, 9, 3e-4)
     log = stage2.train(a, encoded(a, trans), encoded(a, down), steps=20, seed=9, lr=3e-4)
-    g = Rng(9).split(SUB_TRAIN)
-    hand = []
-    for step in range(20):
-        use = bool(trans) and g.uniform01() < stage2.TRANSITION_SHARE
-        pool = trans if use else down
-        loss, M, N = oracles.stage2_train_step(b, *pool[step % len(pool)], g, lr=3e-4)
-        hand.append((step, loss, M, N, "transition" if use else "downsampled"))
     assert log == hand
-    assert _same_params(a.params, b.params)
+    assert all(np.array_equal(getattr(a.params, n), getattr(b, n)) for n in reference.MATS)
     sources = {row[4] for row in log}
     assert sources == ({"transition", "downsampled"} if with_transition else {"downsampled"})
 
