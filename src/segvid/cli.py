@@ -28,7 +28,7 @@ import numpy as np
 from . import metrics, mixer, scheduler, stage1, stage2, streamer, synth, transition
 from .codec import CodecConfig, decode, encode, group_means, latent_shape, lift, num_blocks
 from .conditioning import encode_reference
-from .grid import read_siv1, write_siv1
+from .grid import read_json, read_siv1, write_siv1
 
 DEFAULTS = {
     "count": 6, "frames": 81, "height": 32, "width": 32,
@@ -159,8 +159,7 @@ class _Cfg:
             if not os.path.exists(args.config):
                 raise ValueError(f"--config expects the path of a JSON file; "
                                  f"no file at {args.config!r}")
-            with open(args.config) as f:
-                self.file = json.load(f)
+            self.file = read_json(args.config)
             if not isinstance(self.file, dict):
                 raise ValueError(f"{args.config}: config must be a JSON object")
         self.resolved = {}
@@ -596,7 +595,7 @@ def main(argv=None) -> int:
         _COMMANDS[name](cfg, args, out)
         cfg.echo(out)
         return 0
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as e:
+    except (ValueError, OSError, KeyError) as e:
         print(f"segvid: validation error: {e}", file=sys.stderr)
         code = 2
     except Exception as e:

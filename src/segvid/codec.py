@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import FLOAT, Rng, SUB_PARAMS, as_f32, pixel_views, plane_means
+from .grid import FLOAT, Rng, SUB_PARAMS, as_f32, pixel_views, plane_means, repeat_view
 
 
 @dataclass(frozen=True)
@@ -196,5 +196,5 @@ def decode_group_means(latent: np.ndarray, cfg: CodecConfig) -> np.ndarray:
     # at h = w = 1 (f_s=1, f_t=1, c=4, t=3), where each row is a gemv
     rgb = z[1:] @ channel_lift(cfg)
     rgb.clip(0.0, 1.0, out=rgb)
-    mean = plane_means(np.broadcast_to(rgb, (cfg.f_t, *rgb.shape)))
+    mean = plane_means(repeat_view(rgb, cfg.f_t))
     return mean.repeat(cfg.f_s, axis=1).repeat(cfg.f_s, axis=2)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import CodecConfig, lift
-from .grid import FLOAT, as_f32, plane_means
+from .grid import FLOAT, as_f32, plane_means, repeat_view
 
 
 @dataclass(frozen=True)
@@ -60,5 +60,5 @@ def encode_reference(means: np.ndarray, z_x: np.ndarray, cfg: CodecConfig) -> St
                          f"both are the HR frame pooled by f_s={cfg.f_s}")
     z_ref = np.empty((1 + n, *zx.shape), FLOAT)
     z_ref[0] = zx
-    z_ref[1:] = lift(plane_means(np.broadcast_to(m, (cfg.f_s ** 2, *m.shape))), cfg)
+    z_ref[1:] = lift(plane_means(repeat_view(m, cfg.f_s ** 2)), cfg)
     return StageTwoInput(z_ref=z_ref, z_x=zx)

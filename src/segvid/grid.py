@@ -26,6 +26,7 @@ first, and writes the header last.
 
 from __future__ import annotations
 
+import json
 import os
 import stat
 import struct
@@ -172,9 +173,20 @@ def pixel_copy(src: np.ndarray) -> np.ndarray:
     return out
 
 
+def repeat_view(a: np.ndarray, k: int) -> np.ndarray:
+    """A read-only (k, *a.shape) stack of k copies of a, as a stride-0 view:
+    ``np.broadcast_to``'s view at about a third of its cost (it builds an
+    nditer to make one). A non-contiguous a is copied first."""
+    if not a.flags.c_contiguous:
+        a = a.copy()
+    view = np.ndarray((k, *a.shape), a.dtype, a, 0, (0, *a.strides))
+    view.setflags(write=False)
+    return view
+
+
 def plane_means(planes: np.ndarray) -> np.ndarray:
     """The mean plane of a (k, ...) stack of planes, copied or stride-0
-    (``np.broadcast_to``): one ``np.add.reduce`` over axis 0 into a float32
+    (``repeat_view``): one ``np.add.reduce`` over axis 0 into a float32
     sum that starts at +0.0 (so -0.0 planes give +0.0), then one divide by k.
     Where a plane has two or more elements numpy adds plane by plane, in
     order. Eight or more one-element planes are one reduction axis, which
@@ -183,6 +195,16 @@ def plane_means(planes: np.ndarray) -> np.ndarray:
     out = np.add.reduce(planes, axis=0, initial=FLOAT(0))
     out /= FLOAT(len(planes))
     return out
+
+
+def read_json(path):
+    """The JSON document in the file at path; a one-line ValueError naming
+    the file if it is not JSON."""
+    with open(path) as f:
+        try:
+            return json.load(f)
+        except ValueError as e:
+            raise ValueError(f"{path}: not JSON: {e}") from None
 
 
 def write_siv1(path, arr: np.ndarray) -> None:

@@ -40,27 +40,26 @@ for the BLAS in use. No workspace or buffer is kept at module level: the
 streamer's producer thread runs windows too, and so may concurrent
 requests.
 
-denoise_window runs a window in place in a caller's [z | ref] input buffer,
-checked once per window: each step writes the window's tail back into the
-buffer's z channels as whole pixels (grid.pixel_views), and the
-conditioning prefix and the reference half stay as the caller built them.
-denoise_segments is the one denoising loop, and the only caller of
-denoise_window: an inference request's latents live in the z half of one
-packed (t, h, w, 2c) buffer of this layout, and a training pair is packed
-the same way, [clean | ref], before its run. An inference segment and a
-training draw are one thing, segment s of a plan over such a buffer, and
-scheduler.window_gather is the one gather of its window: into the loop's
-buffer of that length, or into a run's Window, whose step noises only the
-tail. A window that is the whole buffer, the one segment of a plan with
-M >= t - 1, is run in place instead. Stage 1's window is segment 1 of
-plan(t, t - 1, 0), the whole clip.
+denoise_segments is the one denoising loop. An inference request's latents
+live in the z half of one packed (t, h, w, 2c) [z | ref] buffer, and a
+training pair is packed the same way, [clean | ref], before its run. An
+inference segment and a training draw are one thing, segment s of a plan
+over such a buffer, and scheduler.window_gather is the one gather of its
+window: into the loop's buffer of that length, or into a run's Window, whose
+step noises only the tail. A window that is the whole buffer, the one
+segment of a plan with M >= t - 1, is run in place instead. Stage 1's window
+is segment 1 of plan(t, t - 1, 0), the whole clip. The loop checks a request
+once, at entry, and runs each window's ladder itself: each step writes the
+window's tail back into its z channels as whole pixels (grid.pixel_views),
+and the conditioning prefix and the reference half stay as the loop built
+them.
 
 Both pipeline stages are this denoiser. A stage model is the mixer parameters
 plus the codec and sigma schedule it was trained with; a stage differs from
 the other only in its window policy (which blocks, which reference, which
 initial latents). The shared pieces live here: the segment loop, the
 training loop with its divergence guard and its teacher-forced window step
-(`_Spaces.step`, `denoise_window`'s training twin), the evaluation loss,
+(`_Spaces.step`, the training twin of a segment's window), the evaluation loss,
 and the checkpoint files.
 """
 
@@ -76,7 +75,8 @@ import numpy as np
 
 from . import scheduler
 from .codec import CodecConfig, latent_shape
-from .grid import FLOAT, SUB_TRAIN, Rng, pixel_views, read_siv1, require_finite, write_siv1
+from .grid import (FLOAT, SUB_TRAIN, Rng, pixel_views, read_json, read_siv1, require_finite,
+                   write_siv1)
 
 MASK_MODES = ("bidirectional", "causal")
 
@@ -180,7 +180,7 @@ def init_mixer(rng: Rng, d_in: int, d_out: int, d: int = 32,
 
 
 def ref_rows(h: int, w: int, c: int) -> np.ndarray:
-    """Rows of w_in fed by the reference half under denoise_window's packing
+    """Rows of w_in fed by the reference half of the packed window
     (per-pixel channel layout [noisy c | reference c])."""
     base = np.arange(h * w) * (2 * c)
     return (base[:, None] + np.arange(c, 2 * c)[None, :]).ravel()
@@ -299,16 +299,15 @@ class Workspace:
             self.grads.flat = g_flat
 
 
-def _check_window(p: MixerParams, window_blocks, sigmas) -> np.ndarray:
-    """The window's rows in p's dtype, once its shape and noise levels pass."""
+def _check_window(p: MixerParams, window_blocks, sigma) -> np.ndarray:
+    """The window's rows in p's dtype, once its shape and noise level pass."""
     x = np.asarray(window_blocks, dtype=p.w_in.dtype)
     if x.ndim != 2 or x.shape[1] != p.d_in:
         raise ValueError(f"window blocks must be (n, {p.d_in}), got {x.shape}")
     if x.shape[0] < 1:
         raise ValueError("window must contain at least one block")
-    for sigma in sigmas:
-        if not 0.0 <= sigma <= 1.0:
-            raise ValueError(f"sigma must lie in [0,1], got {sigma}")
+    if not 0.0 <= sigma <= 1.0:
+        raise ValueError(f"sigma must lie in [0,1], got {sigma}")
     return x
 
 
@@ -348,7 +347,7 @@ def forward(p: MixerParams, window_blocks: np.ndarray, sigma: float,
     which the next pass overwrites.
     """
     if ws is None:
-        window_blocks = _check_window(p, window_blocks, (sigma,))
+        window_blocks = _check_window(p, window_blocks, sigma)
         ws = Workspace(p, window_blocks.shape[0])
     y, _ = _forward_cache(p, window_blocks, sigma, indices, ws)
     return y
@@ -370,7 +369,7 @@ def loss_and_grad(p: MixerParams, window_blocks: np.ndarray, clean_targets: np.n
     n_noisy = np.count_nonzero(mask)
     if not n_noisy:
         raise ValueError("noisy_mask selects no blocks; loss undefined")
-    x = _check_window(p, window_blocks, (sigma,))
+    x = _check_window(p, window_blocks, sigma)
     if ws is None:
         ws = Workspace(p, x.shape[0], backward=True)
     elif not ws.backward or ws.n != x.shape[0]:
@@ -450,68 +449,41 @@ def uniform_sigmas(start: float, steps: int) -> list[float]:
     return [start * (1.0 - j / steps) for j in range(steps)] + [0.0]
 
 
-def denoise_window(p: MixerParams, sigmas, zr: np.ndarray, tail: np.ndarray, indices,
-                   ws: Workspace, on_step=None) -> None:
-    """Run the sigma ladder on one window, in place.
-
-    zr: the (n, h, w, 2c) window, [z | ref] per pixel, C-contiguous in p's
-    dtype: a read-only conditioning prefix followed by its noisy tail, the
-    last m blocks. tail: (m, h, w, c), the tail's latents, which the ladder
-    starts from and steps in place. ws: a Workspace of n rows. The window is
-    checked once (its shape, every sigma in [0, 1], a strictly decreasing
-    ladder). The tail is written into zr's z channels, then each step makes
-    one forward pass over zr, applies the Euler update to the tail only and
-    writes it back, whole pixels at a time (grid.pixel_views); the prefix and
-    the reference half are never written. Its one caller in the package is
-    denoise_segments.
-
-    on_step(k, z, idx), if given, observes zr's z channels (a view) after
-    each step.
-    """
-    n, m, c = zr.shape[0], tail.shape[0], tail.shape[-1]
-    if zr.shape[1:] != tail.shape[1:-1] + (2 * c,) or m > n:
-        raise ValueError(f"need an (n, h, w, 2c) window and an (m <= n, h, w, c) tail, "
-                         f"got {zr.shape} and {tail.shape}")
-    if zr.dtype != p.flat.dtype or not zr.flags.c_contiguous:
-        raise ValueError(f"the window must be C-contiguous {p.flat.dtype}, got {zr.dtype}")
-    if ws.n != n:
-        raise ValueError(f"denoise_window needs a workspace of {n} rows, got {ws.n}")
-    if any(b >= a for a, b in zip(sigmas, sigmas[1:])):
-        raise ValueError(f"sigma ladder must be strictly decreasing, got {tuple(sigmas)}")
-    x = _check_window(p, zr.reshape(n, -1), sigmas)
-    prefix = n - m
-    idx = tuple(indices)
-    v = ws.y[prefix:].reshape(tail.shape)   # the tail's rows of every pass's readout
-    put, got = pixel_views(zr[prefix:, ..., :c], tail)
-    put[...] = got
-    for k, (sigma_from, sigma_to) in enumerate(zip(sigmas, sigmas[1:])):
-        forward(p, x, sigma_from, idx, ws=ws)
-        # the readout is this pass's own, so the step scales it in place
-        tail += np.multiply(v, sigma_to - sigma_from, out=v)
-        put[...] = got
-        if on_step is not None:
-            on_step(k, zr[..., :c], idx)
-
-
 def denoise_segments(p: MixerParams, sigmas, plan, anchor: np.ndarray, ref: np.ndarray, fill,
                      on_step=None, on_segment=None) -> np.ndarray:
     """The package's one denoising loop: the plan's segments in order, each
     over the whole sigma ladder, in one packed (t, h, w, 2c) [z | ref] buffer
     of p's dtype, the call's own, whose block 1 is [anchor | ref[0]] and whose
-    other blocks stay zero until their segment. A segment packs its blocks'
-    rows of ref (t, h, w, c), takes their initial latents from
-    fill(out, first_block) (grid.noise_filler's interface) into a tail
-    buffer, and runs denoise_window on its window: in place when the window
-    is the whole buffer (a one-segment plan), else gathered once into the
-    call's buffer and Workspace of its length (a plan has at most three),
-    its tail then stored in the z half. Conditioning content is never
-    written. on_step(s, k, window, idx) observes each step, the window's z
-    channels (a view valid until the next step); on_segment(s, z) the z half
-    after each segment. Returns the z half, a view of the buffer."""
+    other blocks stay zero until their segment.
+
+    The request is checked once, before any reference is packed or noise
+    drawn: each sigma in [0, 1], a strictly decreasing ladder, ref of t
+    blocks of the anchor's (h, w, c) extents, and h * w * 2c = p.d_in; the
+    buffers the loop builds are not checked again. A segment packs its
+    blocks' rows of ref, takes their initial latents from fill(out,
+    first_block) (grid.noise_filler's interface) into a tail buffer and
+    writes it into its window: the buffer itself for a one-segment plan,
+    else gathered once into the call's buffer and Workspace of its length (a
+    plan has at most three). Each step is one forward pass over the window
+    and an Euler update of the tail only, written back as whole pixels
+    (grid.pixel_views); a gathered tail is then stored in the z half.
+    Conditioning content is never written. on_step(s, k, window, idx)
+    observes each step, the window's z channels (a view valid until the next
+    step); on_segment(s, z) the z half after each segment. Returns the z
+    half, a view of the buffer."""
+    for sigma in sigmas:
+        if not 0.0 <= sigma <= 1.0:
+            raise ValueError(f"sigma must lie in [0,1], got {sigma}")
+    if any(b >= a for a, b in zip(sigmas, sigmas[1:])):
+        raise ValueError(f"sigma ladder must be strictly decreasing, got {tuple(sigmas)}")
     t = plan.t
-    if ref.shape[0] != t:
-        raise ValueError(f"reference has {ref.shape[0]} blocks, plan expects {t}")
+    if anchor.ndim != 3 or ref.shape != (t, *anchor.shape):
+        raise ValueError(f"reference {ref.shape} must be the plan's {t} blocks of the "
+                         f"anchor's extents {anchor.shape}")
     h, w, c = anchor.shape
+    if h * w * 2 * c != p.d_in:
+        raise ValueError(f"anchor blocks {anchor.shape} pack to {h * w * 2 * c} input rows, "
+                         f"the mixer reads {p.d_in}")
     packed = np.zeros((t, h, w, 2 * c), p.flat.dtype)
     packed[0, ..., :c], packed[0, ..., c:] = anchor, ref[0]
     z = packed[..., :c]
@@ -527,15 +499,25 @@ def denoise_segments(p: MixerParams, sigmas, plan, anchor: np.ndarray, ref: np.n
         put_ref[rows] = got_ref[rows]
         tail = tails[:m]
         fill(tail, a)
-        n = len(plan.W[s - 1])
+        idx = plan.W[s - 1]
+        n = len(idx)
         if n not in windows:
             windows[n] = (np.empty((n, h, w, 2 * c), packed.dtype) if gather else packed,
                           Workspace(p, n))
         win, ws = windows[n]
         if gather:
             scheduler.window_gather(packed, plan, s, out=win)
-        hook = None if on_step is None else (lambda k, zw, idx, _s=s: on_step(_s, k, zw, idx))
-        denoise_window(p, sigmas, win, tail, plan.W[s - 1], ws, on_step=hook)
+        x = win.reshape(n, -1)
+        v = ws.y[n - m:].reshape(tail.shape)   # the tail's rows of every pass's readout
+        put, got = pixel_views(win[n - m:, ..., :c], tail)
+        put[...] = got
+        for k, (sigma_from, sigma_to) in enumerate(zip(sigmas, sigmas[1:])):
+            forward(p, x, sigma_from, idx, ws)
+            # the readout is this pass's own, so the step scales it in place
+            tail += np.multiply(v, sigma_to - sigma_from, out=v)
+            put[...] = got
+            if on_step is not None:
+                on_step(s, k, win[..., :c], idx)
         if gather:
             put_z[rows] = got_z[:m]
         if on_segment is not None:
@@ -558,11 +540,7 @@ def save_params(p: MixerParams, out_dir: str) -> None:
 def _read_doc(path: str, types: dict) -> dict:
     """The JSON object at path, whose keys hold values of the given types (a
     bool is no int); an error names the file and the key."""
-    with open(path) as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ValueError(f"{path}: not JSON: {e}") from None
+    doc = read_json(path)
     for key, want in types.items():
         v = doc.get(key) if isinstance(doc, dict) else None
         if type(v) is not want:

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import mixer, scheduler
 from .codec import CodecConfig, encode, latent_shape, pool
-from .grid import Rng, as_f32, noise_filler, pixel_copy
+from .grid import Rng, as_f32, noise_filler, pixel_copy, repeat_view
 
 NOISE_KEY = 1  # initial-noise key of this stage; stage 2 uses 2
 
@@ -70,10 +70,8 @@ def _rollout(model: mixer.StageModel, sigmas, anchor: np.ndarray, z_x: np.ndarra
     a copy of the anchor (there is nothing to denoise)."""
     if t == 1:
         return anchor[None].copy()
-    # np.broadcast_to's stride-0 view of the contiguous z_x, without its nditer
-    ref = np.ndarray((t, *z_x.shape), z_x.dtype, z_x, 0, (0, *z_x.strides))
-    z = mixer.denoise_segments(model.params, sigmas, scheduler.plan(t, t - 1, 0), anchor, ref,
-                               fill)
+    z = mixer.denoise_segments(model.params, sigmas, scheduler.plan(t, t - 1, 0), anchor,
+                               repeat_view(z_x, t), fill)
     return pixel_copy(z)
 
 
@@ -113,7 +111,7 @@ def _draws(latents):
         t = z0.shape[0]
         if t < 2:
             raise ValueError("clip too short: need at least one block beyond the anchor")
-        packed = np.concatenate([z0, np.broadcast_to(z0[0], z0.shape)], axis=-1)
+        packed = np.concatenate([z0, repeat_view(z0[0], t)], axis=-1)
         clips.append((packed, scheduler.plan(t, t - 1, 0)))
     return lambda j, rng: (*clips[j % len(clips)], 1, ())
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import stage1
 from .codec import CodecConfig, latent_shape
-from .grid import FLOAT, Rng, SUB_SCENE, write_siv1, read_siv1
+from .grid import FLOAT, Rng, SUB_SCENE, read_json, read_siv1, write_siv1
 
 MOTIFS = ("translating_checker", "rotating_gradient", "bouncing_blob")
 
@@ -192,7 +192,7 @@ def load_corpus(corpus_dir) -> list[tuple[SceneSpec, np.ndarray]]:
     differ from its record or the first clip's is refused."""
     corpus_dir = Path(corpus_dir)
     manifest = corpus_dir / "manifest.json"
-    records = json.loads(manifest.read_text())
+    records = read_json(manifest)
     if type(records) is not list:
         raise ValueError(f"{manifest}: expects a JSON list of clip records, "
                          f"got {type(records).__name__}")

@@ -579,6 +579,27 @@ def test_bad_manifest_exits_2_naming_record_and_key(pipeline, tmp_path, capsys, 
     assert not (tmp_path / "o").exists() and tmp_path.exists()
 
 
+@pytest.mark.parametrize("cmd", ["train-stage1", "synth"])
+def test_file_that_is_not_json_exits_2_naming_it(tmp_path, capsys, cmd):
+    # a truncated corpus manifest, or a --config file cut off after its
+    # first key, is refused with one line that names the file
+    if cmd == "synth":
+        bad = tmp_path / "cfg.json"
+        bad.write_text('{"seed": ')
+        argv = ["synth", "--config", str(bad)]
+    else:
+        corpus = tmp_path / "corpus"
+        assert cli.main(["synth", "--count", "2", "--frames", "17", "--out", str(corpus)]) == 0
+        bad = corpus / "manifest.json"
+        bad.write_text(bad.read_text()[:10])
+        argv = ["train-stage1", "--corpus", str(corpus)]
+    capsys.readouterr()
+    assert cli.main(argv + ["--out", str(tmp_path / "o" / "run")]) == 2
+    err = capsys.readouterr().err.strip()
+    assert "\n" not in err and f"{bad}: not JSON: " in err, err
+    assert not (tmp_path / "o").exists()
+
+
 def test_synth_refuses_clips_of_two_frame_sizes(monkeypatch, tmp_path, capsys):
     # the writer enforces the reader's rule, before it writes anything
     specs = [synth.SceneSpec(seed=0), synth.SceneSpec(seed=1, H=64, W=64)]

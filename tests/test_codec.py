@@ -244,10 +244,9 @@ def test_no_public_function_takes_a_pooling_factor():
     assert found == []
 
 
-def test_only_the_segment_loop_calls_denoise_window():
+def test_only_the_segment_loop_calls_forward():
     # the package has one denoising loop, mixer.denoise_segments: no other
-    # function in src/segvid names mixer.denoise_window, to call it or to
-    # hand it on
+    # function in src/segvid names mixer.forward, to call it or to hand it on
     found = []
     for path in sorted(Path(segvid.__file__).parent.glob("*.py")):
         scope = []
@@ -261,11 +260,11 @@ def test_only_the_segment_loop_calls_denoise_window():
             visit_AsyncFunctionDef = visit_ClassDef = visit_FunctionDef
 
             def visit_Name(self, node):
-                if node.id == "denoise_window":
+                if node.id == "forward":
                     found.append(".".join([path.stem, *scope]))
 
             def visit_Attribute(self, node):
-                if node.attr == "denoise_window":
+                if node.attr == "forward":
                     found.append(".".join([path.stem, *scope]))
                 self.generic_visit(node)
 

@@ -275,6 +275,16 @@ def test_plane_means_equals_ordered_loop(k, n, h, w, c, layout, scale, neg_zero,
     npt.assert_array_equal(_bits(got), _bits(want))
 
 
+def test_repeat_view_is_a_read_only_broadcast_of_a_contiguous_copy():
+    a = np.random.default_rng(0).standard_normal((3, 4, 2)).astype(FLOAT)
+    for src, shares in ((a, True), (a[:, ::2], False), (a[..., :1], False)):
+        got = grid.repeat_view(src, 5)
+        want = np.broadcast_to(src, (5, *src.shape))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert got.strides[0] == 0 and not got.flags.writeable
+        assert np.shares_memory(got, src) == shares  # a strided source is copied first
+
+
 @settings(deadline=None, max_examples=100)
 @given(f=st.sampled_from((1, 2, 3, 4, 8)), n=_EXTENT, h=_EXTENT, w=_EXTENT,
        c=st.integers(2, 6), strided=st.booleans(), scale=st.floats(1e-3, 1e3),

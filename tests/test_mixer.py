@@ -4,13 +4,15 @@ the packed parameter buffer, and the BLAS bit assumptions it rests on."""
 import copy
 import dataclasses
 import pickle
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from segvid import mixer, scheduler
+from segvid import mixer, scheduler, stage2
+from segvid.codec import CodecConfig
 from segvid.grid import FLOAT, SUB_TRAIN, Rng
 
 import oracles
@@ -183,46 +185,43 @@ def test_schedules():
         mixer.default_schedule(0)
 
 
-def _packed(p, z, ref, n_noisy):
-    """A window buffer [z | ref] in p's dtype and a copy of its tail."""
-    return (np.concatenate([z, ref], axis=-1, dtype=p.flat.dtype),
-            np.array(z[z.shape[0] - n_noisy:]))
-
-
-def test_denoise_window_holds_conditioning_prefix():
+@pytest.mark.parametrize("via", ["denoise_segments", "infer_csg"])
+@pytest.mark.parametrize("sigmas, t, anchor_shape, ref_shape, what", [
+    ((1.0, 0.5, 0.5, 0.0), 3, (1, 1, 5), (3, 1, 1, 5), "strictly decreasing"),
+    ((1.0, 0.6, 0.7, 0.0), 3, (1, 1, 5), (3, 1, 1, 5), "strictly decreasing"),
+    ((1.5, 0.5, 0.0), 3, (1, 1, 5), (3, 1, 1, 5), "sigma must lie in"),
+    ((1.0, 0.5, -0.5), 3, (1, 1, 5), (3, 1, 1, 5), "sigma must lie in"),
+    ((1.0, float("nan"), 0.0), 3, (1, 1, 5), (3, 1, 1, 5), "sigma must lie in"),
+    ((1.0, 0.5, 0.0), 4, (1, 1, 5), (3, 1, 1, 5), "plan's 4 blocks"),
+    ((1.0, 0.5, 0.0), 3, (1, 1, 5), (3, 1, 1, 4), "anchor's extents"),
+    ((1.0, 0.5, 0.0), 3, (1, 5), (3, 1, 5), "anchor's extents"),
+    ((1.0, 0.5, 0.0), 3, (1, 1, 4), (3, 1, 1, 4), "mixer reads 10"),
+], ids=["repeat", "rise", "above-1", "below-0", "nan", "blocks", "extents", "anchor-2d",
+        "d_in"])
+def test_refused_requests_draw_nothing(monkeypatch, via, sigmas, t, anchor_shape, ref_shape,
+                                       what):
+    # a request is checked once, at loop entry: a bad ladder or a reference
+    # or anchor of the wrong shape is refused before any noise is drawn or
+    # any forward pass runs
     p = mixer.init_mixer(Rng(9), d_in=10, d_out=5, d=6)
     g = np.random.default_rng(4)
-    z = g.standard_normal((3, 1, 1, 5)).astype(FLOAT)
-    ref = g.standard_normal((3, 1, 1, 5)).astype(FLOAT)
-    sigmas = mixer.default_schedule(2).sigmas
-    zr, tail = _packed(p, z, ref, 2)
-    before = zr.copy()
-    mixer.denoise_window(p, sigmas, zr, tail, (1, 2, 3), mixer.Workspace(p, 3))
-    npt.assert_array_equal(zr[0], before[0])                # the prefix, both halves
-    npt.assert_array_equal(zr[..., 5:], before[..., 5:])    # the reference half
-    npt.assert_array_equal(zr[1:, ..., :5], tail)           # the stepped tail, written back
-    assert not np.array_equal(tail, z[1:])
-    # a tail longer than the window or of other extents, a window in
-    # another dtype or not contiguous, a workspace of another length
-    zr, tail = _packed(p, z, ref, 2)
-    for args, what in (((zr, np.zeros((4, 1, 1, 5), FLOAT), 3), "tail"),
-                       ((zr, tail[..., :4], 3), "tail"),
-                       ((zr.astype(np.float64), tail, 3), "C-contiguous float32"),
-                       ((np.asfortranarray(zr), tail, 3), "C-contiguous float32"),
-                       ((zr, tail, 2), "workspace of 3 rows")):
-        window, bad_tail, n = args
-        with pytest.raises(ValueError, match=what):
-            mixer.denoise_window(p, sigmas, window, bad_tail, (1, 2, 3), mixer.Workspace(p, n))
-    # the ladder is checked once, before any step: every sigma in [0, 1],
-    # strictly decreasing
-    for ladder, what in (((1.0, 0.5, 0.5, 0.0), "strictly decreasing"),
-                         ((1.0, 0.6, 0.7, 0.0), "strictly decreasing"),
-                         ((1.5, 0.5, 0.0), "sigma must lie in"),
-                         ((1.0, 0.5, -0.5), "sigma must lie in"),
-                         ((1.0, float("nan"), 0.0), "sigma must lie in")):
-        with pytest.raises(ValueError, match=what):
-            mixer.denoise_window(p, ladder, zr, tail, (1, 2, 3), mixer.Workspace(p, 3))
-    npt.assert_array_equal(tail, z[1:])  # a refused window is not stepped
+    anchor = g.standard_normal(anchor_shape).astype(FLOAT)
+    ref = g.standard_normal(ref_shape).astype(FLOAT)
+    plan = scheduler.plan(t, 1, 1)
+    fills, passes = [], []
+
+    def fill(out, a):
+        fills.append(a)
+
+    monkeypatch.setattr(mixer, "forward", lambda *args, **kwargs: passes.append(args))
+    with pytest.raises(ValueError, match=what):
+        if via == "denoise_segments":
+            mixer.denoise_segments(p, sigmas, plan, anchor, ref, fill)
+        else:
+            monkeypatch.setattr(stage2, "noise_filler", lambda rng, t: fill)
+            model = mixer.StageModel(p, CodecConfig(c=5), SimpleNamespace(sigmas=sigmas))
+            stage2.infer_csg(model, SimpleNamespace(z_x=anchor, z_ref=ref), plan, 0)
+    assert fills == [] and passes == []
 
 
 def test_save_load_roundtrip(tmp_path):
@@ -284,38 +283,6 @@ def test_embed_matches_sin_code_formula_and_level_cache_is_bounded():
     assert not mixer._level_code(500.0, p.d, np.dtype(FLOAT)).flags.writeable
 
 
-@pytest.mark.parametrize("broadcast_ref", [False, True])
-def test_denoise_window_matches_concat_per_step_and_keeps_inputs(broadcast_ref):
-    # in one window buffer and workspace, reused window after window, every
-    # step equals the concatenating ladder's, and only the tail's z channels
-    # are written: the prefix and the reference half stay as built
-    p = mixer.init_mixer(Rng(12), d_in=2 * 2 * 2 * 3, d_out=2 * 2 * 3, d=8)
-    g = np.random.default_rng(7)
-    z = g.standard_normal((5, 2, 2, 3)).astype(FLOAT)
-    ref = (np.broadcast_to(g.standard_normal((2, 2, 3)).astype(FLOAT), z.shape)
-           if broadcast_ref else g.standard_normal((5, 2, 2, 3)).astype(FLOAT))
-    idx = (1, 3, 4, 6, 7)
-    n = len(idx)
-    sigmas = mixer.default_schedule(4).sigmas
-    ws = mixer.Workspace(p, n)
-    zr = np.empty((n, 2, 2, 6), FLOAT)
-    for n_noisy in range(n + 1):
-        zr[...], tail = _packed(p, z, ref, n_noisy)
-        prefix = n - n_noisy
-        seen = []
-        mixer.denoise_window(p, sigmas, zr, tail, idx, ws,
-                             on_step=lambda k, zw, i: seen.append((k, zw.copy(), i)))
-        want_seen = [reference.ladder(p, sigmas[:k + 2], z, ref, idx, n_noisy)
-                     for k in range(len(sigmas) - 1)]
-        want = want_seen[-1]
-        assert len(seen) == len(want_seen) == len(sigmas) - 1
-        for (k, zw, i), zw_want in zip(seen, want_seen):
-            assert i == idx and zw.tobytes() == zw_want.tobytes(), k
-        assert tail.tobytes() == want[prefix:].tobytes()
-        assert zr[..., :3].tobytes() == want.tobytes()
-        assert zr[..., 3:].tobytes() == np.ascontiguousarray(ref).tobytes()
-
-
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("mask_mode", ["causal", "bidirectional"])
 def test_attention_equals_uncached_mask_and_softmax(mask_mode, dtype):
@@ -361,16 +328,26 @@ def test_denoise_segments_never_writes_its_inputs_or_shares_its_buffer(broadcast
     def fill(out, a):
         out[...] = z[a - 1:a - 1 + len(out)]
 
-    # the whole buffer as one window, run in place, and gathered windows
+    # the whole buffer as one window, run in place, and gathered windows,
+    # each into the loop's one buffer and workspace of its length: every
+    # step equals the concatenating ladder's
     for plan in (scheduler.plan(4, 3, 0), scheduler.plan(4, 1, 1)):
-        a = mixer.denoise_segments(p, sigmas, plan, z[0], ref, fill)
+        seen = []
+        a = mixer.denoise_segments(p, sigmas, plan, z[0], ref, fill,
+                                   on_step=lambda s, k, zw, i: seen.append(zw.tobytes()))
         a_bytes = a.tobytes()
+        want, want_seen = np.array(z), []
+        for W, m in zip(plan.W, map(len, plan.I)):
+            rows = np.subtract(W, 1)
+            for k in range(len(sigmas) - 1):
+                win = reference.ladder(p, sigmas[:k + 2], want[rows], ref[rows], W, m)
+                want_seen.append(win.tobytes())
+            want[rows[-m:]] = win[-m:]
+        assert seen == want_seen and a_bytes == want.tobytes()
         assert z.tobytes() == z0 and np.ascontiguousarray(ref).tobytes() == ref0
         assert a.flags.writeable and a.shape == z.shape
         assert not np.shares_memory(a, z) and not np.shares_memory(a, ref)
         assert a[0].tobytes() == z[0].tobytes()  # the anchor is held
-        if plan.S == 1:
-            assert a_bytes == reference.ladder(p, sigmas, z, ref, (1, 2, 3, 4), 3).tobytes()
         b = mixer.denoise_segments(p, sigmas, plan, z[0], ref, fill)
         assert a.tobytes() == a_bytes == b.tobytes()  # a later call leaves it alone
         b[:] = 0.0  # and writing one result changes no other

@@ -62,22 +62,21 @@ def test_write_set_discipline(monkeypatch):
     c = inp.z_x.shape[-1]
     p = scheduler.plan(t, 3, 1)
     init = reference.initial_latents(inp.z_x, t, 5, stage2.NOISE_KEY)
-    real = mixer.denoise_window
-    windows = []
+    real = mixer.forward
+    windows = {}  # each window's input at its first pass, keyed by its blocks
 
-    def watched(params, sigmas, zr, tail, indices, ws, on_step=None):
-        windows.append((zr.copy(), tail.copy(), tuple(indices)))
-        return real(params, sigmas, zr, tail, indices, ws, on_step)
+    def watched(params, x, sigma, indices=None, ws=None):
+        windows.setdefault(indices, x.reshape(len(indices), *inp.z_x.shape[:2], 2 * c).copy())
+        return real(params, x, sigma, indices, ws)
 
-    monkeypatch.setattr(mixer, "denoise_window", watched)
+    monkeypatch.setattr(mixer, "forward", watched)
     states = []
     final = stage2.infer_csg(model, inp, p, 5, on_segment=lambda s, z: states.append(z.copy()))
-    assert len(windows) == len(states) == p.S
-    for s, ((zr, tail, idx), z) in enumerate(zip(windows, states), 1):
-        m = len(tail)
-        assert idx == p.W[s - 1] and m == len(p.I[s - 1])
-        rows = np.asarray(idx) - 1
-        assert tail.tobytes() == init[rows[-m:]].tobytes()
+    assert list(windows) == list(p.W) and len(states) == p.S
+    for s, (zr, z) in enumerate(zip(windows.values(), states), 1):
+        m = len(p.I[s - 1])
+        rows = np.subtract(p.W[s - 1], 1)
+        assert zr[-m:, ..., :c].tobytes() == init[rows[-m:]].tobytes()
         assert zr[:-m, ..., :c].tobytes() == final[rows[:-m]].tobytes()
         assert zr[..., c:].tobytes() == inp.z_ref[rows].tobytes()
         last = p.I[s - 1][-1]

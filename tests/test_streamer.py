@@ -226,16 +226,17 @@ def _producer_alive():
 
 def test_producer_failure_preserves_partial_log(small, monkeypatch):
     model, inp, p, _ = small
-    real = mixer.denoise_window
+    real = mixer.forward
     windows = []
 
-    def boom(*args, **kwargs):  # segment s runs the request's s-th window
-        windows.append(args[4])
-        if len(windows) == 2:
-            raise RuntimeError("injected segment failure")
-        return real(*args, **kwargs)
+    def boom(params, x, sigma, indices=None, ws=None):  # segment s runs the s-th window
+        if indices not in windows:
+            windows.append(indices)
+            if len(windows) == 2:
+                raise RuntimeError("injected segment failure")
+        return real(params, x, sigma, indices, ws)
 
-    monkeypatch.setattr(mixer, "denoise_window", boom)
+    monkeypatch.setattr(mixer, "forward", boom)
     with pytest.raises(StreamError) as ei:
         streamer.run_streaming(model, inp, p, seed=5)
     events = ei.value.events
@@ -306,17 +307,18 @@ def test_consumer_failure_stops_producer_early(monkeypatch):
     # producer, at most two segments ahead, must stop at its next hand-off
     # instead of denoising the rest or blocking on a queue nobody drains
     model, inp, p = make_setup(seed=8, T=81)
-    real = mixer.denoise_window
+    real = mixer.forward
     denoised = []
 
-    def counted(*args, **kwargs):  # segment s runs the request's s-th window
-        denoised.append(args[4])
-        return real(*args, **kwargs)
+    def counted(params, x, sigma, indices=None, ws=None):  # segment s runs the s-th window
+        if indices not in denoised:
+            denoised.append(indices)
+        return real(params, x, sigma, indices, ws)
 
     def fail(block, cfg, first, out=None):
         raise ArithmeticError("injected consumer failure")
 
-    monkeypatch.setattr(mixer, "denoise_window", counted)
+    monkeypatch.setattr(mixer, "forward", counted)
     monkeypatch.setattr(streamer, "decode_block", fail)
     raised = []
 
