@@ -354,6 +354,50 @@ def test_denoise_segments_never_writes_its_inputs_or_shares_its_buffer(broadcast
         assert a.tobytes() == a_bytes
 
 
+@pytest.mark.parametrize("broadcast_ref", [False, True])
+def test_denoise_window_matches_concat_per_step_and_keeps_inputs(broadcast_ref):
+    # every window of the loop, over plans whose windows hold each prefix
+    # length 1..4 before a tail, in one window buffer per length reused
+    # segment after segment: every step equals the concatenating ladder's,
+    # and only the tail's z channels are written: the prefix and the
+    # reference half stay as built
+    p = mixer.init_mixer(Rng(12), d_in=2 * 2 * 2 * 3, d_out=2 * 2 * 3, d=8)
+    g = np.random.default_rng(7)
+    t = 7
+    z = g.standard_normal((t, 2, 2, 3)).astype(FLOAT)
+    ref = (np.broadcast_to(g.standard_normal((2, 2, 3)).astype(FLOAT), z.shape)
+           if broadcast_ref else g.standard_normal((t, 2, 2, 3)).astype(FLOAT))
+    sigmas = mixer.default_schedule(4).sigmas
+
+    def fill(out, a):
+        out[...] = z[a - 1:a - 1 + len(out)]
+
+    prefixes = set()
+    for plan in (scheduler.plan(t, 6, 0), *(scheduler.plan(t, 2, N) for N in range(4))):
+        seen = []
+        a = mixer.denoise_segments(
+            p, sigmas, plan, z[0], ref, fill,
+            on_step=lambda s, k, zw, i: seen.append((s, k, zw.copy(), i, zw.base,
+                                                      zw.base[..., 3:].tobytes())))
+        want, want_seen = np.array(z), []
+        for W, m in zip(plan.W, map(len, plan.I)):
+            rows = np.subtract(W, 1)
+            prefixes.add(len(W) - m)
+            for k in range(len(sigmas) - 1):
+                win = reference.ladder(p, sigmas[:k + 2], want[rows], ref[rows], W, m)
+                want_seen.append((W, win))
+            want[rows[-m:]] = win[-m:]
+        assert len(seen) == len(want_seen) == plan.S * (len(sigmas) - 1)
+        bufs = {}
+        for (s, k, zw, i, buf, got_ref), (W, zw_want) in zip(seen, want_seen):
+            assert i == W == plan.W[s - 1] and zw.tobytes() == zw_want.tobytes(), (s, k)
+            assert got_ref == np.ascontiguousarray(ref[np.subtract(W, 1)]).tobytes(), (s, k)
+            assert bufs.setdefault(len(W), buf) is buf  # one buffer per window length
+        assert a.tobytes() == want.tobytes()
+        assert a.base[..., 3:].tobytes() == np.ascontiguousarray(ref).tobytes()
+    assert prefixes == {1, 2, 3, 4}
+
+
 def _address(a):
     return a.__array_interface__["data"][0]
 
